@@ -168,10 +168,9 @@ func benchMatVecParallel(b *testing.B, m mat.Matrix) {
 	}
 }
 
-// BenchmarkMatVecEngine runs the engine benchmark shapes shared with
-// `ektelo-bench -exp matvec` (experiments.MatVecCases: 2^20-cell
-// Kronecker, stacked H2 union, CSR H2, 2^22-cell dense), so testing.B
-// and the BENCH_N.json record always measure the same matrices.
+// BenchmarkMatVecEngine runs the engine benchmark shapes
+// (experiments.MatVecCases: 2^20-cell Kronecker, stacked H2 union, CSR
+// H2, 2^22-cell dense).
 func BenchmarkMatVecEngine(b *testing.B) {
 	for _, c := range experiments.MatVecCases() {
 		b.Run(c.Name, func(b *testing.B) {
@@ -211,11 +210,9 @@ func BenchmarkGramKronFast(b *testing.B) {
 
 // ---------------------------------------------------------------------
 // Blocked Gram and multi-RHS (MatMat) benchmarks. The Gram shapes are
-// shared with `ektelo-bench -exp gram` (experiments.GramCases), so
-// testing.B and the BENCH_N.json record always measure the same
-// matrices; blocked-vs-column speedups are read off the sub-benchmark
-// ratio. Allocations are reported and must be 0 on the GramInto and
-// MatMat steady states for Dense and CSR.
+// experiments.GramCases; blocked-vs-column speedups are read off the
+// sub-benchmark ratio. Allocations are reported and must be 0 on the
+// GramInto and MatMat steady states for Dense and CSR.
 // ---------------------------------------------------------------------
 
 func benchGramCase(b *testing.B, name string) {

@@ -7,7 +7,7 @@
 //
 //	ektelo-serve [-addr :8199] [-window 250us] [-replicates 3]
 //	             [-solver lsmr|cgls|normal|nnls] [-state-dir DIR]
-//	             [-persist wal|snapshot] [-fsync always|interval|never]
+//	             [-fsync always|interval|never]
 //	             [-fsync-interval 100ms] [-checkpoint-every 64]
 //	             [-repl-retain 128] [-shutdown-grace 10s]
 //	             [-plan-cache 256] [-preload name:kind:n:scale:seed:eps ...]
@@ -29,17 +29,17 @@
 // With -state-dir every measurement commit persists durably under that
 // directory, and re-creating a dataset name (preload included) restores
 // the log and its spent budget, so a restarted server answers
-// bit-identically and cannot re-grant spent budget. The default
-// -persist backend is "wal": each commit appends one CRC-framed record
-// to a per-dataset write-ahead log (O(delta) bytes per commit) that is
-// periodically compacted into a checkpoint (-checkpoint-every records);
-// a torn log tail from a crash is truncated at the first bad frame on
-// restart, never refused. -fsync picks the log durability policy
-// (always per record, interval batched by -fsync-interval, or never);
-// "snapshot" selects the legacy full-rewrite backend (its files load
-// unmodified under "wal", so migration is automatic). On an
-// unrecoverable disk error a dataset degrades to read-only — writes
-// return 503 while queries keep serving from the warm panel.
+// bit-identically and cannot re-grant spent budget. Each commit appends
+// one CRC-framed record to a per-dataset write-ahead log (O(delta)
+// bytes per commit) that is periodically compacted into a checkpoint
+// (-checkpoint-every records); a torn log tail from a crash is
+// truncated at the first bad frame on restart, never refused. -fsync
+// picks the log durability policy (always per record, interval batched
+// by -fsync-interval, or never). State directories written by the
+// retired snapshot-per-commit backend load as-is: the snapshot file is
+// the checkpoint. On an unrecoverable disk error a dataset degrades to
+// read-only — writes return 503 while queries keep serving from the
+// warm panel.
 // -plan-cache bounds the per-dataset workload-answer cache (repeated
 // workloads at one log generation are answered with zero solver and
 // panel work); -1 disables it.
@@ -128,8 +128,6 @@ func main() {
 	solverName := flag.String("solver", "lsmr",
 		fmt.Sprintf("estimate-panel block solver %v; dataset creates may override per dataset", serve.Solvers()))
 	stateDir := flag.String("state-dir", "", "persist measurement logs durably under this directory (restores on create)")
-	persist := flag.String("persist", serve.PersistWAL,
-		"persistence backend: wal (per-commit log records) or snapshot (legacy full rewrite)")
 	fsync := flag.String("fsync", wal.PolicyAlways,
 		"wal fsync policy: always (per record), interval (batched), never (OS page cache only)")
 	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "max time between wal fsyncs under -fsync interval")
@@ -147,9 +145,6 @@ func main() {
 	if !slices.Contains(serve.Solvers(), *solverName) {
 		log.Fatalf("unknown -solver %q (have %v)", *solverName, serve.Solvers())
 	}
-	if *persist != serve.PersistWAL && *persist != serve.PersistSnapshot {
-		log.Fatalf("unknown -persist %q (have %q, %q)", *persist, serve.PersistWAL, serve.PersistSnapshot)
-	}
 	if !wal.ValidPolicy(*fsync) {
 		log.Fatalf("unknown -fsync %q (have %q, %q, %q)", *fsync, wal.PolicyAlways, wal.PolicyInterval, wal.PolicyNever)
 	}
@@ -165,7 +160,6 @@ func main() {
 		Solver:          *solverName,
 		CacheSize:       *planCache,
 		StateDir:        *stateDir,
-		Persist:         *persist,
 		Fsync:           *fsync,
 		FsyncInterval:   *fsyncInterval,
 		CheckpointEvery: *checkpointEvery,

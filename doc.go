@@ -5,13 +5,10 @@
 // The library lives under internal/ (see DESIGN.md for the system
 // inventory); runnable entry points are the examples/ programs,
 // cmd/ektelo-bench — which regenerates every table and figure of the
-// paper's evaluation plus the engine (-exp matvec), blocked-Gram
-// (-exp gram), serve-load (-exp serve, and -exp serve -plan for the
-// plan-mode/cache load), multi-epsilon-sweep (-exp sweep) and
-// incremental-refresh (-exp incremental) and sharded-cluster
-// (-exp cluster) benchmarks that record the repo's performance
-// trajectory (BENCH_1..8.json) — cmd/ektelo-serve, the HTTP/JSON query
-// service, and cmd/ektelo-router, the cluster front door.
+// paper's evaluation — cmd/ektelo-serve, the HTTP/JSON query service,
+// and cmd/ektelo-router, the cluster front door. Performance is
+// measured by the bench/ module (bash bench/run.sh), end to end over
+// real sockets and layer by layer.
 //
 // # Architecture: operator layer, session kernel, serve front end
 //
@@ -58,10 +55,9 @@
 // served with zero solver iterations and zero panel work, and any new
 // measurement bumps the generation, invalidating every cached answer.
 // With Config.StateDir set, each measurement commit is made durable
-// before the request returns. The default backend is a per-dataset
-// write-ahead log (internal/wal): one CRC32C-framed record per commit —
-// O(delta) bytes, ~16x fewer than the legacy full-snapshot rewrite
-// (BENCH_7.json) — with configurable fsync policy, periodic compaction
+// before the request returns by a per-dataset write-ahead log
+// (internal/wal): one CRC32C-framed record per commit — O(delta)
+// bytes — with configurable fsync policy, periodic compaction
 // into a snapshot-format checkpoint, and torn-tail recovery (a crash
 // mid-append truncates at the first bad frame on restart; the clean
 // prefix always loads). Blocks are stored in the snapshot codec
@@ -87,9 +83,8 @@
 // rank-k mat.GramUpdate passes — O(delta rows) per refresh, with
 // answers bit-identical to a cold rebuild and well-defined cold
 // fallbacks (weight-cap changes, snapshot restores, oversized deltas).
-// Snapshots carry the estimate panel, so restarts warm-start too.
-// ektelo-bench -exp incremental records warm-vs-cold refresh cost
-// (BENCH_6.json) and enforces the bit-identity.
+// The estimate panel persists beside the log, so restarts warm-start
+// too.
 //
 // The serve tier scales out as a cluster (internal/cluster,
 // cmd/ektelo-router): a static topology of serve processes, datasets
@@ -105,8 +100,7 @@
 // (writes are refused with 421 and the primary's address before any
 // kernel session exists), and a dead primary degrades its datasets to
 // explicitly stale read-only serving rather than electing a second
-// writer. ektelo-bench -exp cluster records read fan-out, replication
-// lag and the failover contract (BENCH_8.json).
+// writer.
 //
 // Every plan bottoms out in internal/mat's implicit mat-vec kernels;
 // those run on a shared parallel, zero-allocation compute engine (see
@@ -121,7 +115,7 @@
 // solver run k columns at a time with per-column convergence latches,
 // each column bit-identical to its scalar solve on Dense/CSR operands —
 // batched projected-gradient NNLS (solver.NNLSMulti, pricing a whole
-// epsilon grid in one panel solve, ektelo-bench -exp sweep), HDMM
+// epsilon grid in one panel solve), HDMM
 // strategy scoring (selection.HDMMScore), subspace power iteration
 // (solver.PowerIterLW), and two-column workload answering (mat.Mul2) in
 // MWEM selection and the error metrics — each one pass of memory

@@ -1,47 +1,11 @@
 package experiments
 
-// Gram benchmark: measures the blocked, engine-routed Gram kernels of
-// internal/mat against the column-at-a-time baseline (mat.GramColumns,
-// the generic cols·matvec build) on the strategy shapes DirectLS and the
-// scoring layers hit: a large dense matrix, a RangeQueries CSR strategy,
-// a Kronecker product and the implicit RangeQueriesMat product form.
-// Results feed cmd/ektelo-bench's JSON output (BENCH_N.json) so the
-// repository records its performance trajectory over time. The headline
-// acceptance ratio — blocked ≥ 1.5× the column build single-threaded on
-// 2048×2048 Dense and a RangeQueries CSR strategy — is read directly off
-// the speedup column of the par=1 records.
+// The Gram benchmark shapes: the strategy shapes DirectLS and the
+// scoring layers hit — a large dense matrix, a RangeQueries CSR
+// strategy, a Kronecker product and the implicit RangeQueriesMat
+// product form.
 
-import (
-	"fmt"
-	"runtime"
-	"strings"
-	"testing"
-
-	"repro/internal/mat"
-)
-
-// GramBenchRecord is one (matrix shape, parallelism) Gram measurement.
-type GramBenchRecord struct {
-	Matrix          string  `json:"matrix"`
-	Rows            int     `json:"rows"`
-	Cols            int     `json:"cols"`
-	Parallelism     int     `json:"parallelism"`
-	BlockedNsPerOp  int64   `json:"blocked_ns_per_op"`
-	ColumnsNsPerOp  int64   `json:"columns_ns_per_op,omitempty"` // baseline, par=1 records only
-	SpeedupVsCols   float64 `json:"speedup_vs_columns,omitempty"`
-	SpeedupVsSerial float64 `json:"speedup_vs_serial,omitempty"`
-	AllocsPerOp     int64   `json:"allocs_per_op"` // GramInto steady state
-	BytesPerOp      int64   `json:"bytes_per_op"`
-}
-
-// GramBenchReport is the full Gram benchmark output plus hardware
-// context.
-type GramBenchReport struct {
-	GoVersion  string            `json:"go_version"`
-	GoMaxProcs int               `json:"gomaxprocs"`
-	NumCPU     int               `json:"num_cpu"`
-	Records    []GramBenchRecord `json:"records"`
-}
+import "repro/internal/mat"
 
 // GramCase names one Gram benchmark matrix; Build constructs it on
 // demand.
@@ -50,9 +14,8 @@ type GramCase struct {
 	Build func() mat.Matrix
 }
 
-// GramCases is the single definition of the Gram benchmark shapes,
-// shared by GramBench (the BENCH_N.json record) and the root-level
-// testing.B benchmarks.
+// GramCases is the single definition of the Gram benchmark shapes the
+// root-level testing.B benchmarks measure.
 func GramCases() []GramCase {
 	return []GramCase{
 		{Name: "dense_2048x2048", Build: func() mat.Matrix {
@@ -81,86 +44,4 @@ func GramCases() []GramCase {
 			return mat.RangeQueries(1024, mat.HierarchicalRanges(1024, 2))
 		}},
 	}
-}
-
-// GramBench measures the blocked Gram build for each case at the given
-// parallelism levels (1 is always measured first and is both the
-// column-baseline comparison point and the parallel-speedup baseline).
-// Parallelism is restored to the default on return.
-func GramBench(parallelisms []int) GramBenchReport {
-	defer mat.SetParallelism(0)
-	report := GramBenchReport{
-		GoVersion:  runtime.Version(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
-	levels := append([]int{1}, parallelisms...)
-	for _, bc := range GramCases() {
-		m := bc.Build()
-		r, cols := m.Dims()
-		g := mat.NewDense(cols, cols, nil)
-		var serialNs int64
-		mat.SetParallelism(1)
-		colsRes := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mat.GramColumns(m)
-			}
-		})
-		colsNs := colsRes.NsPerOp()
-		seen := map[int]bool{}
-		for _, p := range levels {
-			if seen[p] {
-				continue
-			}
-			seen[p] = true
-			mat.SetParallelism(p)
-			mat.GramInto(g, m) // warm pools so steady-state allocs are measured
-			res := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					mat.GramInto(g, m)
-				}
-			})
-			rec := GramBenchRecord{
-				Matrix:         bc.Name,
-				Rows:           r,
-				Cols:           cols,
-				Parallelism:    p,
-				BlockedNsPerOp: res.NsPerOp(),
-				AllocsPerOp:    res.AllocsPerOp(),
-				BytesPerOp:     res.AllocedBytesPerOp(),
-			}
-			if p == 1 {
-				serialNs = rec.BlockedNsPerOp
-				rec.ColumnsNsPerOp = colsNs
-				if colsNs > 0 && rec.BlockedNsPerOp > 0 {
-					rec.SpeedupVsCols = float64(colsNs) / float64(rec.BlockedNsPerOp)
-				}
-			}
-			if serialNs > 0 && rec.BlockedNsPerOp > 0 {
-				rec.SpeedupVsSerial = float64(serialNs) / float64(rec.BlockedNsPerOp)
-			}
-			report.Records = append(report.Records, rec)
-		}
-	}
-	return report
-}
-
-// GramBenchString renders the report as an aligned table.
-func GramBenchString(rep GramBenchReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "blocked Gram (%s, GOMAXPROCS=%d, NumCPU=%d)\n",
-		rep.GoVersion, rep.GoMaxProcs, rep.NumCPU)
-	fmt.Fprintf(&b, "%-28s %4s %14s %14s %9s %9s %9s\n",
-		"matrix", "par", "blocked ns/op", "columns ns/op", "vs cols", "vs par1", "allocs/op")
-	for _, r := range rep.Records {
-		colsCell, speedCell := "-", "-"
-		if r.ColumnsNsPerOp > 0 {
-			colsCell = fmt.Sprintf("%d", r.ColumnsNsPerOp)
-			speedCell = fmt.Sprintf("%.2fx", r.SpeedupVsCols)
-		}
-		fmt.Fprintf(&b, "%-28s %4d %14d %14s %9s %8.2fx %9d\n",
-			r.Matrix, r.Parallelism, r.BlockedNsPerOp, colsCell, speedCell, r.SpeedupVsSerial, r.AllocsPerOp)
-	}
-	return b.String()
 }

@@ -1,41 +1,10 @@
 package experiments
 
-// Mat-vec engine benchmark: measures the shared parallel engine of
-// internal/mat on the ≥ 2^20-cell matrix shapes that dominate every plan
-// in the paper's evaluation (Kronecker plans, stacked measurement
-// unions, CSR strategies, dense fallbacks), at each requested
-// parallelism level. The results feed cmd/ektelo-bench's JSON output so
-// the repository records its performance trajectory over time.
+// The mat-vec engine benchmark shapes: the ≥ 2^20-cell matrix families
+// that dominate every plan in the paper's evaluation (Kronecker plans,
+// stacked measurement unions, CSR strategies, dense fallbacks).
 
-import (
-	"fmt"
-	"runtime"
-	"strings"
-	"testing"
-
-	"repro/internal/mat"
-)
-
-// MatVecBenchRecord is one (matrix shape, parallelism) measurement.
-type MatVecBenchRecord struct {
-	Matrix          string  `json:"matrix"`
-	Rows            int     `json:"rows"`
-	Cols            int     `json:"cols"`
-	Parallelism     int     `json:"parallelism"`
-	NsPerOp         int64   `json:"ns_per_op"`
-	AllocsPerOp     int64   `json:"allocs_per_op"`
-	BytesPerOp      int64   `json:"bytes_per_op"`
-	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
-}
-
-// MatVecBenchReport is the full engine benchmark output plus the
-// hardware context needed to interpret it.
-type MatVecBenchReport struct {
-	GoVersion  string              `json:"go_version"`
-	GoMaxProcs int                 `json:"gomaxprocs"`
-	NumCPU     int                 `json:"num_cpu"`
-	Records    []MatVecBenchRecord `json:"records"`
-}
+import "repro/internal/mat"
 
 // MatVecCase names one engine benchmark matrix; Build constructs it on
 // demand (the stacked 2^20-cell shapes take a moment, so callers build
@@ -45,9 +14,8 @@ type MatVecCase struct {
 	Build func() mat.Matrix
 }
 
-// MatVecCases is the single definition of the engine benchmark shapes,
-// shared by MatVecBench (the BENCH_N.json record) and the root-level
-// testing.B benchmarks so both always measure the same matrices.
+// MatVecCases is the single definition of the engine benchmark shapes
+// the root-level testing.B benchmarks measure.
 func MatVecCases() []MatVecCase {
 	const n = 1 << 20
 	return []MatVecCase{
@@ -76,74 +44,4 @@ func MatVecCases() []MatVecCase {
 			return dense
 		}},
 	}
-}
-
-// MatVecBench measures MatVec throughput for each engine matrix family
-// at the given parallelism levels (level 1 is always measured first and
-// is the speedup baseline). Parallelism is restored to the default on
-// return.
-func MatVecBench(parallelisms []int) MatVecBenchReport {
-	defer mat.SetParallelism(0)
-	report := MatVecBenchReport{
-		GoVersion:  runtime.Version(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
-	levels := append([]int{1}, parallelisms...)
-	for _, bc := range MatVecCases() {
-		m := bc.Build()
-		r, cols := m.Dims()
-		x := make([]float64, cols)
-		for i := range x {
-			x[i] = float64(i%13) - 6
-		}
-		dst := make([]float64, r)
-		var serialNs int64
-		seen := map[int]bool{}
-		for _, p := range levels {
-			if seen[p] {
-				continue
-			}
-			seen[p] = true
-			mat.SetParallelism(p)
-			m.MatVec(dst, x) // warm pools so steady-state allocs are measured
-			res := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					m.MatVec(dst, x)
-				}
-			})
-			rec := MatVecBenchRecord{
-				Matrix:      bc.Name,
-				Rows:        r,
-				Cols:        cols,
-				Parallelism: p,
-				NsPerOp:     res.NsPerOp(),
-				AllocsPerOp: res.AllocsPerOp(),
-				BytesPerOp:  res.AllocedBytesPerOp(),
-			}
-			if p == 1 {
-				serialNs = rec.NsPerOp
-			}
-			if serialNs > 0 && rec.NsPerOp > 0 {
-				rec.SpeedupVsSerial = float64(serialNs) / float64(rec.NsPerOp)
-			}
-			report.Records = append(report.Records, rec)
-		}
-	}
-	return report
-}
-
-// MatVecBenchString renders the report as an aligned table.
-func MatVecBenchString(rep MatVecBenchReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "mat-vec engine (%s, GOMAXPROCS=%d, NumCPU=%d)\n",
-		rep.GoVersion, rep.GoMaxProcs, rep.NumCPU)
-	fmt.Fprintf(&b, "%-26s %4s %14s %10s %9s %9s\n",
-		"matrix", "par", "ns/op", "speedup", "allocs/op", "B/op")
-	for _, r := range rep.Records {
-		fmt.Fprintf(&b, "%-26s %4d %14d %9.2fx %9d %9d\n",
-			r.Matrix, r.Parallelism, r.NsPerOp, r.SpeedupVsSerial, r.AllocsPerOp, r.BytesPerOp)
-	}
-	return b.String()
 }

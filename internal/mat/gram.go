@@ -125,8 +125,8 @@ func GramInto(g *Dense, m Matrix) *Dense {
 
 // GramColumns computes MᵀM column by column through the primitive
 // methods: cols mat-vec plus transpose mat-vec pairs. It is the generic
-// fallback and the recorded baseline the blocked kernels are benchmarked
-// against (ektelo-bench -exp gram).
+// fallback and the baseline the blocked kernels are benchmarked against
+// (BenchmarkGram* in the root bench_test.go).
 func GramColumns(m Matrix) *Dense {
 	r, c := m.Dims()
 	g := NewDense(c, c, nil)

@@ -155,7 +155,7 @@ func (d *Dataset) auditSpendLeafLocked(b walBudget) AuditReceipt {
 }
 
 // auditCheckpointLocked appends the post-commit ledger head to the
-// replication stream and, when the WAL backend is live, to the log
+// replication stream and, when the dataset persists, to the log
 // (not counted against the compaction cadence — it is a pin, not
 // state). Caller holds d.mu.
 func (d *Dataset) auditCheckpointLocked() {

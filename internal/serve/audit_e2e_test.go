@@ -57,7 +57,7 @@ func TestAuditEndToEnd(t *testing.T) {
 
 	s1 := New(cfg)
 	ts1 := httptest.NewServer(s1.Handler())
-	d, err := s1.CreateDatasetWithSolver("census", "piecewise", 128, 5000, 42, 10, SolverNormal)
+	d, err := s1.CreateDatasetWithOptions("census", "piecewise", 128, 5000, 42, 10, SolverNormal, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestAuditEndToEnd(t *testing.T) {
 	defer s2.Close()
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
-	d2, err := s2.CreateDatasetWithSolver("census", "piecewise", 128, 5000, 42, 10, SolverNormal)
+	d2, err := s2.CreateDatasetWithOptions("census", "piecewise", 128, 5000, 42, 10, SolverNormal, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestAuditTamperedWALFailsCreate(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{StateDir: dir}
 	s1 := New(cfg)
-	d, err := s1.CreateDatasetWithSolver("ds", "piecewise", 32, 500, 3, 4, SolverNormal)
+	d, err := s1.CreateDatasetWithOptions("ds", "piecewise", 32, 500, 3, 4, SolverNormal, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestAuditTamperedWALFailsCreate(t *testing.T) {
 
 	s2 := New(cfg)
 	defer s2.Close()
-	if _, err := s2.CreateDatasetWithSolver("ds", "piecewise", 32, 500, 3, 4, SolverNormal); err == nil {
+	if _, err := s2.CreateDatasetWithOptions("ds", "piecewise", 32, 500, 3, 4, SolverNormal, 0); err == nil {
 		t.Fatal("tampered WAL loaded cleanly")
 	}
 }

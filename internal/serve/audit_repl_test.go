@@ -26,7 +26,7 @@ func TestReplStreamTrimFloor(t *testing.T) {
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	pd, err := s.CreateDatasetWithSolver("ds", "piecewise", 64, 2000, 17, 50, SolverNormal)
+	pd, err := s.CreateDatasetWithOptions("ds", "piecewise", 64, 2000, 17, 50, SolverNormal, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestReplStreamTrimFloor(t *testing.T) {
 func TestApplyMirrorFailureStillRecordsFrame(t *testing.T) {
 	ps := New(Config{})
 	defer ps.Close()
-	pd, err := ps.CreateDatasetWithSolver("ds", "piecewise", 32, 500, 5, 1, SolverNormal)
+	pd, err := ps.CreateDatasetWithOptions("ds", "piecewise", 32, 500, 5, 1, SolverNormal, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestReplEpochUnpredictable(t *testing.T) {
 func TestAuditStatusSurfacesDivergence(t *testing.T) {
 	ps := New(Config{})
 	defer ps.Close()
-	pd, err := ps.CreateDatasetWithSolver("ds", "piecewise", 32, 500, 7, 4, SolverNormal)
+	pd, err := ps.CreateDatasetWithOptions("ds", "piecewise", 32, 500, 7, 4, SolverNormal, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

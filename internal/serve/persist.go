@@ -7,34 +7,30 @@ import (
 	"fmt"
 	"math"
 	"net/url"
-	"os"
 	"path/filepath"
 
 	"repro/internal/audit"
 	"repro/internal/mat"
-	"repro/internal/wal"
 )
 
-// This file implements measurement-log persistence: each dataset's warm
-// log is written as a versioned JSON snapshot after every measurement
-// (fixed-strategy or plan-mode), and a dataset created with the same
-// name under the same state directory loads the snapshot back — so a
-// restarted ektelo-serve answers from the persisted log bit-identically
-// and, crucially, cannot re-grant budget that was spent before the
-// restart (Kernel.RestoreConsumed replays the consumption).
+// This file is the snapshot codec: the versioned JSON form of one
+// dataset's full state. It is the WAL backend's checkpoint format
+// (walstate.go: compaction writes it, a restart loads it and replays the
+// log on top), its block encoding is the measurement-block record
+// payload, and a *.snapshot.json written by the retired
+// snapshot-per-commit backend is the same file at the same path, so old
+// state directories load unchanged.
 //
-// Snapshot format (version 2): one JSON object per dataset with the
-// dataset identity (name, domain, eps_total), the spent budget, the log
-// generation and the measurement blocks. Each block stores the query
-// matrix over the root domain — dense row-major when ≥⅓ of the entries
-// are nonzero, coordinate triplets otherwise — plus the noisy answers
-// and the per-row noise scale. Version 2 adds the estimate panel as it
-// stood when the snapshot was taken (one generation behind the log,
-// since snapshots are written on commit, before the refresh): a
-// restarted server warm-starts its first solve from it instead of from
-// zero. The loader validates everything before committing: a corrupted,
-// truncated or version-skewed snapshot returns an error, never a
-// partial log.
+// Snapshot format: one JSON object per dataset with the dataset identity
+// (name, domain, eps_total), the spent budget, the log generation and
+// the measurement blocks. Each block stores the query matrix over the
+// root domain — dense row-major when ≥⅓ of the entries are nonzero,
+// coordinate triplets otherwise — plus the noisy answers and the
+// per-row noise scale. Version 2 adds the estimate panel as it stood
+// when the snapshot was taken, a warm-start seed for the first solve
+// after a restart; version 3 adds the audit ledger. The loader
+// validates everything before committing: a corrupted, truncated or
+// version-skewed snapshot returns an error, never a partial log.
 
 // snapshotVersion is the current on-disk format version. Loaders accept
 // the current version and versions 1–2 (1 lacks the optional warm-start
@@ -320,8 +316,7 @@ func snapshotPath(stateDir, name string) string {
 }
 
 // encodeSnapshotLocked marshals the dataset's full current state in
-// the snapshot format — the legacy backend's per-commit write and the
-// WAL backend's checkpoint alike. Caller holds d.mu.
+// the snapshot format, the WAL's checkpoint. Caller holds d.mu.
 func (d *Dataset) encodeSnapshotLocked() ([]byte, error) {
 	s := snapshot{
 		Version:    snapshotVersion,
@@ -350,85 +345,6 @@ func (d *Dataset) encodeSnapshotLocked() ([]byte, error) {
 		return nil, fmt.Errorf("serve: encode snapshot %q: %w", d.name, err)
 	}
 	return data, nil
-}
-
-// persistLocked writes the dataset's current measurement log as a
-// snapshot (atomic temp-file + rename, through the dataset's FS so
-// tests can inject faults and count bytes). Caller holds d.mu. A
-// persist failure is logged, not returned: the measurement it records
-// has already been committed (and its budget spent), so failing the
-// request would invite a client retry and a double spend.
-func (d *Dataset) persistLocked() error {
-	if d.statePath == "" {
-		return nil
-	}
-	data, err := d.encodeSnapshotLocked()
-	if err != nil {
-		return err
-	}
-	//lint:ignore lockscope snapshot backend by design rewrites state inside the commit section so disk order equals generation order; the WAL backend (default) exists to shrink exactly this hold
-	if err := wal.WriteFileAtomic(d.fs, d.statePath, data); err != nil {
-		return fmt.Errorf("serve: write snapshot %q: %w", d.name, err)
-	}
-	return nil
-}
-
-// loadState restores the dataset's measurement log from its snapshot
-// file, if one exists. Called once at create time, before the dataset is
-// published. A snapshot that exists but does not validate — or that
-// disagrees with the dataset's identity — fails the create: silently
-// starting fresh would hand back budget that was already spent.
-func (d *Dataset) loadState() error {
-	if d.statePath == "" {
-		return nil
-	}
-	data, err := d.fs.ReadFile(d.statePath)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		// Tagged ErrSnapshot so the HTTP layer reports server-side state
-		// trouble as a 500, not a client error.
-		return fmt.Errorf("%w: read for %q: %v", ErrSnapshot, d.name, err)
-	}
-	s, blocks, err := loadSnapshot(data)
-	if err != nil {
-		return fmt.Errorf("snapshot for %q: %w", d.name, err)
-	}
-	if s.Name != d.name || s.Domain != d.n {
-		return fmt.Errorf("%w: snapshot identity %q/%d does not match dataset %q/%d",
-			ErrSnapshot, s.Name, s.Domain, d.name, d.n)
-	}
-	if s.EpsTotal != d.kern.EpsTotal() {
-		return fmt.Errorf("%w: snapshot eps_total %g does not match dataset %g",
-			ErrSnapshot, s.EpsTotal, d.kern.EpsTotal())
-	}
-	if s.Consumed > 0 {
-		if err := d.kern.RestoreConsumed(s.Consumed); err != nil {
-			return fmt.Errorf("snapshot for %q: %w", d.name, err)
-		}
-	}
-	rows := 0
-	for _, b := range blocks {
-		rows += len(b.y)
-	}
-	d.blocks = blocks
-	d.rows = rows
-	d.gen = s.Generation
-	// The persisted panel (one generation behind the log) seeds the first
-	// post-restart solve for the iterative solvers; stale stays true so
-	// that solve still happens before any answer goes out. The "normal"
-	// solver's Gram/RHS accumulators are deliberately not persisted — its
-	// first refresh after a restore rebuilds them cold from the log.
-	if s.Panel != nil {
-		d.panel = append([]float64(nil), s.Panel...)
-		d.k = s.PanelK
-	}
-	if err := d.restoreAuditFromSnapshot(s); err != nil {
-		return fmt.Errorf("snapshot for %q: %w", d.name, err)
-	}
-	d.stale = true
-	return nil
 }
 
 // restoreAuditFromSnapshot installs a validated snapshot's audit

@@ -56,7 +56,7 @@ func TestFollowerBitIdenticalAtEqualGeneration(t *testing.T) {
 	defer fs.Close()
 
 	const seed = uint64(42)
-	pd, err := ps.CreateDatasetWithSolver("census", "piecewise", 128, 5000, seed, 10, SolverNormal)
+	pd, err := ps.CreateDatasetWithOptions("census", "piecewise", 128, 5000, seed, 10, SolverNormal, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestFollowerWALTailEndpoint(t *testing.T) {
 	s, ts := newTestServer(t)
 	defer ts.Close()
 	defer s.Close()
-	if _, err := s.CreateDatasetWithSolver("ds", "piecewise", 64, 1000, 3, 8, SolverNormal); err != nil {
+	if _, err := s.CreateDatasetWithOptions("ds", "piecewise", 64, 1000, 3, 8, SolverNormal, 0); err != nil {
 		t.Fatal(err)
 	}
 	d, _ := s.Dataset("ds")
@@ -257,7 +257,7 @@ func TestFollowerWALTailEndpoint(t *testing.T) {
 func TestFollowerLocalLogRestart(t *testing.T) {
 	ps := New(Config{})
 	defer ps.Close()
-	pd, err := ps.CreateDatasetWithSolver("ds", "piecewise", 64, 1000, 9, 8, SolverNormal)
+	pd, err := ps.CreateDatasetWithOptions("ds", "piecewise", 64, 1000, 9, 8, SolverNormal, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestFollowerLocalLogRestart(t *testing.T) {
 func TestFollowerRejectsTamperedStream(t *testing.T) {
 	ps := New(Config{})
 	defer ps.Close()
-	pd, err := ps.CreateDatasetWithSolver("ds", "piecewise", 32, 500, 5, 4, SolverNormal)
+	pd, err := ps.CreateDatasetWithOptions("ds", "piecewise", 32, 500, 5, 4, SolverNormal, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestFollowerRejectsTamperedStream(t *testing.T) {
 func TestServeNNLSSolver(t *testing.T) {
 	s := New(Config{BatchWindow: 100 * time.Microsecond})
 	defer s.Close()
-	d, err := s.CreateDatasetWithSolver("counts", "piecewise", 128, 50, 11, 10, SolverNNLS)
+	d, err := s.CreateDatasetWithOptions("counts", "piecewise", 128, 50, 11, 10, SolverNNLS, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,15 +17,12 @@
 // by (measurement-log generation, workload fingerprint, solver) — see
 // cache.go. With Config.StateDir set, every measurement commit is made
 // durable before the request returns and is restored (spent budget
-// included) when the dataset is re-created. The default backend
-// (Config.Persist = PersistWAL) appends one CRC-framed record per
-// commit to a per-dataset write-ahead log that is periodically
-// compacted into a snapshot-format checkpoint; torn log tails truncate
-// cleanly on restart, and an unrecoverable disk error degrades the
-// dataset to explicit read-only (ErrReadOnly, HTTP 503) while queries
-// keep serving — see walstate.go. The legacy full-snapshot-per-commit
-// backend remains as Config.Persist = PersistSnapshot (persist.go); its
-// files load unmodified under the WAL backend.
+// included) when the dataset is re-created: each commit appends one
+// CRC-framed record to a per-dataset write-ahead log that is
+// periodically compacted into a snapshot-format checkpoint; torn log
+// tails truncate cleanly on restart, and an unrecoverable disk error
+// degrades the dataset to explicit read-only (ErrReadOnly, HTTP 503)
+// while queries keep serving — see walstate.go.
 //
 // The WAL doubles as the serve tier's replication stream (repl.go):
 // every dataset serves its commit history as verbatim frames
@@ -136,10 +133,12 @@ type Config struct {
 	Replicates int
 	// MaxIter bounds the block solve; 0 means 400.
 	MaxIter int
-	// Solver selects the block solver for the estimate panel: "lsmr"
-	// (solver.LSMRMulti, the paper's named solver) or "cgls"
-	// (solver.CGLSMulti); "" means "cgls". Datasets created through the
-	// HTTP endpoint may override it per dataset.
+	// Solver selects the block solver for the estimate panel, one of
+	// Solvers(): "cgls" (solver.CGLSMulti), "lsmr" (solver.LSMRMulti,
+	// the paper's named solver), "normal" (solver.NormalMulti, direct
+	// normal equations with bit-identical incremental refresh) or "nnls"
+	// (solver.NNLSMulti, non-negative estimates); "" means "cgls".
+	// Datasets may override it at create time.
 	Solver string
 	// CacheSize bounds the per-dataset workload-answer cache (entries
 	// keyed by measurement-log generation, workload fingerprint and
@@ -149,12 +148,6 @@ type Config struct {
 	// under this directory: creating a dataset with a previously used
 	// name loads its state back, budget accounting included.
 	StateDir string
-	// Persist selects the durability backend under StateDir: PersistWAL
-	// (the default — one appended, CRC-framed log record per commit,
-	// O(delta) bytes, with checkpoint compaction; see walstate.go) or
-	// PersistSnapshot (the legacy full-snapshot rewrite per commit, kept
-	// behind this flag for one release).
-	Persist string
 	// Fsync is the WAL fsync policy: wal.PolicyAlways (default — one
 	// record is one privacy-relevant commit), wal.PolicyInterval, or
 	// wal.PolicyNever.
@@ -171,10 +164,9 @@ type Config struct {
 	FS wal.FS
 	// ColdRefresh disables the incremental solve path: every refresh
 	// rebuilds the estimate panel from scratch — no warm-started solves,
-	// no cached normal-equation state. It exists as the measured
-	// baseline of the incremental bench (ektelo-bench -exp incremental)
-	// and as a safety valve; the default (false) serves the same answers
-	// faster.
+	// no cached normal-equation state. It exists as the reference the
+	// warm = cold tests compare against and as a safety valve; the
+	// default (false) serves the same answers faster.
 	ColdRefresh bool
 	// ReplRetain bounds the in-memory replication stream to this many
 	// most-recent frames; older frames are trimmed and a follower
@@ -213,9 +205,6 @@ func (c *Config) fill() {
 	}
 	if c.CacheSize < 0 {
 		c.CacheSize = 0 // disabled; newPanelCache returns nil
-	}
-	if c.Persist == "" {
-		c.Persist = PersistWAL
 	}
 	if c.Fsync == "" {
 		c.Fsync = wal.PolicyAlways
@@ -331,16 +320,11 @@ type Server struct {
 }
 
 // New returns an empty server. It panics on a Config.Solver outside
-// Solvers(), an unknown Config.Persist backend, or an invalid
-// Config.Fsync policy — startup configuration errors, not runtime
-// conditions.
+// Solvers() or an invalid Config.Fsync policy — startup configuration
+// errors, not runtime conditions.
 func New(cfg Config) *Server {
 	if !validSolver(cfg.Solver) {
 		panic(fmt.Sprintf("serve: unknown solver %q (have %v)", cfg.Solver, Solvers()))
-	}
-	if !validPersist(cfg.Persist) {
-		panic(fmt.Sprintf("serve: unknown persistence backend %q (have %q, %q)",
-			cfg.Persist, PersistWAL, PersistSnapshot))
 	}
 	if !wal.ValidPolicy(cfg.Fsync) {
 		panic(fmt.Sprintf("serve: unknown fsync policy %q (have %q, %q, %q)",
@@ -462,22 +446,22 @@ type Dataset struct {
 	// cache memoizes answered workloads per (generation, fingerprint,
 	// solver); nil when disabled.
 	cache *panelCache
-	// statePath is the snapshot/checkpoint file for persistence (""
-	// disables); walPath and panelPath are the WAL backend's log and
-	// advisory warm-start sidecar (walstate.go). All persistence I/O
-	// goes through fs so tests can inject faults and count bytes.
+	// statePath is the checkpoint file for persistence ("" disables);
+	// walPath and panelPath are the log and the advisory warm-start
+	// sidecar (walstate.go). All persistence I/O goes through fs so
+	// tests can inject faults and count bytes.
 	statePath string
 	walPath   string
 	panelPath string
 	fs        wal.FS
-	// wlog is the open write-ahead log (nil: snapshot backend or no
-	// persistence); walRecs counts records since the last checkpoint,
-	// triggering compaction at Config.CheckpointEvery.
+	// wlog is the open write-ahead log (nil: no persistence); walRecs
+	// counts records since the last checkpoint, triggering compaction
+	// at Config.CheckpointEvery.
 	wlog    *wal.Log
 	walRecs int
 	// panelDirty marks the estimate panel as changed since its last
-	// sidecar write; the next commit persists it (legacy snapshot
-	// timing — one generation behind the log).
+	// sidecar write; the next commit persists it, one generation behind
+	// the log (see persistPanelLocked).
 	panelDirty bool
 	// readOnly is the graceful-degradation latch: set (with roCause)
 	// when the WAL cannot be appended, it fails further writes with
@@ -520,21 +504,15 @@ type Dataset struct {
 // kinds) protected by a fresh kernel with the given global budget. All
 // kernel randomness derives from seed.
 func (s *Server) CreateDataset(name, kind string, n int, scale float64, seed uint64, epsTotal float64) (*Dataset, error) {
-	return s.CreateDatasetWithSolver(name, kind, n, scale, seed, epsTotal, "")
+	return s.CreateDatasetWithOptions(name, kind, n, scale, seed, epsTotal, "", 0)
 }
 
-// CreateDatasetWithSolver is CreateDataset with a per-dataset estimate
+// CreateDatasetWithOptions is CreateDataset with a per-dataset estimate
 // solver (one of Solvers(); empty uses the server default), so the
 // dataset is constructed — batcher and all — already on the requested
-// solver.
-func (s *Server) CreateDatasetWithSolver(name, kind string, n int, scale float64, seed uint64, epsTotal float64, solverName string) (*Dataset, error) {
-	return s.CreateDatasetWithOptions(name, kind, n, scale, seed, epsTotal, solverName, 0)
-}
-
-// CreateDatasetWithOptions is CreateDatasetWithSolver with the
-// per-dataset Tikhonov damping λ (the HTTP "damping" field): the
-// estimate solve minimizes ‖Ax − y‖² + λ²·‖x − x₀‖², which steadies
-// ill-conditioned or rank-deficient measurement logs (restored
+// solver, and the per-dataset Tikhonov damping λ (the HTTP "damping"
+// field): the estimate solve minimizes ‖Ax − y‖² + λ²·‖x − x₀‖², which
+// steadies ill-conditioned or rank-deficient measurement logs (restored
 // snapshots included) at the cost of a small bias. Damping requires a
 // solver with a damped form ("lsmr" or "normal").
 func (s *Server) CreateDatasetWithOptions(name, kind string, n int, scale float64, seed uint64, epsTotal float64, solverName string, damping float64) (*Dataset, error) {
@@ -594,17 +572,13 @@ func (s *Server) addDataset(name string, x []float64, seed uint64, epsTotal floa
 	}
 	if s.cfg.StateDir != "" {
 		d.statePath = snapshotPath(s.cfg.StateDir, name)
+		d.walPath = walFilePath(s.cfg.StateDir, name)
+		d.panelPath = panelFilePath(s.cfg.StateDir, name)
 		// Restore the persisted measurement log (and its spent budget)
 		// before the dataset becomes visible; persisted state that exists
 		// but does not validate fails the create rather than silently
 		// handing back budget that was already spent.
-		if s.cfg.Persist == PersistWAL {
-			d.walPath = walFilePath(s.cfg.StateDir, name)
-			d.panelPath = panelFilePath(s.cfg.StateDir, name)
-			if err := d.loadStateWAL(); err != nil {
-				return nil, err
-			}
-		} else if err := d.loadState(); err != nil {
+		if err := d.loadStateWAL(); err != nil {
 			return nil, err
 		}
 	}
@@ -932,8 +906,9 @@ func (d *Dataset) commitBlocksLocked(blocks []measBlock, meta commitMeta) AuditR
 	if err != nil {
 		// The measurement is committed and its budget spent; failing the
 		// request now would invite a retry and a double spend. Surface the
-		// durability gap loudly instead — and on the WAL backend, degrade
-		// to read-only so the gap between memory and disk cannot widen.
+		// durability gap loudly instead — and, when the dataset persists,
+		// degrade to read-only so the gap between memory and disk cannot
+		// widen.
 		//lint:ignore lockscope error path: one line at the moment durability is lost, then the read-only degrade stops further writes
 		log.Printf("serve: dataset %q: persist failed: %v", d.name, err)
 		if d.wlog != nil {
@@ -1008,7 +983,7 @@ func (d *Dataset) MeasurePlan(name string, eps float64, params plans.Params) (Pl
 		// though no measurements land: a snapshot frozen at the
 		// pre-failure consumption would let a restarted server re-grant
 		// the spent budget — the exact violation persistence exists to
-		// prevent. The WAL backend logs it as one budget-restore record.
+		// prevent. The log carries it as one budget-restore record.
 		meta := commitMeta{Op: "plan-failed:" + name, Session: sess.ID(), Charges: sess.Charges(), Eps: sess.Consumed()}
 		d.mu.Lock()
 		perr := d.commitSpendLocked(meta)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
@@ -324,48 +325,63 @@ func TestWALCompactionRestart(t *testing.T) {
 	}
 }
 
-// TestWALLegacySnapshotMigration starts a dataset on the legacy
-// snapshot backend, then reopens the same state directory under the
-// default WAL backend: the snapshot loads as the checkpoint with no
-// migration step, answers stay bitwise, and new commits append to a
-// fresh log.
+// legacyFixture is a state file the retired snapshot-per-commit backend
+// wrote (dataset "mig": piecewise, n=32, scale 5000, seed 3, ε-total 10,
+// one "hb" measurement at ε=2), frozen with the answers and budget that
+// process served before it exited.
+const (
+	legacyFixture         = "testdata/legacy_v3.snapshot.json"
+	legacyFixtureExpected = "testdata/legacy_v3.expected.json"
+)
+
+// TestWALLegacySnapshotMigration opens a state directory holding only a
+// snapshot file written by the retired snapshot backend: the snapshot
+// loads as the checkpoint with no migration step, answers stay bitwise,
+// spent budget is not re-granted, and new commits append to a fresh log
+// that survives a further restart.
 func TestWALLegacySnapshotMigration(t *testing.T) {
 	dir := t.TempDir()
-	s1 := New(Config{BatchWindow: 100 * time.Microsecond, StateDir: dir, Persist: PersistSnapshot})
-	d1, err := s1.CreateDataset("mig", "piecewise", 32, 5000, 3, 10)
+	legacy, err := os.ReadFile(legacyFixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d1.Measure("hb", 2); err != nil {
+	if err := os.WriteFile(snapshotPath(dir, "mig"), legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	before, err := d1.Query(crashWorkload)
+	var want struct {
+		Answers      []float64 `json:"answers"`
+		Consumed     float64   `json:"consumed"`
+		MeasuredRows int       `json:"measured_rows"`
+		Generation   uint64    `json:"generation"`
+	}
+	data, err := os.ReadFile(legacyFixtureExpected)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sumBefore := d1.Summary()
-	s1.Close()
-	if _, err := os.Stat(walFilePath(dir, "mig")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("snapshot backend wrote a wal: %v", err)
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
 	}
 
 	s2 := New(Config{BatchWindow: 100 * time.Microsecond, StateDir: dir})
-	defer s2.Close()
 	d2, err := s2.CreateDataset("mig", "piecewise", 32, 5000, 3, 10)
 	if err != nil {
 		t.Fatalf("legacy state dir refused by WAL backend: %v", err)
 	}
 	sumAfter := d2.Summary()
-	if sumAfter.Consumed != sumBefore.Consumed || sumAfter.MeasuredRows != sumBefore.MeasuredRows {
-		t.Fatalf("migration state %+v, want %+v", sumAfter, sumBefore)
+	if sumAfter.Consumed != want.Consumed || sumAfter.MeasuredRows != want.MeasuredRows ||
+		sumAfter.Generation != want.Generation {
+		t.Fatalf("migration state %+v, want %+v", sumAfter, want)
 	}
 	after, err := d2.Query(crashWorkload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range before.Answers {
-		if after.Answers[i] != before.Answers[i] {
-			t.Fatalf("migration moved answer %d: %v -> %v", i, before.Answers[i], after.Answers[i])
+	if len(after.Answers) != len(want.Answers) {
+		t.Fatalf("migration answered %d ranges, want %d", len(after.Answers), len(want.Answers))
+	}
+	for i := range want.Answers {
+		if after.Answers[i] != want.Answers[i] {
+			t.Fatalf("migration moved answer %d: %v -> %v", i, want.Answers[i], after.Answers[i])
 		}
 	}
 	// New commits land in the WAL and survive a further restart.
@@ -374,5 +390,30 @@ func TestWALLegacySnapshotMigration(t *testing.T) {
 	}
 	if _, err := os.Stat(walFilePath(dir, "mig")); err != nil {
 		t.Fatalf("WAL backend did not open a log on legacy state: %v", err)
+	}
+	before3, err := d2.Query(crashWorkload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+
+	s3 := New(Config{BatchWindow: 100 * time.Microsecond, StateDir: dir})
+	defer s3.Close()
+	d3, err := s3.CreateDataset("mig", "piecewise", 32, 5000, 3, 10)
+	if err != nil {
+		t.Fatalf("restart on legacy checkpoint + new log: %v", err)
+	}
+	if sum := d3.Summary(); sum.Consumed != want.Consumed+1 || sum.Generation != want.Generation+1 {
+		t.Fatalf("second restart state %+v, want consumed %g at generation %d",
+			sum, want.Consumed+1, want.Generation+1)
+	}
+	after3, err := d3.Query(crashWorkload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range before3.Answers {
+		if after3.Answers[i] != before3.Answers[i] {
+			t.Fatalf("second restart moved answer %d: %v -> %v", i, before3.Answers[i], after3.Answers[i])
+		}
 	}
 }

@@ -14,15 +14,14 @@ import (
 	"repro/internal/wal"
 )
 
-// This file is the WAL persistence backend (the default; see
-// Config.Persist): instead of rewriting the full snapshot on every
-// commit, each commit appends one CRC-framed record to the dataset's
-// write-ahead log — O(delta) durable bytes per measurement — and a
-// restart rebuilds the exact pre-crash state from the last checkpoint
-// plus a log replay. The checkpoint file IS the snapshot format of
-// persist.go at the same path, so a state directory written by the
-// legacy snapshot backend loads unmodified (and compaction folds a
-// grown log back into that same file).
+// This file is measurement-log persistence (Config.StateDir): each
+// commit appends one CRC-framed record to the dataset's write-ahead
+// log — O(delta) durable bytes per measurement — and a restart
+// rebuilds the exact pre-crash state from the last checkpoint plus a
+// log replay. The checkpoint file is the snapshot format of persist.go
+// (compaction folds a grown log back into it), at the path the retired
+// snapshot-per-commit backend wrote, so a state directory from that
+// backend loads unmodified.
 //
 // Record payloads (JSON, strict-decoded on replay):
 //
@@ -47,11 +46,12 @@ import (
 //
 // The estimate panel is NOT logged per commit (it would dominate the
 // write amplification the WAL exists to remove). It persists to an
-// advisory sidecar file, written at the first commit after a refresh —
-// exactly the panel the legacy backend would have embedded in its
-// snapshot at that commit, so restart warm-start behavior is identical
-// across backends. A missing or invalid sidecar only costs the warm
-// start.
+// advisory sidecar file, written at the first commit after a refresh:
+// the panel the last commit saw, one generation behind the log. That is
+// the start the uninterrupted process's next iterative solve had, so a
+// restarted one warm-starts from the same panel and answers bit for
+// bit the same (restart = before). A missing or invalid sidecar only
+// costs the warm start.
 //
 // When an append fails (disk gone, injected fault), the committed
 // measurement stays committed — its budget is spent and failing the
@@ -59,22 +59,6 @@ import (
 // degrades to explicit read-only: further Measure/MeasurePlan calls
 // fail with ErrReadOnly (HTTP 503) while queries keep serving from the
 // warm panel. A restart recovers the clean log prefix.
-
-// Persistence backends for Config.Persist.
-const (
-	// PersistWAL is the default: per-commit WAL records with periodic
-	// checkpoint compaction.
-	PersistWAL = "wal"
-	// PersistSnapshot is the legacy backend (kept one release behind a
-	// flag): a full snapshot rewrite on every commit.
-	PersistSnapshot = "snapshot"
-)
-
-// validPersist reports whether name is a persistence backend ("" means
-// the default, PersistWAL).
-func validPersist(name string) bool {
-	return name == "" || name == PersistWAL || name == PersistSnapshot
-}
 
 // ErrReadOnly: the dataset degraded to read-only after a persistence
 // failure — writes are refused (503) so the durability gap cannot grow,
@@ -220,8 +204,7 @@ func (d *Dataset) loadStateWAL() error {
 		}
 		haveCkpt = true
 	case errors.Is(err, os.ErrNotExist):
-		// Fresh dataset, or a legacy directory whose snapshot was never
-		// written — the wal (possibly empty) is the whole story.
+		// No checkpoint yet: the wal (possibly empty) is the whole story.
 	default:
 		return fmt.Errorf("%w: read checkpoint for %q: %v", ErrSnapshot, d.name, err)
 	}
@@ -439,19 +422,16 @@ func (d *Dataset) encodeCommitLocked(blocks []measBlock, meta commitMeta) (walMe
 	return rec, payload, nil
 }
 
-// persistCommitLocked makes one commit durable: in WAL mode it appends
-// the already-encoded measurement-block record (O(delta) bytes — the
-// same payload commitBlocksLocked put on the replication stream), then
+// persistCommitLocked makes one commit durable: it appends the
+// already-encoded measurement-block record (O(delta) bytes — the same
+// payload commitBlocksLocked put on the replication stream), then
 // updates the panel sidecar if a refresh ran since the last commit and
-// compacts the log when it is due; in snapshot mode it rewrites the
-// full snapshot. Caller holds d.mu and has already appended blocks to
-// the warm log (they are committed regardless — see commitBlocksLocked).
+// compacts the log when it is due. Caller holds d.mu and has already
+// appended blocks to the warm log (they are committed regardless — see
+// commitBlocksLocked).
 func (d *Dataset) persistCommitLocked(payload []byte) error {
 	if d.statePath == "" {
 		return nil
-	}
-	if d.wlog == nil {
-		return d.persistLocked()
 	}
 	if d.readOnly {
 		return nil // already degraded and logged; nothing more to lose durably
@@ -497,9 +477,6 @@ func (d *Dataset) persistSpendLocked(payload []byte) error {
 	if d.statePath == "" {
 		return nil
 	}
-	if d.wlog == nil {
-		return d.persistLocked()
-	}
 	if d.readOnly {
 		return nil
 	}
@@ -514,17 +491,18 @@ func (d *Dataset) persistSpendLocked(payload []byte) error {
 
 // persistPanelLocked writes the panel sidecar if the panel changed
 // since the last write (panelDirty, set by the refresh paths). Writing
-// at commit time — not refresh time — reproduces the legacy backend's
-// restart state exactly: the persisted panel is the one the last commit
-// saw, one generation behind the log. Advisory: failures are logged,
-// never degrade the dataset. Caller holds d.mu.
+// at commit time — not refresh time — is what restart bit-identity of
+// the iterative solvers rests on: the persisted panel is the one the
+// last commit saw, one generation behind the log, which is exactly the
+// warm start the uninterrupted process's next solve used. Advisory:
+// failures are logged, never degrade the dataset. Caller holds d.mu.
 func (d *Dataset) persistPanelLocked() {
 	if !d.panelDirty || d.panel == nil || d.panelPath == "" {
 		return
 	}
 	data, err := json.Marshal(&panelSidecar{Domain: d.n, K: d.k, Panel: d.panel})
 	if err == nil {
-		//lint:ignore lockscope the sidecar is written at commit time so restarts reproduce the legacy snapshot's warm-start state exactly; advisory, and small (k columns)
+		//lint:ignore lockscope the sidecar is written at commit time so a restart warm-starts from the panel the uninterrupted process would have (restart bit-identity); advisory, and small (k columns)
 		err = wal.WriteFileAtomic(d.fs, d.panelPath, data)
 	}
 	if err != nil {
@@ -587,8 +565,8 @@ func (d *Dataset) maybeCompactLocked() {
 	d.walRecs = 0
 }
 
-// closePersistence syncs and closes the dataset's log (no-op for the
-// snapshot backend). Called from Server.Close after the batcher stops.
+// closePersistence syncs and closes the dataset's log (no-op without
+// persistence). Called from Server.Close after the batcher stops.
 func (d *Dataset) closePersistence() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
