@@ -62,8 +62,13 @@
 // mid-append truncates at the first bad frame on restart; the clean
 // prefix always loads). Blocks are stored in the snapshot codec
 // (matrices canonicalized to Dense/CSR — also the warm in-memory form,
-// so a replayed log is byte-identical solver input), and re-creating
-// the dataset restores the log *and its spent budget*
+// so a replayed log is byte-identical solver input). A commit costs
+// O(nnz of its block): the strategy's entries come from a walk over
+// its constructors (mat.Triplets), and the block is encoded and hashed
+// once, all before the dataset mutex is taken; under it remain the
+// envelope, one frame checksum, the log write and the audit leaf, and
+// the one frame goes to the WAL and the replication stream alike.
+// Re-creating the dataset restores the log *and its spent budget*
 // (kernel.RestoreConsumed; replay never re-grants), making restarts
 // bit-identical and re-spend-proof. On an unrecoverable disk error the
 // dataset degrades to explicit read-only — writes fail with

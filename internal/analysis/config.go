@@ -21,9 +21,18 @@ func Default(module string) []*Analyzer {
 				// the whole O(rows) query log; Summary holding the dataset
 				// mutex across it let write load starve /healthz probes.
 				{Func: mod("internal/kernel") + ".Kernel.History", Why: "O(rows) history copy; use HistoryLen (O(1)) or copy outside the lock"},
+				// The O(nnz) half of a commit (list, canonicalise, encode)
+				// needs nothing from the dataset: prepareCommit, before d.mu.
+				{Func: mod("internal/mat") + ".Triplets", Why: "O(nnz) work belongs before d.mu (prepareCommit)"},
+				{Func: mod("internal/mat") + ".ToSparse", Why: "O(nnz) work belongs before d.mu (prepareCommit)"},
+				{Func: mod("internal/serve") + ".canonicalMatrix", Why: "O(nnz) work belongs before d.mu (prepareCommit)"},
+				{Func: mod("internal/serve") + ".prepareCommit", Why: "O(nnz) work belongs before d.mu"},
+				{Func: mod("internal/serve") + ".appendBlocksJSON", Why: "O(nnz) work belongs before d.mu (prepareCommit)"},
+				{Func: mod("internal/serve") + ".snapshotBlock.appendJSON", Why: "O(nnz) work belongs before d.mu (prepareCommit)"},
 				// I/O, fsync and network: a blocked syscall under a hot
 				// mutex stalls every reader and writer behind it.
 				{Func: mod("internal/wal") + ".Log.Append", Why: "WAL append does file I/O and possibly fsync"},
+				{Func: mod("internal/wal") + ".Log.AppendFramed", Why: "WAL append does file I/O and possibly fsync"},
 				{Func: mod("internal/wal") + ".Log.Sync", Why: "fsync under a lock stalls all sessions behind disk latency"},
 				{Func: mod("internal/wal") + ".Compact", Why: "compaction rewrites the whole checkpoint file"},
 				{Func: mod("internal/wal") + ".Open", Why: "log open scans the file from disk"},

@@ -106,13 +106,15 @@ func (r *Router) ProbeOnce() {
 	wg.Wait()
 }
 
-// Start launches the background health prober.
+// Start runs the first probe sweep, then launches the background
+// health prober: a caller that opens its listener after Start never
+// answers /healthz while still refusing writes as "primary is down".
 func (r *Router) Start() {
+	r.ProbeOnce()
 	go func() {
 		defer close(r.done)
 		t := time.NewTicker(r.interval)
 		defer t.Stop()
-		r.ProbeOnce()
 		for {
 			select {
 			case <-r.stop:

@@ -10,6 +10,7 @@ package selection
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/mat"
 )
@@ -80,6 +81,13 @@ func (s *colSubsetMat) TMatVec(dst, x []float64) {
 	full := make([]float64, c)
 	s.m.TMatVec(full, x)
 	copy(dst, full[:s.cols])
+}
+
+// Triplets lists the child's entries in the kept columns (mat.Tripleter).
+func (s *colSubsetMat) Triplets(maxNNZ int) ([]mat.Triplet, bool) {
+	ts, ok := mat.Triplets(s.m, 0)
+	ts = slices.DeleteFunc(ts, func(t mat.Triplet) bool { return t.Col >= s.cols })
+	return ts, ok && (maxNNZ <= 0 || len(ts) <= maxNNZ)
 }
 
 func (s *colSubsetMat) Abs() mat.Matrix { return ColSubset(mat.Abs(s.m), s.cols) }

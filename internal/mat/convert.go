@@ -1,7 +1,13 @@
 package mat
 
+import (
+	"math"
+	"math/bits"
+)
+
 // This file provides structure-aware conversion of implicit matrices to
-// explicit CSR form, used by the representation-comparison experiments
+// explicit coordinate form, used by the serve tier to canonicalise a
+// commit's strategy and by the representation-comparison experiments
 // (paper §10.2: dense vs sparse vs implicit). Conversion walks the
 // implicit constructors instead of materializing through mat-vec
 // products, so it costs O(nnz).
@@ -11,7 +17,7 @@ package mat
 // (maxNNZ <= 0 means unlimited). It returns false when the matrix type
 // has no efficient explicit form or the budget is exceeded.
 func ToSparse(m Matrix, maxNNZ int) (*Sparse, bool) {
-	tri, ok := toTriplets(m, maxNNZ)
+	tri, ok := Triplets(m, maxNNZ)
 	if !ok {
 		return nil, false
 	}
@@ -19,9 +25,18 @@ func ToSparse(m Matrix, maxNNZ int) (*Sparse, bool) {
 	return NewSparse(r, c, tri), true
 }
 
-// toTriplets returns the coordinate entries of m, or false when the
-// structure is not efficiently convertible.
-func toTriplets(m Matrix, maxNNZ int) ([]Triplet, bool) {
+// Tripleter is a matrix type outside this package that can list its
+// entries as Triplets does.
+type Tripleter interface {
+	Triplets(maxNNZ int) ([]Triplet, bool)
+}
+
+// Triplets returns the coordinate entries of m, each value computed as
+// the matrix's own products compute it, or false when the structure is
+// not efficiently convertible or holds more than maxNNZ entries
+// (maxNNZ <= 0 means unlimited). Entries may be explicit zeros (a zero
+// scale factor) and are in no particular order.
+func Triplets(m Matrix, maxNNZ int) ([]Triplet, bool) {
 	within := func(n int) bool { return maxNNZ <= 0 || n <= maxNNZ }
 	switch t := m.(type) {
 	case *Sparse:
@@ -106,25 +121,26 @@ func toTriplets(m Matrix, maxNNZ int) ([]Triplet, bool) {
 	case *RangeQueriesMat:
 		return rangeTriplets(t, maxNNZ)
 	case *VStackMat:
-		var out []Triplet
+		subs, total := make([][]Triplet, len(t.blocks)), 0
+		for i, b := range t.blocks {
+			var ok bool
+			if subs[i], ok = Triplets(b, maxNNZ); !ok || !within(total+len(subs[i])) {
+				return nil, false
+			}
+			total += len(subs[i])
+		}
+		out := make([]Triplet, 0, total)
 		off := 0
-		for _, b := range t.blocks {
-			sub, ok := toTriplets(b, maxNNZ)
-			if !ok {
-				return nil, false
-			}
-			for _, e := range sub {
+		for i, b := range t.blocks {
+			for _, e := range subs[i] {
 				out = append(out, Triplet{Row: e.Row + off, Col: e.Col, Val: e.Val})
-			}
-			if maxNNZ > 0 && len(out) > maxNNZ {
-				return nil, false
 			}
 			br, _ := b.Dims()
 			off += br
 		}
 		return out, true
 	case *ScaledMat:
-		sub, ok := toTriplets(t.m, maxNNZ)
+		sub, ok := Triplets(t.m, maxNNZ)
 		if !ok {
 			return nil, false
 		}
@@ -133,7 +149,7 @@ func toTriplets(m Matrix, maxNNZ int) ([]Triplet, bool) {
 		}
 		return sub, true
 	case *rowScaledMat:
-		sub, ok := toTriplets(t.m, maxNNZ)
+		sub, ok := Triplets(t.m, maxNNZ)
 		if !ok {
 			return nil, false
 		}
@@ -142,7 +158,7 @@ func toTriplets(m Matrix, maxNNZ int) ([]Triplet, bool) {
 		}
 		return sub, true
 	case *TransposeMat:
-		sub, ok := toTriplets(t.m, maxNNZ)
+		sub, ok := Triplets(t.m, maxNNZ)
 		if !ok {
 			return nil, false
 		}
@@ -151,11 +167,11 @@ func toTriplets(m Matrix, maxNNZ int) ([]Triplet, bool) {
 		}
 		return sub, true
 	case *KroneckerMat:
-		a, ok := toTriplets(t.a, maxNNZ)
+		a, ok := Triplets(t.a, maxNNZ)
 		if !ok {
 			return nil, false
 		}
-		b, ok := toTriplets(t.b, maxNNZ)
+		b, ok := Triplets(t.b, maxNNZ)
 		if !ok {
 			return nil, false
 		}
@@ -175,9 +191,44 @@ func toTriplets(m Matrix, maxNNZ int) ([]Triplet, bool) {
 			}
 		}
 		return out, true
+	case *WaveletMat:
+		return t.triplets(maxNNZ)
+	case Tripleter:
+		return t.Triplets(maxNNZ)
 	default:
 		return nil, false
 	}
+}
+
+// triplets lists the Haar transform in MatVec's output layout: row 0
+// averages all n cells, and the rows [length/2, length) of the stage
+// that halves length-`length` averages each cover 2w = 2n/length cells,
+// the second w negated in the signed transform. An entry is the stage
+// coefficient (a power of two, so exact) once per stage on its path.
+func (m *WaveletMat) triplets(maxNNZ int) ([]Triplet, bool) {
+	levels := bits.Len(uint(m.n)) - 1
+	if maxNNZ > 0 && m.n*(levels+1) > maxNNZ {
+		return nil, false
+	}
+	c, signed := m.coeffs()
+	v := math.Pow(c, float64(levels))
+	out := make([]Triplet, 0, m.n*(levels+1))
+	for j := 0; j < m.n; j++ {
+		out = append(out, Triplet{Row: 0, Col: j, Val: v})
+	}
+	for length := 2; length <= m.n; length, v = 2*length, v/c {
+		w := m.n / length
+		for r := length / 2; r < length; r++ {
+			for j := 0; j < 2*w; j++ {
+				e := Triplet{Row: r, Col: (2*r-length)*w + j, Val: v}
+				if signed && j >= w {
+					e.Val = -v
+				}
+				out = append(out, e)
+			}
+		}
+	}
+	return out, true
 }
 
 // rangeTriplets expands a range-query matrix into one entry per covered
@@ -190,7 +241,18 @@ func rangeTriplets(m *RangeQueriesMat, maxNNZ int) ([]Triplet, bool) {
 		strides[k] = n
 		n *= shape[k]
 	}
-	var out []Triplet
+	total := 0
+	for _, box := range m.Ranges() {
+		cells := 1
+		for k, lo := range box.Lo {
+			cells *= box.Hi[k] - lo + 1
+		}
+		total += cells
+	}
+	if maxNNZ > 0 && total > maxNNZ {
+		return nil, false
+	}
+	out := make([]Triplet, 0, total)
 	idx := make([]int, len(shape))
 	for qi, box := range m.Ranges() {
 		// Iterate the box cells.
@@ -201,9 +263,6 @@ func rangeTriplets(m *RangeQueriesMat, maxNNZ int) ([]Triplet, bool) {
 				cell += v * strides[k]
 			}
 			out = append(out, Triplet{Row: qi, Col: cell, Val: 1})
-			if maxNNZ > 0 && len(out) > maxNNZ {
-				return nil, false
-			}
 			// Advance the multi-index.
 			k := len(idx) - 1
 			for k >= 0 {

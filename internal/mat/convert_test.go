@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"math"
 	"testing"
 )
 
@@ -15,6 +16,7 @@ func TestToSparseMatchesImplicit(t *testing.T) {
 		"rowscale": RowScaled([]float64{1, 2, 3}, Ones(3, 2)),
 		"kron":     Kron(Identity(2), RangeQueries(3, []Range1D{{Lo: 0, Hi: 2}})),
 		"transp":   T(Prefix(4)),
+		"wavelet":  Wavelet(16),
 		"ndrange": NDRangeQueries([]int{3, 3}, []RangeND{
 			{Lo: []int{0, 0}, Hi: []int{2, 2}},
 			{Lo: []int{1, 1}, Hi: []int{1, 2}},
@@ -43,9 +45,49 @@ func TestToSparseRespectsBudget(t *testing.T) {
 }
 
 func TestToSparseUnsupportedType(t *testing.T) {
-	// Wavelet has no efficient explicit sparse structure.
-	if _, ok := ToSparse(Wavelet(8), 0); ok {
-		t.Fatal("wavelet conversion unexpectedly supported")
+	// A lazy product's entries are sums whose order belongs to its
+	// factors' kernels; it has no exact structural listing.
+	if _, ok := ToSparse(Product(Identity(4), Prefix(4)), 0); ok {
+		t.Fatal("product conversion unexpectedly supported")
+	}
+}
+
+// TestTripletsWavelet checks the structural Haar listing entry for
+// entry, bit for bit, against the fast transform, for the signed
+// transform and its Abs and Sqr forms, and that it honours the budget.
+func TestTripletsWavelet(t *testing.T) {
+	for _, n := range []int{1, 2, 8, 64, 4096} {
+		w := Wavelet(n)
+		for name, m := range map[string]Matrix{"signed": w, "abs": w.Abs(), "sqr": w.Sqr()} {
+			ts, ok := Triplets(m, 0)
+			if !ok {
+				t.Fatalf("%s/%d: no structural form", name, n)
+			}
+			levels := 0
+			for s := 1; s < n; s *= 2 {
+				levels++
+			}
+			if len(ts) != n*(levels+1) {
+				t.Fatalf("%s/%d: %d entries, want %d", name, n, len(ts), n*(levels+1))
+			}
+			// Column j of the matrix is the transform of the j-th unit vector.
+			cols := make(map[int][]float64)
+			for _, e := range ts {
+				col, ok := cols[e.Col]
+				if !ok {
+					unit := make([]float64, n)
+					unit[e.Col] = 1
+					col = Mul(m, unit)
+					cols[e.Col] = col
+				}
+				if math.Float64bits(col[e.Row]) != math.Float64bits(e.Val) {
+					t.Fatalf("%s/%d: entry (%d,%d) = %v, transform gives %v", name, n, e.Row, e.Col, e.Val, col[e.Row])
+				}
+			}
+			if _, ok := Triplets(m, n*(levels+1)-1); ok && n > 1 {
+				t.Fatalf("%s/%d: budget ignored", name, n)
+			}
+		}
 	}
 }
 

@@ -30,14 +30,17 @@ func NewSparse(rows, cols int, entries []Triplet) *Sparse {
 			panic(fmt.Sprintf("mat: NewSparse entry (%d,%d) outside %dx%d", t.Row, t.Col, rows, cols))
 		}
 	}
-	sorted := make([]Triplet, len(entries))
-	copy(sorted, entries)
-	slices.SortFunc(sorted, func(a, b Triplet) int {
+	byCoord := func(a, b Triplet) int {
 		if a.Row != b.Row {
 			return a.Row - b.Row
 		}
 		return a.Col - b.Col
-	})
+	}
+	sorted := entries // row-major input (a structural walk's) is read in place
+	if !slices.IsSortedFunc(entries, byCoord) {
+		sorted = slices.Clone(entries)
+		slices.SortFunc(sorted, byCoord)
+	}
 	s := &Sparse{rows: rows, cols: cols, rowPtr: make([]int, rows+1)}
 	s.colIdx = make([]int, 0, len(sorted))
 	s.val = make([]float64, 0, len(sorted))

@@ -81,49 +81,52 @@ type commitMeta struct {
 	Eps     float64
 }
 
-// auditMeasEntry derives the canonical ledger entry for a measurement
-// record. The commitment hashes the canonical measurement-block
-// encoding (the snapshot codec the record itself carries), so the
-// leaf binds the charge to the exact bytes every replica replays.
-func auditMeasEntry(dataset string, m walMeas) (audit.Entry, error) {
-	enc, err := json.Marshal(m.Blocks)
-	if err != nil {
-		return audit.Entry{}, fmt.Errorf("serve: audit commitment for %q: %w", dataset, err)
+// auditMeasLeafLocked appends the ledger leaf for a measurement record
+// under the watermark rule. commitment is the hex SHA-256 of the
+// record's canonical measurement-block encoding (the snapshot codec's
+// "blocks" array), so the leaf binds the charge to the exact bytes
+// every replica replays. Caller holds d.mu.
+func (d *Dataset) auditMeasLeafLocked(m walMeas, commitment string) AuditReceipt {
+	if m.Gen <= d.auditGen {
+		return AuditReceipt{}
 	}
-	sum := sha256.Sum256(enc)
 	op := m.Op
 	if op == "" {
 		op = "measure"
 	}
-	return audit.Entry{
-		Dataset:    dataset,
+	leaf := audit.Entry{
+		Dataset:    d.name,
 		Gen:        m.Gen,
 		Op:         op,
 		Session:    m.Session,
 		Charges:    m.Charges,
 		Eps:        m.Eps,
 		Consumed:   m.Consumed,
-		Commitment: hex.EncodeToString(sum[:]),
-	}, nil
-}
-
-// auditMeasLeafLocked appends the ledger leaf for a measurement
-// record under the watermark rule. Caller holds d.mu.
-func (d *Dataset) auditMeasLeafLocked(m walMeas) (AuditReceipt, error) {
-	if m.Gen <= d.auditGen {
-		return AuditReceipt{}, nil
-	}
-	e, err := auditMeasEntry(d.name, m)
-	if err != nil {
-		return AuditReceipt{}, err
-	}
-	leaf := e.LeafHash()
+		Commitment: commitment,
+	}.LeafHash()
 	idx := d.audit.Append(leaf)
 	d.auditGen = m.Gen
 	if m.Consumed > d.auditConsumed {
 		d.auditConsumed = m.Consumed
 	}
-	return AuditReceipt{Index: idx, Leaf: audit.FormatHash(leaf)}, nil
+	return AuditReceipt{Index: idx, Leaf: audit.FormatHash(leaf)}
+}
+
+// replayMeasLeafLocked is auditMeasLeafLocked for a decoded record
+// (WAL replay, follower apply): the commitment is recomputed from the
+// re-encoded blocks, only when the watermark rule will use it. Caller
+// holds d.mu.
+func (d *Dataset) replayMeasLeafLocked(m walMeas) error {
+	if m.Gen <= d.auditGen {
+		return nil
+	}
+	enc, err := json.Marshal(m.Blocks)
+	if err != nil {
+		return fmt.Errorf("serve: audit commitment for %q: %w", d.name, err)
+	}
+	sum := sha256.Sum256(enc)
+	d.auditMeasLeafLocked(m, hex.EncodeToString(sum[:]))
+	return nil
 }
 
 // auditSpendLeafLocked appends the ledger leaf for a budget-restore
@@ -165,12 +168,12 @@ func (d *Dataset) auditCheckpointLocked() {
 		// walAuditCkpt has no unmarshalable fields; unreachable.
 		return
 	}
-	d.appendReplLocked(wal.TypeAuditCheckpoint, payload)
+	frame := d.appendReplLocked(wal.TypeAuditCheckpoint, payload)
 	if d.wlog == nil || d.readOnly {
 		return
 	}
 	//lint:ignore lockscope commit-section ledger append is the transparency-log design: the audit head must hit the log in commit order so replay validates the same prefix roots the clients saw
-	if err := d.wlog.Append(wal.TypeAuditCheckpoint, payload); err != nil {
+	if err := d.wlog.AppendFramed(frame); err != nil {
 		d.degradeLocked(err)
 	}
 }

@@ -73,7 +73,7 @@ func TestReplStreamTrimFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	pd.mu.Lock()
-	end := pd.repl.base + int64(len(pd.repl.buf))
+	end := pd.repl.end
 	pd.mu.Unlock()
 	if next != end {
 		t.Fatalf("bootstrap next offset %d, want live end %d", next, end)

@@ -1,0 +1,136 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"testing"
+
+	"repro/internal/mat"
+)
+
+// plainBlock is snapshotBlock without methods: encoding/json encodes it
+// reflectively, which is the byte-level reference for appendJSON.
+type plainBlock struct {
+	Rows   int               `json:"rows"`
+	Cols   int               `json:"cols"`
+	Dense  []float64         `json:"dense,omitempty"`
+	Sparse []snapshotTriplet `json:"sparse,omitempty"`
+	Y      []float64         `json:"y"`
+	Scale  float64           `json:"scale"`
+}
+
+// checkBlockJSON asserts appendJSON and encoding/json agree on b: the
+// same bytes, or an error from both.
+func checkBlockJSON(t *testing.T, b snapshotBlock) {
+	t.Helper()
+	want, werr := json.Marshal(plainBlock(b))
+	got, gerr := b.appendJSON(nil)
+	if (werr != nil) != (gerr != nil) {
+		t.Fatalf("block %+v: appendJSON error %v, encoding/json error %v", b, gerr, werr)
+	}
+	if werr != nil {
+		return
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("block %+v:\nappendJSON     %s\nencoding/json  %s", b, got, want)
+	}
+	// The prefix handed in is kept, and json.Marshal reaches the same
+	// encoder through MarshalJSON.
+	if pre, err := b.appendJSON([]byte("xy")); err != nil || !bytes.Equal(pre, append([]byte("xy"), want...)) {
+		t.Fatalf("block %+v: appendJSON after a prefix gave %s (%v)", b, pre, err)
+	}
+	if via, err := json.Marshal(b); err != nil || !bytes.Equal(via, want) {
+		t.Fatalf("block %+v: json.Marshal gave %s (%v), want %s", b, via, err, want)
+	}
+}
+
+var blockJSONFloats = []float64{
+	0, math.Copysign(0, -1), 1, -1, 4095, 1 << 53, 1e20, 1e21, 1.5e21, -1e21, 1e-6, 1e-7, 9.999999e-7,
+	5e-324, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 0.1, 1.0 / 3, 0.000244140625,
+	123456789.125, 1e-10, 1.234e-100, 1e100, 2.5e-9,
+}
+
+// TestBlockJSONMatchesEncodingJSON pins the block encoder byte for byte
+// against encoding/json over the cases its float and omitempty rules
+// branch on.
+func TestBlockJSONMatchesEncodingJSON(t *testing.T) {
+	for _, v := range blockJSONFloats {
+		checkBlockJSON(t, snapshotBlock{Rows: 1, Cols: 2, Dense: []float64{v, 1}, Y: []float64{v}, Scale: v})
+		checkBlockJSON(t, snapshotBlock{Rows: 3, Cols: 9, Sparse: []snapshotTriplet{{R: 2, C: 8, V: v}, {V: -v}}, Y: []float64{v, v, v}})
+	}
+	checkBlockJSON(t, snapshotBlock{})                                                  // y null, dense and sparse omitted
+	checkBlockJSON(t, snapshotBlock{Y: []float64{}})                                    // y []
+	checkBlockJSON(t, snapshotBlock{Dense: []float64{}, Sparse: []snapshotTriplet{}})   // empty is omitted too
+	checkBlockJSON(t, snapshotBlock{Rows: -4, Cols: math.MaxInt64, Y: []float64{1, 2}}) // integers as written
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		checkBlockJSON(t, snapshotBlock{Rows: 1, Cols: 1, Dense: []float64{bad}, Y: []float64{0}})
+		checkBlockJSON(t, snapshotBlock{Rows: 1, Cols: 1, Sparse: []snapshotTriplet{{V: bad}}, Y: []float64{0}})
+		checkBlockJSON(t, snapshotBlock{Rows: 1, Cols: 1, Dense: []float64{1}, Y: []float64{bad}})
+		checkBlockJSON(t, snapshotBlock{Rows: 1, Cols: 1, Dense: []float64{1}, Y: []float64{0}, Scale: bad})
+		if _, err := appendBlocksJSON(nil, []measBlock{{m: canonicalMatrix(strategyMust(t, "identity", 2)), y: []float64{1, bad}}}); err == nil {
+			t.Fatalf("appendBlocksJSON accepted a %v answer", bad)
+		}
+	}
+}
+
+func strategyMust(t *testing.T, name string, n int) mat.Matrix {
+	t.Helper()
+	m, err := strategyByName(name, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestCommitWithNonFiniteAnswerDegrades: a block the encoder refuses
+// (as json.Marshal refused it) still commits in memory — its budget is
+// spent — but reaches neither the stream nor the ledger, and a
+// persisting dataset degrades to read-only.
+func TestCommitWithNonFiniteAnswerDegrades(t *testing.T) {
+	s := New(Config{StateDir: t.TempDir()})
+	defer s.Close()
+	d, err := s.CreateDataset("nan", "piecewise", 8, 100, 1, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := d.Summary()
+	y := make([]float64, 8)
+	y[3] = math.NaN()
+	pc := prepareCommit([]measBlock{{m: strategyMust(t, "identity", 8), y: y, scale: 1}})
+	if pc.err == nil {
+		t.Fatal("prepareCommit encoded a NaN answer")
+	}
+	d.mu.Lock()
+	rcpt := d.commitBlocksLocked(pc, commitMeta{Op: "measure:identity"})
+	d.mu.Unlock()
+	after := d.Summary()
+	if after.Generation != before.Generation+1 || after.Measurements != 1 {
+		t.Fatalf("the block did not commit in memory: %+v", after)
+	}
+	if !after.ReadOnly || after.WALOffset != before.WALOffset || after.AuditSize != before.AuditSize || rcpt != (AuditReceipt{}) {
+		t.Fatalf("read_only %v, stream %d→%d, ledger %d→%d, receipt %+v; want degraded and nothing published",
+			after.ReadOnly, before.WALOffset, after.WALOffset, before.AuditSize, after.AuditSize, rcpt)
+	}
+}
+
+// FuzzBlockJSON feeds arbitrary field values through both encoders.
+func FuzzBlockJSON(f *testing.F) {
+	f.Add(3, 4, 1.5, -2.0, 1e21, 1e-7, uint8(0))
+	f.Add(0, 0, 0.0, math.Copysign(0, -1), 5e-324, math.MaxFloat64, uint8(1))
+	f.Add(-1, 1<<40, math.NaN(), math.Inf(1), 1.0, 2.0, uint8(2))
+	f.Fuzz(func(t *testing.T, rows, cols int, a, b, c, d float64, shape uint8) {
+		blk := snapshotBlock{Rows: rows, Cols: cols, Scale: d}
+		switch shape % 4 {
+		case 0:
+			blk.Dense, blk.Y = []float64{a, b, c}, []float64{d, a}
+		case 1:
+			blk.Sparse, blk.Y = []snapshotTriplet{{R: rows, C: cols, V: a}, {R: cols, C: rows, V: b}}, []float64{c}
+		case 2:
+			blk.Y = []float64{}
+		case 3:
+			blk.Dense, blk.Sparse = []float64{a}, []snapshotTriplet{{V: b}}
+		}
+		checkBlockJSON(t, blk)
+	})
+}

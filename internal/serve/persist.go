@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/url"
 	"path/filepath"
+	"strconv"
 
 	"repro/internal/audit"
 	"repro/internal/mat"
@@ -64,6 +65,76 @@ type snapshotBlock struct {
 	Scale  float64           `json:"scale"`
 }
 
+// appendJSON appends the block's JSON encoding to dst. It is the only
+// block encoder — checkpoints, bootstrap frames and replay-side
+// commitments reach it through MarshalJSON, a commit through
+// appendBlocksJSON — and writes byte for byte what encoding/json does
+// for the same struct without methods (omitempty and non-finite errors
+// included), so older records and commitments replay unchanged.
+func (b snapshotBlock) appendJSON(dst []byte) (_ []byte, err error) {
+	dst = strconv.AppendInt(append(dst, `{"rows":`...), int64(b.Rows), 10)
+	dst = strconv.AppendInt(append(dst, `,"cols":`...), int64(b.Cols), 10)
+	if len(b.Dense) > 0 {
+		dst = appendFloatsJSON(append(dst, `,"dense":`...), b.Dense, &err)
+	}
+	if len(b.Sparse) > 0 {
+		dst = append(dst, `,"sparse":[`...)
+		for i, t := range b.Sparse {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(append(dst, `{"r":`...), int64(t.R), 10)
+			dst = strconv.AppendInt(append(dst, `,"c":`...), int64(t.C), 10)
+			dst = append(appendFloatJSON(append(dst, `,"v":`...), t.V, &err), '}')
+		}
+		dst = append(dst, ']')
+	}
+	dst = appendFloatsJSON(append(dst, `,"y":`...), b.Y, &err)
+	dst = appendFloatJSON(append(dst, `,"scale":`...), b.Scale, &err)
+	return append(dst, '}'), err
+}
+
+// MarshalJSON implements json.Marshaler with appendJSON.
+func (b snapshotBlock) MarshalJSON() ([]byte, error) { return b.appendJSON(nil) }
+
+// appendFloatsJSON appends a float slice as encoding/json does: null
+// for nil, [] for empty.
+func appendFloatsJSON(dst []byte, vs []float64, err *error) []byte {
+	if vs == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, v := range vs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendFloatJSON(dst, v, err)
+	}
+	return append(dst, ']')
+}
+
+// appendFloatJSON appends one float64 in encoding/json's format:
+// shortest round-trip digits, exponent form below 1e-6 and from 1e21
+// (e-7, not e-07). NaN and ±Inf set *err as json.Marshal would fail.
+func appendFloatJSON(dst []byte, v float64, err *error) []byte {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		*err = &json.UnsupportedValueError{Str: strconv.FormatFloat(v, 'g', -1, 64)}
+		return dst
+	}
+	if i := int64(v); float64(i) == v && i != 0 && -1<<53 < i && i < 1<<53 {
+		return strconv.AppendInt(dst, i, 10) // a matrix entry is mostly 1
+	}
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		dst = strconv.AppendFloat(dst, v, 'e', -1, 64)
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+		return dst
+	}
+	return strconv.AppendFloat(dst, v, 'f', -1, 64)
+}
+
 // snapshot is the full persisted state of one dataset's measurement log.
 type snapshot struct {
 	Version    int             `json:"version"`
@@ -106,17 +177,28 @@ type snapshotAudit struct {
 // accumulation-order differences between implicit (Product, Kron,
 // VStack) and rebuilt representations. It also strips plan-mode lineage
 // products down to flat kernels, which the panel tier's Dense/CSR fast
-// paths prefer anyway. Implicit matrices are converted via chunked row
-// extraction (implicitTriplets), never a full dense intermediate, so
-// the conversion's peak memory is O(nnz + (rows+cols)·panel).
+// paths prefer anyway. The entries come from mat.Triplets, the O(nnz)
+// walk over the matrix's constructors; a type the walk cannot list
+// exactly (a lazy product) falls back to implicitTriplets.
 func canonicalMatrix(m mat.Matrix) mat.Matrix {
 	switch m.(type) {
 	case *mat.Dense, *mat.Sparse:
 		return m
 	}
 	rows, cols := m.Dims()
-	ts := implicitTriplets(m)
-	if len(ts)*3 < rows*cols {
+	ts, ok := mat.Triplets(m, 0)
+	if !ok {
+		ts = implicitTriplets(m)
+	}
+	// The walk may list explicit zeros (a zero scale factor): they do
+	// not count toward the ⅓ rule, and NewSparse does not store them.
+	nnz := 0
+	for _, t := range ts {
+		if t.Val != 0 {
+			nnz++
+		}
+	}
+	if nnz*3 < rows*cols {
 		return mat.NewSparse(rows, cols, ts)
 	}
 	d := mat.NewDense(rows, cols, nil)
@@ -126,10 +208,12 @@ func canonicalMatrix(m mat.Matrix) mat.Matrix {
 	return d
 }
 
-// implicitTriplets extracts the nonzero entries of a matrix in
-// row-major order without materializing it: rows are pulled through
-// mat.TMatMat in fixed-width basis panels, bounding the scratch memory
-// by O((rows+cols)·canonPanel) however large the matrix is.
+// implicitTriplets is canonicalMatrix's fallback for matrix types with
+// no exact structural form: it extracts the nonzero entries in
+// row-major order without materializing the matrix, pulling rows
+// through mat.TMatMat in fixed-width basis panels, which bounds the
+// scratch memory by O((rows+cols)·canonPanel) however large the matrix
+// is but costs O(rows·cols) memory traffic.
 func implicitTriplets(m mat.Matrix) []mat.Triplet {
 	const canonPanel = 64
 	rows, cols := m.Dims()
@@ -139,14 +223,15 @@ func implicitTriplets(m mat.Matrix) []mat.Triplet {
 	for i0 := 0; i0 < rows; i0 += canonPanel {
 		k := min(canonPanel, rows-i0)
 		e := basis[:rows*k]
-		for i := range e {
-			e[i] = 0
-		}
 		for q := 0; q < k; q++ {
 			e[(i0+q)*k+q] = 1
 		}
 		p := panel[:cols*k] // p[j*k+q] = M[i0+q][j]
 		mat.TMatMat(m, p, e, k)
+		// Clear only the k ones this panel set.
+		for q := 0; q < k; q++ {
+			e[(i0+q)*k+q] = 0
+		}
 		for q := 0; q < k; q++ {
 			for j := 0; j < cols; j++ {
 				if v := p[j*k+q]; v != 0 {

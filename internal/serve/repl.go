@@ -31,11 +31,13 @@ import (
 // checkpoint compaction can rewrite the physical file without moving
 // a replica's position.
 //
-// The stream is retained in memory but NOT unboundedly: only the most
-// recent Config.ReplRetain frames are kept (trimReplLocked), so a
-// long-lived primary's memory — and the O(retained) copy each trim
-// performs under d.mu — stays bounded by the retention window rather
-// than growing with the commit history. repl.base is the logical
+// The stream is retained in memory as a list of immutable frames — the
+// same byte slices the WAL file was written from — so publishing a
+// commit is an O(1) append that copies nothing. It is NOT retained
+// unboundedly: only the most recent Config.ReplRetain frames are kept
+// (appendReplFrameLocked drops the oldest as new ones arrive), so a
+// long-lived primary's memory stays bounded by the retention window
+// rather than growing with the commit history. repl.base is the logical
 // offset of the oldest retained byte; a follower tailing below it
 // gets ErrWALRange (416) and resynchronizes from offset zero, where
 // the primary serves a regenerated bootstrap stream (one create
@@ -99,16 +101,15 @@ type replState struct {
 	// only comparable within an epoch, and a follower that observes a new
 	// epoch restarts its tail from offset zero.
 	epoch uint64
-	// base is the logical offset of buf[0] — the trim floor. Offsets
-	// below it (except 0, which serves a regenerated bootstrap) have
-	// been trimmed away and fail with ErrWALRange.
-	base int64
-	// buf is the retained frame stream (wal.AppendFrame encoding, no
-	// magic), holding the stream's logical bytes [base, base+len(buf)).
-	buf []byte
-	// frames holds the logical start offset of every retained frame,
-	// ascending, so trimming can cut on frame boundaries.
-	frames []int64
+	// base and end bound the retained logical bytes [base, end). base is
+	// the trim floor: offsets below it (except 0, which serves a
+	// regenerated bootstrap) have been trimmed away and fail with
+	// ErrWALRange.
+	base, end int64
+	// frames are the retained records, oldest first: each one whole
+	// frame (wal.AppendFrame encoding, no magic) that is never written
+	// to again once appended, so readers and the WAL share it.
+	frames [][]byte
 }
 
 var replEpochCounter atomic.Uint64
@@ -130,28 +131,27 @@ func newReplEpoch() uint64 {
 	return uint64(time.Now().UnixNano()) + replEpochCounter.Add(1)
 }
 
-// appendReplLocked appends one frame to the replication stream and
-// trims the retention window. Caller holds d.mu.
-func (d *Dataset) appendReplLocked(t wal.Type, payload []byte) {
-	d.repl.frames = append(d.repl.frames, d.repl.base+int64(len(d.repl.buf)))
-	d.repl.buf = wal.AppendFrame(d.repl.buf, t, payload)
-	d.trimReplLocked()
+// appendReplLocked frames one record, appends it to the replication
+// stream and returns the frame for the caller's WAL append. Caller
+// holds d.mu.
+func (d *Dataset) appendReplLocked(t wal.Type, payload []byte) []byte {
+	frame := wal.AppendFrame(nil, t, payload)
+	d.appendReplFrameLocked(frame)
+	return frame
 }
 
-// trimReplLocked drops the oldest frames beyond Config.ReplRetain,
-// advancing the trim floor. The copy is O(retained bytes) — bounded by
-// the retention window, never by the commit history. Caller holds d.mu.
-func (d *Dataset) trimReplLocked() {
-	keep := d.cfg.ReplRetain
-	if keep <= 0 || len(d.repl.frames) <= keep {
-		return
+// appendReplFrameLocked appends one finished frame to the replication
+// stream and drops the oldest frames beyond Config.ReplRetain,
+// advancing the trim floor. The stream keeps the slice, which must not
+// be written to again. Caller holds d.mu.
+func (d *Dataset) appendReplFrameLocked(frame []byte) {
+	r := &d.repl
+	r.frames = append(r.frames, frame)
+	r.end += int64(len(frame))
+	for keep := d.cfg.ReplRetain; keep > 0 && len(r.frames) > keep; r.frames = r.frames[1:] {
+		r.base += int64(len(r.frames[0]))
+		r.frames[0] = nil // the slot outlives the re-slice; release the frame
 	}
-	cut := d.repl.frames[len(d.repl.frames)-keep]
-	// Fresh allocations release the old backing arrays; re-slicing would
-	// pin the full untrimmed buffer alive.
-	d.repl.buf = append([]byte(nil), d.repl.buf[cut-d.repl.base:]...)
-	d.repl.frames = append([]int64(nil), d.repl.frames[len(d.repl.frames)-keep:]...)
-	d.repl.base = cut
 }
 
 // bootstrapRecordsLocked builds the records that reproduce the
@@ -243,25 +243,35 @@ func (d *Dataset) seedReplStream() error {
 func (d *Dataset) WALTail(from int64) (data []byte, next int64, epoch, gen uint64, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	end := d.repl.base + int64(len(d.repl.buf))
-	if from == 0 && d.repl.base > 0 {
+	r := &d.repl
+	if from == 0 && r.base > 0 {
 		recs, berr := d.bootstrapRecordsLocked()
 		if berr != nil {
-			return nil, end, d.repl.epoch, d.gen, berr
+			return nil, r.end, r.epoch, d.gen, berr
 		}
 		var buf []byte
 		for _, rec := range recs {
 			buf = wal.AppendFrame(buf, rec.Type, rec.Payload)
 		}
-		return buf, end, d.repl.epoch, d.gen, nil
+		return buf, r.end, r.epoch, d.gen, nil
 	}
-	if from < d.repl.base || from > end {
-		return nil, end, d.repl.epoch, d.gen,
-			fmt.Errorf("%w: offset %d outside [%d,%d]", ErrWALRange, from, d.repl.base, end)
+	if from < r.base || from > r.end {
+		return nil, r.end, r.epoch, d.gen,
+			fmt.Errorf("%w: offset %d outside [%d,%d]", ErrWALRange, from, r.base, r.end)
 	}
-	// Copied: the caller releases d.mu before writing the response, and
-	// a later append may grow the buffer in place.
-	return append([]byte(nil), d.repl.buf[from-d.repl.base:]...), end, d.repl.epoch, d.gen, nil
+	// Walk back from the end to the frame holding from (tails are short),
+	// then copy forward: the caller gets one contiguous slice it owns.
+	i, off := len(r.frames), r.end
+	for off > from {
+		i--
+		off -= int64(len(r.frames[i]))
+	}
+	data = make([]byte, 0, r.end-from)
+	for ; i < len(r.frames); i++ {
+		data = append(data, r.frames[i][max(from-off, 0):]...)
+		off += int64(len(r.frames[i]))
+	}
+	return data, r.end, r.epoch, d.gen, nil
 }
 
 // ReplState reports the stream's current (epoch, end offset,
@@ -269,7 +279,7 @@ func (d *Dataset) WALTail(from int64) (data []byte, next int64, epoch, gen uint6
 func (d *Dataset) ReplState() (epoch uint64, offset int64, gen uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.repl.epoch, d.repl.base + int64(len(d.repl.buf)), d.gen
+	return d.repl.epoch, d.repl.end, d.gen
 }
 
 // IsFollower reports the dataset's role; Primary is the primary's
@@ -354,7 +364,7 @@ func (d *Dataset) applyReplRecord(rec wal.Record) (bool, error) {
 		}
 		d.stale = true
 		d.cache.invalidate()
-		if _, err := d.auditMeasLeafLocked(m); err != nil {
+		if err := d.replayMeasLeafLocked(m); err != nil {
 			return true, err
 		}
 		// The mirror can fail (a shipped consumed above the replica's
@@ -365,8 +375,7 @@ func (d *Dataset) applyReplRecord(rec wal.Record) (bool, error) {
 		// replay a log missing a generation it already holds. Record
 		// first, then report the mirror error.
 		merr := d.mirrorConsumedLocked(m.Consumed)
-		d.appendReplLocked(rec.Type, rec.Payload)
-		d.shipToLocalLogLocked(rec)
+		d.shipToLocalLogLocked(d.appendReplLocked(rec.Type, rec.Payload))
 		return true, merr
 	case wal.TypeBudgetRestore:
 		var b walBudget
@@ -384,8 +393,7 @@ func (d *Dataset) applyReplRecord(rec wal.Record) (bool, error) {
 			return false, nil
 		}
 		d.auditSpendLeafLocked(b)
-		d.appendReplLocked(rec.Type, rec.Payload)
-		d.shipToLocalLogLocked(rec)
+		d.shipToLocalLogLocked(d.appendReplLocked(rec.Type, rec.Payload))
 		return true, nil
 	case wal.TypeAuditCheckpoint:
 		var c walAuditCkpt
@@ -402,8 +410,7 @@ func (d *Dataset) applyReplRecord(rec wal.Record) (bool, error) {
 			d.setReplicationErrorLocked(err)
 			return false, err
 		}
-		d.appendReplLocked(rec.Type, rec.Payload)
-		d.shipToLocalLogLocked(rec)
+		d.shipToLocalLogLocked(d.appendReplLocked(rec.Type, rec.Payload))
 		return false, nil
 	case wal.TypeAuditState:
 		var st walAuditState
@@ -415,8 +422,7 @@ func (d *Dataset) applyReplRecord(rec wal.Record) (bool, error) {
 			d.setReplicationErrorLocked(err)
 			return false, err
 		}
-		d.appendReplLocked(rec.Type, rec.Payload)
-		d.shipToLocalLogLocked(rec)
+		d.shipToLocalLogLocked(d.appendReplLocked(rec.Type, rec.Payload))
 		return changed, nil
 	default:
 		// Checkpoint markers belong to physical log files; the logical
@@ -438,17 +444,18 @@ func (d *Dataset) mirrorConsumedLocked(consumed float64) error {
 	return d.kern.RestoreConsumed(delta)
 }
 
-// shipToLocalLogLocked appends an applied shipped record verbatim to
-// the follower's own WAL, so a restarted replica recovers locally and
-// resumes tailing. Advisory in the same sense as every persist path: a
-// failure degrades local durability (logged, read-only latch) but the
-// in-memory replica keeps applying and serving. Caller holds d.mu.
-func (d *Dataset) shipToLocalLogLocked(rec wal.Record) {
+// shipToLocalLogLocked appends an applied shipped record, in the frame
+// its own stream already holds, to the follower's own WAL, so a
+// restarted replica recovers locally and resumes tailing. Advisory in
+// the same sense as every persist path: a failure degrades local
+// durability (logged, read-only latch) but the in-memory replica keeps
+// applying and serving. Caller holds d.mu.
+func (d *Dataset) shipToLocalLogLocked(frame []byte) {
 	if d.wlog == nil || d.readOnly {
 		return
 	}
 	//lint:ignore lockscope commit-section append is the replication design: the local log must record frames in applied order, and the fsync policy bounds the hold
-	if err := d.wlog.Append(rec.Type, rec.Payload); err != nil {
+	if err := d.wlog.AppendFramed(frame); err != nil {
 		//lint:ignore lockscope error path: logs once when the local append fails, immediately before the read-only degrade
 		log.Printf("serve: replica %q: local log append failed: %v", d.name, err)
 		d.degradeLocked(err)

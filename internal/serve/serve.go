@@ -22,7 +22,9 @@
 // periodically compacted into a snapshot-format checkpoint; torn log
 // tails truncate cleanly on restart, and an unrecoverable disk error
 // degrades the dataset to explicit read-only (ErrReadOnly, HTTP 503)
-// while queries keep serving — see walstate.go.
+// while queries keep serving — see walstate.go. A commit costs O(nnz
+// of its block) and does that work (canonicalise, encode, hash) before
+// the dataset mutex: prepareCommit, then commitBlocksLocked.
 //
 // The WAL doubles as the serve tier's replication stream (repl.go):
 // every dataset serves its commit history as verbatim frames
@@ -772,7 +774,7 @@ func (d *Dataset) Summary() Summary {
 	warm, cold, saved := d.warmRefreshes, d.coldRefreshes, d.savedIterations
 	covered := d.panelRows
 	readOnly, roCause := d.readOnly, d.roCause
-	walOffset := d.repl.base + int64(len(d.repl.buf))
+	walOffset := d.repl.end
 	auditSize, auditRoot := d.audit.Size(), audit.FormatHash(d.audit.Root())
 	d.mu.Unlock()
 	// One Consumed() read keeps the budget triple internally consistent
@@ -849,58 +851,47 @@ func (d *Dataset) MeasureAudited(strategy string, eps float64) (rows int, rcpt A
 		return 0, AuditReceipt{}, err
 	}
 	meta := commitMeta{Op: "measure:" + strategy, Session: sess.ID(), Charges: sess.Charges(), Eps: eps}
-	blocks := canonicalBlocks([]measBlock{{m: m, y: y, scale: scale}})
+	pc := prepareCommit([]measBlock{{m: m, y: y, scale: scale}})
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	rcpt = d.commitBlocksLocked(blocks, meta)
+	rcpt = d.commitBlocksLocked(pc, meta)
 	return len(y), rcpt, nil
-}
-
-// canonicalBlocks converts every block matrix to snapshot-canonical
-// form. Run before taking d.mu: the conversion can be expensive for
-// implicit plan-mode matrices and needs nothing from the dataset state.
-func canonicalBlocks(blocks []measBlock) []measBlock {
-	for i := range blocks {
-		blocks[i].m = canonicalMatrix(blocks[i].m)
-	}
-	return blocks
 }
 
 // commitBlocksLocked appends newly measured blocks to the warm log,
 // bumps the log generation (invalidating every cached workload answer),
-// marks the panel stale and persists the snapshot. Caller holds d.mu
-// and must pass blocks already in snapshot-canonical form (Dense or
-// CSR, via canonicalBlocks) so a log reloaded after a restart is
-// byte-identical solver input. Canonicalization happens *outside* the
-// lock because implicit-matrix extraction is real matvec work; what
-// stays inside is append/bump plus the snapshot encode+write, so
-// concurrent queries are never answered from a half-committed log.
+// marks the panel stale and persists the record. Caller holds d.mu and
+// passes the commit prepared off the lock (prepareCommit): blocks in
+// snapshot-canonical form (Dense or CSR), so a log reloaded after a
+// restart is byte-identical solver input, already encoded and hashed.
+// Everything O(nnz) — canonicalisation, the JSON encode, the
+// commitment — happened there; what stays inside is append/bump, a
+// small envelope, one frame checksum and the log write, so concurrent
+// queries are never answered from a half-committed log.
 // Appending advances d.rows while d.panelRows stays at the covered
 // prefix — the gap between the two is the generation delta the next
 // refresh absorbs incrementally (Summary reports it as PendingRows).
 // The commit also appends the charge's audit-ledger leaf and a signed-
 // head checkpoint record (audit.go); the returned receipt identifies
 // the leaf for later inclusion proofs.
-func (d *Dataset) commitBlocksLocked(blocks []measBlock, meta commitMeta) AuditReceipt {
-	for _, b := range blocks {
+func (d *Dataset) commitBlocksLocked(pc pendingCommit, meta commitMeta) AuditReceipt {
+	for _, b := range pc.blocks {
 		d.blocks = append(d.blocks, b)
 		d.rows += len(b.y)
 	}
 	d.gen++
 	d.stale = true
 	d.cache.invalidate()
-	// One encode serves every consumer of the commit record: the
+	// One frame serves every consumer of the commit record: the
 	// replication stream (always — replicas tail memory state, not the
-	// disk), the audit leaf derived from the identical payload every
-	// replay site sees, and, below, the WAL append.
-	rec, payload, err := d.encodeCommitLocked(blocks, meta)
+	// disk), the WAL append, and the audit leaf, whose commitment hashes
+	// the block bytes every replay site re-encodes identically.
+	rec, frame, err := d.frameCommitLocked(pc, meta)
 	var rcpt AuditReceipt
 	if err == nil {
-		d.appendReplLocked(wal.TypeMeasurementBlock, payload)
-		rcpt, err = d.auditMeasLeafLocked(rec)
-	}
-	if err == nil {
-		err = d.persistCommitLocked(payload)
+		d.appendReplFrameLocked(frame)
+		rcpt = d.auditMeasLeafLocked(rec, pc.commitment)
+		err = d.persistCommitLocked(frame)
 		d.auditCheckpointLocked()
 	}
 	if err != nil {
@@ -1006,11 +997,11 @@ func (d *Dataset) MeasurePlan(name string, eps float64, params plans.Params) (Pl
 		blocks = append(blocks, measBlock{m: m, y: y, scale: scale})
 		rows += len(y)
 	}
-	blocks = canonicalBlocks(blocks)
+	pc := prepareCommit(blocks)
 	epsCharged := sess.Consumed()
 	meta := commitMeta{Op: "plan:" + name, Session: sess.ID(), Charges: sess.Charges(), Eps: epsCharged}
 	d.mu.Lock()
-	rcpt := d.commitBlocksLocked(blocks, meta)
+	rcpt := d.commitBlocksLocked(pc, meta)
 	gen := d.gen
 	d.mu.Unlock()
 	consumed := d.kern.Consumed()

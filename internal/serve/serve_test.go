@@ -159,10 +159,24 @@ func TestServePlansEndpointListsRegistry(t *testing.T) {
 // linearizable budget accounting at the end — run once per estimate
 // solver, so the LSMRMulti panel path sees the same concurrency stress
 // as the CGLS original.
+//
+// MaxIter is raised for every solver alike because convergence must not
+// depend on which commits a query happens to see: with the hb block and
+// only one to four of the half-ε identity blocks in the log, the nnls
+// (FISTA) solve needs 403–1131 iterations — over the default 400 — and
+// a query lands in that window only when it overtakes the other
+// clients' first measures, which made the converged assertion fail
+// about 2 runs in 30. Every reachable log state converges well inside
+// 4000; cgls, lsmr and normal never come near either limit.
 func TestServeConcurrentClients(t *testing.T) {
 	for _, solverName := range Solvers() {
 		t.Run(solverName, func(t *testing.T) {
-			s, ts := newTestServer(t)
+			s := New(Config{BatchWindow: 200 * time.Microsecond, MaxIter: 4000})
+			ts := httptest.NewServer(s.Handler())
+			t.Cleanup(func() {
+				ts.Close()
+				s.Close()
+			})
 			name := "shared-" + solverName
 			d, err := s.CreateDataset(name, "piecewise", 128, 20000, 3, 100)
 			if err != nil {

@@ -74,7 +74,7 @@ func (d *Dataset) status() DatasetStatus {
 		Damping:          d.damp,
 		Generation:       d.gen,
 		WALEpoch:         d.repl.epoch,
-		WALOffset:        d.repl.base + int64(len(d.repl.buf)),
+		WALOffset:        d.repl.end,
 		AuditSize:        d.audit.Size(),
 		AuditRoot:        audit.FormatHash(d.audit.Root()),
 		ReplicationError: errText(d.replErr),

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,15 +12,17 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/wal"
 )
 
 // This file is measurement-log persistence (Config.StateDir): each
 // commit appends one CRC-framed record to the dataset's write-ahead
-// log — O(delta) durable bytes per measurement — and a restart
-// rebuilds the exact pre-crash state from the last checkpoint plus a
-// log replay. The checkpoint file is the snapshot format of persist.go
+// log — O(delta) durable bytes per measurement, framed once and shared
+// with the replication stream — and a restart rebuilds the exact
+// pre-crash state from the last checkpoint plus a log replay. The
+// checkpoint file is the snapshot format of persist.go
 // (compaction folds a grown log back into it), at the path the retired
 // snapshot-per-commit backend wrote, so a state directory from that
 // backend loads unmodified.
@@ -244,7 +248,7 @@ func (d *Dataset) loadStateWAL() error {
 			// The audit leaf derives from the same record payload under the
 			// same watermark rule the primary commit used, so replay grows
 			// the identical tree (skipped records are leaf-neutral).
-			if _, err := d.auditMeasLeafLocked(m); err != nil {
+			if err := d.replayMeasLeafLocked(m); err != nil {
 				return fail("record %d: %v", i, err)
 			}
 			d.walRecs++
@@ -396,40 +400,95 @@ func (d *Dataset) checkWritable() error {
 	return nil
 }
 
-// encodeCommitLocked builds the measurement-block record for a commit
-// that just appended blocks at the current generation — shared by the
-// replication stream (which carries it even without persistence), the
-// audit leaf derivation, and the WAL append. Returns both the record
-// and its encoding so the leaf derives from exactly the payload every
-// replay site will decode. Caller holds d.mu.
-func (d *Dataset) encodeCommitLocked(blocks []measBlock, meta commitMeta) (walMeas, []byte, error) {
+// pendingCommit is the part of a commit that needs nothing from the
+// dataset state, done before d.mu is taken (prepareCommit): the blocks
+// in canonical form, their one JSON encoding and its audit commitment.
+type pendingCommit struct {
+	blocks []measBlock
+	// buf is recordHeadroom spare bytes, then the encoded "blocks" array;
+	// frameCommitLocked builds the frame around it in place.
+	buf        []byte
+	commitment string
+	// err is an encode failure (a non-finite value): the blocks still
+	// commit in memory and the persist-failed path runs.
+	err error
+}
+
+// recordHeadroom holds the frame header and the longest envelope head,
+// {"gen":<20 digits>,"consumed":<24 characters>,"blocks": — 73 bytes.
+const recordHeadroom = 96
+
+// prepareCommit canonicalises, encodes and hashes a commit's blocks:
+// the O(nnz) work of a commit, which belongs before d.mu.
+func prepareCommit(blocks []measBlock) pendingCommit {
+	for i := range blocks {
+		blocks[i].m = canonicalMatrix(blocks[i].m)
+	}
+	pc := pendingCommit{blocks: blocks}
+	pc.buf, pc.err = appendBlocksJSON(make([]byte, recordHeadroom), blocks)
+	if pc.err == nil {
+		sum := sha256.Sum256(pc.buf[recordHeadroom:])
+		pc.commitment = hex.EncodeToString(sum[:])
+	}
+	return pc
+}
+
+// appendBlocksJSON appends the JSON array of the blocks' snapshot forms:
+// the "blocks" value of a measurement record and the bytes its audit
+// commitment hashes.
+func appendBlocksJSON(dst []byte, blocks []measBlock) ([]byte, error) {
+	dst = append(dst, '[')
+	for i, b := range blocks {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		sb := encodeBlock(b)
+		// Room for typical entries ({"r":…,"c":…,"v":1}, a noisy answer)
+		// in one allocation; a short guess only costs an append growth.
+		dst = slices.Grow(dst, 64+28*len(sb.Sparse)+3*len(sb.Dense)+21*len(sb.Y))
+		var err error
+		if dst, err = sb.appendJSON(dst); err != nil {
+			return nil, err
+		}
+	}
+	return append(dst, ']'), nil
+}
+
+// frameCommitLocked completes the measurement-block record of a commit
+// that just appended pc.blocks at the current generation and frames it
+// once, for the replication stream (which carries it even without
+// persistence) and the WAL alike; the envelope feeds the audit leaf.
+// The envelope is marshaled with no blocks and pc's encoding replaces
+// its "blocks":null — no earlier field is a string, so the first match
+// is that member. Caller holds d.mu.
+func (d *Dataset) frameCommitLocked(pc pendingCommit, meta commitMeta) (walMeas, []byte, error) {
 	rec := walMeas{
 		Gen:      d.gen,
 		Consumed: d.kern.Consumed(),
-		Blocks:   make([]snapshotBlock, len(blocks)),
 		Op:       meta.Op,
 		Session:  meta.Session,
 		Charges:  meta.Charges,
 		Eps:      meta.Eps,
 	}
-	for i, b := range blocks {
-		rec.Blocks[i] = encodeBlock(b)
-	}
-	payload, err := json.Marshal(&rec)
-	if err != nil {
+	env, err := json.Marshal(&rec)
+	if err = errors.Join(pc.err, err); err != nil {
 		return walMeas{}, nil, fmt.Errorf("serve: encode wal record for %q: %w", d.name, err)
 	}
-	return rec, payload, nil
+	null := bytes.Index(env, []byte(`"blocks":null`)) + len(`"blocks":`)
+	start := recordHeadroom - null - wal.FrameHeader
+	copy(pc.buf[start+wal.FrameHeader:], env[:null])
+	buf := append(pc.buf, env[null+len("null"):]...)
+	return rec, wal.SealFrame(buf[start:], wal.TypeMeasurementBlock), nil
 }
 
 // persistCommitLocked makes one commit durable: it appends the
-// already-encoded measurement-block record (O(delta) bytes — the same
-// payload commitBlocksLocked put on the replication stream), then
+// already-framed measurement-block record (O(delta) bytes — the very
+// frame commitBlocksLocked put on the replication stream), then
 // updates the panel sidecar if a refresh ran since the last commit and
 // compacts the log when it is due. Caller holds d.mu and has already
 // appended blocks to the warm log (they are committed regardless — see
 // commitBlocksLocked).
-func (d *Dataset) persistCommitLocked(payload []byte) error {
+func (d *Dataset) persistCommitLocked(frame []byte) error {
 	if d.statePath == "" {
 		return nil
 	}
@@ -437,7 +496,7 @@ func (d *Dataset) persistCommitLocked(payload []byte) error {
 		return nil // already degraded and logged; nothing more to lose durably
 	}
 	//lint:ignore lockscope commit-section WAL append is the design: one O(delta) record per commit keeps disk order equal to generation order, and the fsync policy bounds the hold (PR 7)
-	if err := d.wlog.Append(wal.TypeMeasurementBlock, payload); err != nil {
+	if err := d.wlog.AppendFramed(frame); err != nil {
 		return err
 	}
 	d.walRecs++
@@ -464,16 +523,16 @@ func (d *Dataset) commitSpendLocked(meta commitMeta) error {
 	if err != nil {
 		return fmt.Errorf("serve: encode wal record for %q: %w", d.name, err)
 	}
-	d.appendReplLocked(wal.TypeBudgetRestore, payload)
+	frame := d.appendReplLocked(wal.TypeBudgetRestore, payload)
 	d.auditSpendLeafLocked(rec)
-	err = d.persistSpendLocked(payload)
+	err = d.persistSpendLocked(frame)
 	d.auditCheckpointLocked()
 	return err
 }
 
-// persistSpendLocked makes the encoded budget-restore record durable.
+// persistSpendLocked makes the framed budget-restore record durable.
 // Caller holds d.mu.
-func (d *Dataset) persistSpendLocked(payload []byte) error {
+func (d *Dataset) persistSpendLocked(frame []byte) error {
 	if d.statePath == "" {
 		return nil
 	}
@@ -481,7 +540,7 @@ func (d *Dataset) persistSpendLocked(payload []byte) error {
 		return nil
 	}
 	//lint:ignore lockscope commit-section WAL append is the design: a failed plan's spend must hit the log before the next commit can reorder past it
-	if err := d.wlog.Append(wal.TypeBudgetRestore, payload); err != nil {
+	if err := d.wlog.AppendFramed(frame); err != nil {
 		return err
 	}
 	d.walRecs++

@@ -66,6 +66,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
 	"time"
 )
 
@@ -116,8 +117,12 @@ type Record struct {
 // cannot force an absurd allocation before the checksum is verified.
 const MaxPayload = 1 << 28
 
+// FrameHeader is the number of bytes a frame carries ahead of its
+// payload: length and type.
+const FrameHeader = 4 + 1
+
 // frameOverhead is the per-record framing cost: length, type, CRC.
-const frameOverhead = 4 + 1 + 4
+const frameOverhead = FrameHeader + 4
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -128,16 +133,20 @@ var ErrClosed = errors.New("wal: log closed")
 // returns the extended slice. Exported so tests and the fuzz target can
 // re-encode what Scan accepted and assert byte-identity.
 func AppendFrame(dst []byte, t Type, payload []byte) []byte {
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = byte(t)
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, payload...)
-	crc := crc32.Update(0, castagnoli, hdr[4:5])
-	crc = crc32.Update(crc, castagnoli, payload)
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc)
-	return append(dst, sum[:]...)
+	dst = slices.Grow(dst, frameOverhead+len(payload)) // SealFrame then appends in place
+	n := len(dst)
+	dst = append(append(dst, make([]byte, FrameHeader)...), payload...)
+	return dst[:n+len(SealFrame(dst[n:], t))]
+}
+
+// SealFrame completes a frame assembled in place: buf is FrameHeader
+// reserved bytes followed by the payload. It fills in the length and
+// type and appends the checksum, so a large payload is never copied
+// into its frame.
+func SealFrame(buf []byte, t Type) []byte {
+	binary.LittleEndian.PutUint32(buf[:4], uint32(len(buf)-FrameHeader))
+	buf[4] = byte(t)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Update(0, castagnoli, buf[4:]))
 }
 
 // Scan decodes the longest clean prefix of a log image: the records of
@@ -306,13 +315,22 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 // further appends (the caller should degrade to read-only and let a
 // restart recover the clean prefix).
 func (l *Log) Append(t Type, payload []byte) error {
-	if l.closed {
-		return ErrClosed
-	}
 	if len(payload) > MaxPayload {
 		return fmt.Errorf("wal: record payload %d exceeds limit %d", len(payload), MaxPayload)
 	}
-	frame := AppendFrame(make([]byte, 0, frameOverhead+len(payload)), t, payload)
+	return l.AppendFramed(AppendFrame(nil, t, payload))
+}
+
+// AppendFramed is Append for a record already in AppendFrame's encoding
+// (the serve tier puts the same bytes on its replication stream). A
+// frame that does not scan back as exactly one record is refused.
+func (l *Log) AppendFramed(frame []byte) error {
+	if l.closed {
+		return ErrClosed
+	}
+	if _, n, ok := scanFrame(frame); !ok || n != len(frame) {
+		return fmt.Errorf("wal: append to %s: malformed frame of %d bytes", l.path, len(frame))
+	}
 	if _, err := l.f.Write(frame); err != nil {
 		return fmt.Errorf("wal: append to %s: %w", l.path, err)
 	}
