@@ -35,9 +35,9 @@
 // sessions, and a per-dataset batcher — hardened to survive a
 // panicking batch — that coalesces concurrent clients' range workloads
 // into one mat.MatMat panel pass over an estimate panel solved by a
-// block solver (solver.LSMRMulti, solver.CGLSMulti or the direct
-// normal-equations solver.NormalMulti, selected by Config.Solver or
-// per dataset at create time, optionally with Tikhonov damping;
+// block solver (solver.LSMRMulti, solver.CGLSMulti, solver.NNLSMulti or
+// the direct normal-equations solver.NormalMulti, selected by
+// Config.Solver or per dataset at create time, optionally with damping;
 // column 0 the LS estimate, the rest parametric-bootstrap replicates
 // that price per-answer error bars into the same solve, with the
 // solve's convergence state surfaced to clients).
@@ -79,10 +79,15 @@
 // plus a WAL replay fuzzer pin the recovery semantics.
 //
 // Refreshes across measurement generations are incremental rather than
-// from-scratch. The iterative solvers warm-start each panel solve from
-// the previous generation's estimate (Options.X0) and stop at the cold
-// solve's absolute convergence target (Options.TolFloor), so only the
-// delta the new rows introduced is iterated on; the "normal" solver
+// from-scratch. The iterative solvers solve a consolidated system
+// (inference.Consolidated): blocks that repeat a strategy matrix fold,
+// in log order, into one inverse-variance-weighted block, so a solve
+// costs the number of distinct strategies in the log, not its length.
+// LSMR and CGLS warm-start each panel solve from the previous
+// generation's estimate (Options.X0) and stop at the cold solve's
+// absolute convergence target (Options.TolFloor), so only the delta the
+// new rows introduced is iterated on; NNLS starts cold (a warm FISTA
+// start tightens its own stopping target). The "normal" solver
 // goes further, maintaining cached weighted normal-equation state
 // (Gram and right-hand side) that new measurement blocks fold into via
 // rank-k mat.GramUpdate passes — O(delta rows) per refresh, with

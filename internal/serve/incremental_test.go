@@ -27,8 +27,8 @@ func incrementalWorkload(domain int) []mat.Range1D {
 // seeded dataset forced to rebuild cold every round — at every
 // generation — while its summary counts the warm refreshes. The
 // iterative "lsmr" case pins the weaker contract of warm-started
-// solves: answers within 1e-6 relative of the cold rebuild (standard
-// errors are not compared; its bootstrap noise is redrawn per refresh).
+// solves: answers and standard errors within 1e-6 relative of the cold
+// rebuild (both sides hold the same bootstrap noise per block).
 func TestIncrementalNormalWarmColdBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		solver  string
@@ -71,6 +71,9 @@ func TestIncrementalNormalWarmColdBitIdentical(t *testing.T) {
 					for i := range cres.Answers {
 						if d := math.Abs(wres.Answers[i] - cres.Answers[i]); d > 1e-6*(1+math.Abs(cres.Answers[i])) {
 							t.Fatalf("round %d: answer %d: warm %v vs cold %v", round, i, wres.Answers[i], cres.Answers[i])
+						}
+						if d := math.Abs(wres.Stderr[i] - cres.Stderr[i]); d > 1e-6*(1+math.Abs(cres.Stderr[i])) {
+							t.Fatalf("round %d: stderr %d: warm %v vs cold %v", round, i, wres.Stderr[i], cres.Stderr[i])
 						}
 					}
 					continue
@@ -246,11 +249,10 @@ func TestIncrementalNormalRestartBitIdentical(t *testing.T) {
 
 // TestIncrementalIterativeRestartWarmStart checks the snapshot-v2 panel
 // on an iterative solver: a restarted dataset warm-starts its first
-// solve from the persisted previous-generation panel, and because
-// estimate column 0 carries no bootstrap noise and columns converge
-// under independent latches, the restarted answers equal the
-// uninterrupted server's bit for bit (standard errors may differ — the
-// bootstrap stream restarts with the process).
+// solve from the persisted previous-generation panel and redraws each
+// block's bootstrap noise from the start of the seeded stream in log
+// order, so the restarted answers and standard errors equal the
+// uninterrupted server's bit for bit.
 func TestIncrementalIterativeRestartWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	const domain = 32
@@ -291,6 +293,9 @@ func TestIncrementalIterativeRestartWarmStart(t *testing.T) {
 	for i := range want.Answers {
 		if got.Answers[i] != want.Answers[i] {
 			t.Fatalf("answer %d diverges across restart: %v vs %v (not bit-identical)", i, got.Answers[i], want.Answers[i])
+		}
+		if got.Stderr[i] != want.Stderr[i] {
+			t.Fatalf("stderr %d diverges across restart: %v vs %v (not bit-identical)", i, got.Stderr[i], want.Stderr[i])
 		}
 	}
 	sum := d2.Summary()

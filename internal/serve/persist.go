@@ -11,6 +11,7 @@ import (
 	"strconv"
 
 	"repro/internal/audit"
+	"repro/internal/core/inference"
 	"repro/internal/mat"
 )
 
@@ -321,7 +322,7 @@ func decodeBlock(i int, b snapshotBlock, domain int) (measBlock, error) {
 		}
 		m = mat.NewSparse(b.Rows, b.Cols, ts)
 	}
-	return measBlock{m: m, y: append([]float64(nil), b.Y...), scale: b.Scale}, nil
+	return measBlock{m: m, y: append([]float64(nil), b.Y...), scale: b.Scale, digest: inference.Digest(m)}, nil
 }
 
 // loadSnapshot parses and fully validates snapshot bytes. It returns the

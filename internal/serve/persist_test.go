@@ -44,6 +44,15 @@ func TestPersistRestartWarm(t *testing.T) {
 	if _, err := d1.MeasurePlan("DAWA", 1, plans.Params{}); err != nil {
 		t.Fatal(err)
 	}
+	// A refresh between commits, then a repeat of the first strategy at
+	// another ε: the restart must rebuild a folded group and redraw two
+	// refreshes' worth of bootstrap noise as one.
+	if _, err := d1.Query(wl); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d1.Measure("hb", 0.5); err != nil {
+		t.Fatal(err)
+	}
 	before, err := d1.Query(wl)
 	if err != nil {
 		t.Fatal(err)
@@ -76,8 +85,11 @@ func TestPersistRestartWarm(t *testing.T) {
 		if after.Answers[i] != before.Answers[i] {
 			t.Fatalf("restart moved answer %d: %v -> %v", i, before.Answers[i], after.Answers[i])
 		}
+		if after.Stderr[i] != before.Stderr[i] {
+			t.Fatalf("restart moved stderr %d: %v -> %v", i, before.Stderr[i], after.Stderr[i])
+		}
 	}
-	// The restored budget is enforced: only the unspent 7 remain.
+	// The restored budget is enforced: only the unspent 6.5 remain.
 	if _, err := d2.Measure("identity", 8); err == nil {
 		t.Fatal("restart re-granted spent budget")
 	}

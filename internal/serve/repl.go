@@ -67,10 +67,12 @@ import (
 // from offset zero is safe by the same idempotence.
 //
 // A replica at generation G answers bit-identically to the primary at
-// generation G when the dataset uses the "normal" solver (whose
-// bootstrap noise is drawn per block in log order — deterministic
-// across any refresh schedule); the iterative solvers agree to solver
-// tolerance, as documented for warm-vs-cold refreshes.
+// generation G when the dataset uses the "normal" solver; an iterative
+// solver's replica does too when it refreshed at the generations the
+// primary did (the warm start is the previous refresh's panel), and
+// agrees to solver tolerance otherwise. Bootstrap noise is drawn per
+// block in log order from the seed both sides share, so standard errors
+// follow the answers in either case.
 
 // ErrNotPrimary: a write (Measure/MeasurePlan) reached a read replica.
 // The HTTP layer maps it to 421 Misdirected Request with the primary's
@@ -498,6 +500,7 @@ func (d *Dataset) applyMeasLocked(m walMeas) (bool, error) {
 	}
 	if m.Full {
 		d.blocks, d.rows = decoded, rows
+		d.resetDerivedLocked()
 	} else {
 		d.blocks = append(d.blocks, decoded...)
 		d.rows += rows

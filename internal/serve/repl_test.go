@@ -46,21 +46,28 @@ func bitsEqual(a, b []float64) bool {
 // TestFollowerBitIdenticalAtEqualGeneration is the tentpole pin: a
 // replica that has applied the primary's stream up to generation G
 // answers every workload bit-identically (values AND stderr) to the
-// primary at G — the dataset uses the "normal" solver, whose bootstrap
-// noise is drawn per block in log order and therefore agrees across
-// processes seeded alike.
+// primary at G. Bootstrap noise is drawn per block in log order from
+// the shared seed, so it agrees across processes on every solver; the
+// log repeats a strategy, so the iterative solver's replica has folded
+// a group exactly as the primary did.
 func TestFollowerBitIdenticalAtEqualGeneration(t *testing.T) {
+	for _, solverName := range []string{SolverNormal, SolverLSMR} {
+		t.Run(solverName, func(t *testing.T) { followerBitIdentical(t, solverName) })
+	}
+}
+
+func followerBitIdentical(t *testing.T, solverName string) {
 	ps := New(Config{BatchWindow: 100 * time.Microsecond})
 	defer ps.Close()
 	fs := New(Config{BatchWindow: 100 * time.Microsecond})
 	defer fs.Close()
 
 	const seed = uint64(42)
-	pd, err := ps.CreateDatasetWithOptions("census", "piecewise", 128, 5000, seed, 10, SolverNormal, 0)
+	pd, err := ps.CreateDatasetWithOptions("census", "piecewise", 128, 5000, seed, 10, solverName, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd, err := fs.CreateFollower("census", 128, 10, seed, SolverNormal, 0, "http://primary.example")
+	fd, err := fs.CreateFollower("census", 128, 10, seed, solverName, 0, "http://primary.example")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,6 +77,9 @@ func TestFollowerBitIdenticalAtEqualGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := pd.MeasurePlan("DAWA", 1, plans.Params{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pd.Measure("hb", 0.5); err != nil {
 		t.Fatal(err)
 	}
 
@@ -125,6 +135,69 @@ func TestFollowerBitIdenticalAtEqualGeneration(t *testing.T) {
 	}
 	if got := fd.Summary(); got.Generation != psum.Generation || got.Consumed != psum.Consumed {
 		t.Fatalf("re-apply moved state: gen %d consumed %g", got.Generation, got.Consumed)
+	}
+}
+
+// TestFollowerResyncRenoisesFromLogStart: a replica that had already
+// refreshed — and so drawn bootstrap noise — when a bootstrap frame
+// replaced its log must end on the primary's standard errors: the
+// replaced log is noised again from the start of the seeded stream, as
+// on a process that had only ever seen the bootstrap.
+func TestFollowerResyncRenoisesFromLogStart(t *testing.T) {
+	for _, solverName := range []string{SolverNormal, SolverLSMR} {
+		t.Run(solverName, func(t *testing.T) {
+			// Two retained frames: every WALTail(0) is a regenerated bootstrap.
+			ps := New(Config{BatchWindow: 100 * time.Microsecond, ReplRetain: 2})
+			defer ps.Close()
+			fs := New(Config{BatchWindow: 100 * time.Microsecond})
+			defer fs.Close()
+			pd, err := ps.CreateDatasetWithOptions("ds", "piecewise", 64, 2000, 9, 50, solverName, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fd, err := fs.CreateFollower("ds", 64, 50, 9, solverName, 0, "http://primary.example")
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := mat.HierarchicalRanges(64, 2)
+			if _, err := pd.Measure("h2", 1); err != nil {
+				t.Fatal(err)
+			}
+			shipAll(t, pd, fd)
+			if _, err := fd.Query(w); err != nil {
+				t.Fatal(err)
+			}
+			for _, strategy := range []string{"h2", "identity"} {
+				if _, err := pd.Measure(strategy, 0.5); err != nil {
+					t.Fatal(err)
+				}
+			}
+			shipAll(t, pd, fd)
+			pres, err := pd.Query(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fres, err := fd.Query(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if solverName == SolverNormal {
+				if !bitsEqual(pres.Answers, fres.Answers) || !bitsEqual(pres.Stderr, fres.Stderr) {
+					t.Fatal("resynced follower differs from the primary")
+				}
+				return
+			}
+			// The follower's solve started from its generation-1 panel, the
+			// primary's from zero: equal to solver tolerance.
+			for i := range pres.Answers {
+				if d := math.Abs(fres.Answers[i] - pres.Answers[i]); d > 1e-6*(1+math.Abs(pres.Answers[i])) {
+					t.Fatalf("answer %d: follower %v, primary %v", i, fres.Answers[i], pres.Answers[i])
+				}
+				if d := math.Abs(fres.Stderr[i] - pres.Stderr[i]); d > 1e-6*(1+math.Abs(pres.Stderr[i])) {
+					t.Fatalf("stderr %d: follower %v, primary %v", i, fres.Stderr[i], pres.Stderr[i])
+				}
+			}
+		})
 	}
 }
 
@@ -339,8 +412,9 @@ func TestFollowerRejectsTamperedStream(t *testing.T) {
 }
 
 // TestServeNNLSSolver: the "nnls" solver option yields non-negative
-// estimates end to end, warm-starts across generations, and rejects
-// damping (no damped FISTA form).
+// estimates end to end, solves every generation from a cold start (a
+// warm-started FISTA needs more iterations than a cold one), and
+// rejects damping (no damped FISTA form).
 func TestServeNNLSSolver(t *testing.T) {
 	s := New(Config{BatchWindow: 100 * time.Microsecond})
 	defer s.Close()
@@ -376,7 +450,7 @@ func TestServeNNLSSolver(t *testing.T) {
 			t.Fatalf("cell %d negative: %g", i, v)
 		}
 	}
-	// Second generation warm-starts from the first panel.
+	// The second generation does not start from the first panel.
 	if _, err := d.Measure("hb", 0.5); err != nil {
 		t.Fatal(err)
 	}
@@ -384,8 +458,8 @@ func TestServeNNLSSolver(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := d.Summary()
-	if sum.WarmRefreshes < 1 {
-		t.Fatalf("warm refreshes %d, want >= 1", sum.WarmRefreshes)
+	if sum.WarmRefreshes != 0 || sum.ColdRefreshes != 2 {
+		t.Fatalf("refreshes warm %d cold %d, want 0 and 2", sum.WarmRefreshes, sum.ColdRefreshes)
 	}
 	if sum.Solver != SolverNNLS {
 		t.Fatalf("solver %q", sum.Solver)

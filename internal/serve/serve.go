@@ -38,26 +38,32 @@
 //
 // The estimate panel is refreshed lazily after new measurements by one
 // block solve — solver.LSMRMulti (the paper's named solver),
-// solver.CGLSMulti, or the direct normal-equations solver.NormalMulti,
-// selected by Config.Solver or per dataset at create time (optionally
-// with Tikhonov damping λ): column 0 is the least-squares estimate of
-// the data vector from the full measurement log, and the remaining
-// columns are parametric-bootstrap replicates — the same system solved
-// against re-noised right-hand sides — whose spread yields per-answer
-// standard errors. One block solve prices all columns at one pass over
-// the measurement matrix per iteration, and one MatMat pass prices all
-// clients' answers and error bars together; the solve's termination
-// state is surfaced through Summary and QueryResult so truncated
-// (non-converged) estimates are visible to clients.
+// solver.CGLSMulti, solver.NNLSMulti, or the direct normal-equations
+// solver.NormalMulti, selected by Config.Solver or per dataset at
+// create time (optionally with Tikhonov damping λ): column 0 is the
+// least-squares estimate of the data vector from the full measurement
+// log, and the remaining columns are parametric-bootstrap replicates —
+// the same system solved against re-noised right-hand sides — whose
+// spread yields per-answer standard errors. The re-noising is drawn
+// once per block, in log order, from the dataset's seeded bootstrap
+// stream, so standard errors are a function of the log: a restart and
+// a replica reproduce them. One block solve prices all columns at one
+// pass over the measurement matrix per iteration, and one MatMat pass
+// prices all clients' answers and error bars together; the solve's
+// termination state is surfaced through Summary and QueryResult so
+// truncated (non-converged) estimates are visible to clients.
 //
 // Refreshes are incremental across measurement generations. The
-// iterative solvers warm-start from the previous generation's panel
-// and stop at the cold solve's absolute convergence target
-// (refreshLocked); the "normal" solver maintains cached weighted
-// normal-equation state that delta blocks fold into with rank-k
-// mat.GramUpdate passes, making a refresh O(delta rows) with answers
-// bit-identical to a cold rebuild (refreshNormalLocked, which also
-// documents the cold-fallback conditions). Summary reports the
+// iterative solvers solve a consolidated system — blocks that repeat a
+// strategy matrix are folded into one inverse-variance-weighted block
+// (inference.Consolidated), so a solve costs the number of distinct
+// strategies in the log, not its length — warm-started from the
+// previous generation's panel and stopped at the cold solve's absolute
+// convergence target (refreshLocked); the "normal" solver maintains
+// cached weighted normal-equation state that delta blocks fold into
+// with rank-k mat.GramUpdate passes, making a refresh O(delta rows)
+// with answers bit-identical to a cold rebuild (refreshNormalLocked,
+// which also documents the cold-fallback conditions). Summary reports the
 // warm/cold refresh counters, saved iterations, and the covered versus
 // pending log rows; snapshots carry the estimate panel so restarted
 // datasets warm-start too.
@@ -286,11 +292,10 @@ const (
 	SolverNormal = "normal"
 	// SolverNNLS (solver.NNLSMulti, FISTA projected gradient) constrains
 	// every panel column non-negative — estimates that are counts stay
-	// counts. It warm-starts from the previous generation's panel
-	// (clamped non-negative) like the other iterative solvers, has no
-	// damped form (Options.Damp is ignored, so damping+nnls is rejected
-	// at create), and its bootstrap noise is redrawn per refresh like
-	// cgls/lsmr — the bit-identical warm-vs-cold path stays "normal".
+	// counts. It solves the same consolidated system as cgls/lsmr but
+	// always from a cold start (see refreshLocked), and has no damped
+	// form (Options.Damp is ignored, so damping+nnls is rejected at
+	// create).
 	SolverNNLS = "nnls"
 )
 
@@ -377,13 +382,32 @@ type measBlock struct {
 	m     mat.Matrix
 	y     []float64
 	scale float64
+	// digest is inference.Digest of the canonical m, taken where the
+	// block is made (prepareCommit, decodeBlock): the key under which the
+	// consolidated system finds blocks that repeat a strategy.
+	digest uint64
 	// boot is the block's parametric-bootstrap noise — len(y)×(k−1),
-	// row-major — drawn lazily (in log order) the first time a
-	// normal-mode refresh covers the block and reused by every later
-	// refresh, warm or cold, so the two paths see identical replicate
-	// right-hand sides and answer bit-identically. The iterative solvers
-	// keep their redraw-per-refresh semantics and ignore it.
+	// row-major — drawn lazily (in log order) the first time a refresh
+	// covers the block and reused by every later refresh of any solver,
+	// warm or cold, so all of them see identical replicate right-hand
+	// sides.
 	boot []float64
+}
+
+// rhsPanel returns the block's rows×k right-hand-side panel: column 0
+// the measured answers, columns 1..k−1 the stored bootstrap re-noisings
+// — the answers re-noised at the block's own scale. Only public values
+// (noisy answers, public scales) enter, so it is post-processing and
+// consumes no budget.
+func (b *measBlock) rhsPanel(k int) []float64 {
+	yb := make([]float64, len(b.y)*k)
+	for i, v := range b.y {
+		yb[i*k] = v
+		for j := 1; j < k; j++ {
+			yb[i*k+j] = v + b.boot[i*(k-1)+(j-1)]
+		}
+	}
+	return yb
 }
 
 // Dataset is one protected dataset's warm serving state.
@@ -433,6 +457,13 @@ type Dataset struct {
 	nsRows    int
 	nsK       int
 	nsWeights []float64
+
+	// Consolidated system (iterative solvers): cons holds the log prefix
+	// blocks[:consBlocks] folded under the weight cap consCap; see
+	// foldLocked.
+	cons       *inference.Consolidated
+	consBlocks int
+	consCap    float64
 
 	// Warm-vs-cold refresh accounting, surfaced through Summary:
 	// warmRefreshes reused previous-generation state (a warm-started
@@ -561,7 +592,7 @@ func (s *Server) addDataset(name string, x []float64, seed uint64, epsTotal floa
 		kern:     kern,
 		root:     root,
 		n:        len(x),
-		boot:     noise.NewRand(seed ^ 0x9e3779b97f4a7c15),
+		boot:     bootRand(seed),
 		work:     mat.NewWorkspace(),
 		solver:   solverName,
 		damp:     damping,
@@ -1021,11 +1052,12 @@ func (d *Dataset) MeasurePlan(name string, eps float64, params plans.Params) (Pl
 
 // refreshLocked brings the estimate panel up to date with one block
 // solve. The "normal" solver takes the incremental normal-equation path
-// (refreshNormalLocked); the iterative solvers (LSMRMulti or CGLSMulti
-// per d.solver) re-solve the full weighted system, warm-started from
-// the previous generation's panel when one with the same shape exists —
-// the solver then works off only the delta the new measurement rows
-// introduced. Caller holds d.mu.
+// (refreshNormalLocked); the iterative solvers (LSMRMulti, CGLSMulti or
+// NNLSMulti per d.solver) solve the consolidated weighted system
+// (foldLocked), cgls and lsmr warm-started from the previous
+// generation's panel when one with the same shape exists — the solver
+// then works off only the delta the new measurement rows introduced.
+// Caller holds d.mu.
 func (d *Dataset) refreshLocked() error {
 	if !d.stale && d.panel != nil {
 		return nil
@@ -1036,63 +1068,34 @@ func (d *Dataset) refreshLocked() error {
 	if d.solver == SolverNormal {
 		return d.refreshNormalLocked()
 	}
-	// Assemble the weighted system through the inference layer's
-	// measurement log (same weighting rules as the plan layer).
-	ms := inference.NewMeasurements(d.n)
-	for _, b := range d.blocks {
-		ms.Add(b.m, b.y, b.scale)
-	}
-	a := ms.Matrix()
-	y := ms.Answers()
-	w := ms.Weights()
-
 	k := 1 + d.cfg.Replicates
-	rows := len(y)
-	panelY := make([]float64, rows*k)
-	// Column 0: the measured answers. Columns 1..R: parametric-bootstrap
-	// replicates — the answers re-noised at each row's own scale. This
-	// uses only public values (noisy answers, public scales), so it is
-	// post-processing and consumes no budget.
-	row := 0
-	for _, b := range d.blocks {
-		for _, v := range b.y {
-			panelY[row*k] = v
-			for j := 1; j < k; j++ {
-				panelY[row*k+j] = v + noise.Laplace(d.boot, b.scale)
-			}
-			row++
-		}
-	}
+	d.foldLocked(k)
+	a, panelY, w := d.cons.System()
 	opts := solver.Options{MaxIter: d.cfg.MaxIter, Work: d.work, Damp: d.damp}
 	// Warm start: the previous generation's estimate panel (possibly
 	// restored from a snapshot) seeds the solve whenever its shape still
 	// matches; a converged panel plus a small row delta then costs a few
 	// iterations instead of a full re-solve. Warm and cold answers agree
 	// to solver tolerance, not bitwise — the "normal" solver is the
-	// bit-identical path (see the solver package docs).
-	warm := !d.cfg.ColdRefresh && d.panel != nil && d.k == k && len(d.panel) == d.n*k
+	// bit-identical path (see the solver package docs). nnls never warm
+	// starts: FISTA's stopping rule is relative to the gradient at its
+	// start point, so a warm start tightens its own target and, with the
+	// momentum reset, needs more iterations than the cold solve it was
+	// meant to shorten.
+	warm := !d.cfg.ColdRefresh && d.solver != SolverNNLS &&
+		d.panel != nil && d.k == k && len(d.panel) == d.n*k
 	var res solver.MultiResult
 	if d.solver == SolverNNLS {
 		// NNLSMulti applies the row weights itself and projects every
-		// FISTA iterate non-negative; the warm panel seeds it (clamped
-		// non-negative inside the solver). No TolFloor: FISTA's stopping
-		// rule is already absolute in the initial gradient norm, so a warm
-		// start cannot tighten its own target the way the relative
-		// cgls/lsmr rule would.
-		if warm {
-			opts.X0 = d.panel
-		}
+		// FISTA iterate non-negative.
 		res = solver.NNLSMulti(a, panelY, k, w, opts)
 	} else {
 		// Row weighting: scale matrix rows and right-hand sides alike, as
 		// solver.LeastSquares does for the single-RHS path.
-		av := a
-		if w != nil {
-			av = mat.RowScaled(w, a)
-			for i := 0; i < rows; i++ {
-				for j := 0; j < k; j++ {
-					panelY[i*k+j] *= w[i]
-				}
+		av := mat.RowScaled(w, a)
+		for i, wi := range w {
+			for j := 0; j < k; j++ {
+				panelY[i*k+j] *= wi
 			}
 		}
 		// The TolFloor pins each warm column's convergence target to the
@@ -1121,7 +1124,7 @@ func (d *Dataset) refreshLocked() error {
 		d.baselineIters = res.Iterations
 	}
 	d.panel, d.k = res.X, k
-	d.panelRows = rows
+	d.panelRows = d.rows
 	d.panelDirty = true
 	d.solveIterations, d.solveConverged = res.Iterations, res.Converged
 	if !res.Converged {
@@ -1131,6 +1134,28 @@ func (d *Dataset) refreshLocked() error {
 	}
 	d.stale = false
 	return nil
+}
+
+// foldLocked extends the consolidated system to the end of the log:
+// every block past the folded prefix gets its bootstrap noise (once, in
+// log order) and is folded, in log order, into the group of its strategy
+// matrix. The fold is a function of the log alone — a primary folding
+// commit by commit, a restart or a follower folding a replayed log in
+// one go, all hold the same floats. A block's weight depends on the
+// 100× cap, which a noisier later block can lower for earlier ones;
+// when the cap moves the system is refolded from the first block, which
+// is what a process that saw the whole log at once would have built.
+// Caller holds d.mu.
+func (d *Dataset) foldLocked(k int) {
+	maxW := d.weightCapLocked()
+	if d.cons == nil || d.consCap != maxW {
+		d.cons, d.consBlocks, d.consCap = inference.NewConsolidated(d.n, k), 0, maxW
+	}
+	for ; d.consBlocks < len(d.blocks); d.consBlocks++ {
+		b := &d.blocks[d.consBlocks]
+		d.ensureBootNoiseLocked(b, k)
+		d.cons.Fold(b.m, b.digest, blockWeight(b.scale, maxW), b.rhsPanel(k))
+	}
 }
 
 // coldTargets returns the per-column absolute convergence targets a
@@ -1157,12 +1182,12 @@ func (d *Dataset) coldTargets(av mat.Matrix, panelY []float64, k int) []float64 
 	return floors
 }
 
-// blockWeightsLocked computes the per-block inverse-noise weights of
-// the warm log — the same rule as inference.Measurements.Weights
-// (weight 1/scale, capped at 100× the smallest block weight; scale-free
-// blocks get the cap), which is constant within a block because each
-// block has one noise scale. Caller holds d.mu.
-func (d *Dataset) blockWeightsLocked() []float64 {
+// weightCapLocked returns the largest weight a block of the warm log
+// may carry — the rule of inference.Measurements.Weights: 100× the
+// smallest block weight 1/scale, so that near-exact side information
+// acts as a strong constraint without destroying the solvers'
+// conditioning. Caller holds d.mu.
+func (d *Dataset) weightCapLocked() float64 {
 	minW := math.Inf(1)
 	for _, b := range d.blocks {
 		if b.scale > 0 && 1/b.scale < minW {
@@ -1172,17 +1197,26 @@ func (d *Dataset) blockWeightsLocked() []float64 {
 	if math.IsInf(minW, 1) {
 		minW = 1
 	}
-	maxW := minW * 100
+	return minW * 100
+}
+
+// blockWeight is a block's inverse-noise row weight under the cap maxW:
+// 1/scale, capped; scale-free blocks get the cap. It is constant within
+// a block because each block has one noise scale.
+func blockWeight(scale, maxW float64) float64 {
+	if scale > 0 && 1/scale < maxW {
+		return 1 / scale
+	}
+	return maxW
+}
+
+// blockWeightsLocked computes the per-block weights of the warm log.
+// Caller holds d.mu.
+func (d *Dataset) blockWeightsLocked() []float64 {
+	maxW := d.weightCapLocked()
 	out := make([]float64, len(d.blocks))
 	for i, b := range d.blocks {
-		w := maxW
-		if b.scale > 0 {
-			w = 1 / b.scale
-			if w > maxW {
-				w = maxW
-			}
-		}
-		out[i] = w
+		out[i] = blockWeight(b.scale, maxW)
 	}
 	return out
 }
@@ -1228,15 +1262,7 @@ func (d *Dataset) refreshNormalLocked() error {
 	for bi := d.nsBlocks; bi < len(d.blocks); bi++ {
 		b := &d.blocks[bi]
 		d.ensureBootNoiseLocked(b, k)
-		// The block's rows×k right-hand-side panel: column 0 the measured
-		// answers, columns 1..R the stored bootstrap re-noisings.
-		yb := make([]float64, len(b.y)*k)
-		for i, v := range b.y {
-			yb[i*k] = v
-			for j := 1; j < k; j++ {
-				yb[i*k+j] = v + b.boot[i*(k-1)+(j-1)]
-			}
-		}
+		yb := b.rhsPanel(k)
 		w := weights[bi]
 		mat.GramUpdate(d.nsG, b.m, w)
 		mat.AddScaledTMatMat(d.nsRHS, b.m, yb, k, w*w)
@@ -1264,9 +1290,11 @@ func (d *Dataset) refreshNormalLocked() error {
 // exactly once, from the dataset's bootstrap stream in log order.
 // Because every block's draw is a contiguous, deterministic chunk of
 // the stream consumed in block order, any refresh schedule (one block
-// per refresh, or several batched) yields the same noise per block,
-// which is what keeps warm and cold normal-mode servers bit-identical.
-// Caller holds d.mu.
+// per refresh, or several batched) and any solver yields the same noise
+// per block, which is what keeps warm and cold, restarted and replica
+// servers on identical replicate right-hand sides. Both refresh paths
+// run to the end of the log in block order, so the noised blocks are
+// always a prefix. Caller holds d.mu.
 func (d *Dataset) ensureBootNoiseLocked(b *measBlock, k int) {
 	if b.boot != nil || k <= 1 {
 		return
@@ -1275,6 +1303,22 @@ func (d *Dataset) ensureBootNoiseLocked(b *measBlock, k int) {
 	for i := range b.boot {
 		b.boot[i] = noise.Laplace(d.boot, b.scale)
 	}
+}
+
+// bootRand opens a dataset's bootstrap-noise stream at its start: public
+// post-processing randomness, a function of the dataset seed.
+func bootRand(seed uint64) *rand.Rand { return noise.NewRand(seed ^ 0x9e3779b97f4a7c15) }
+
+// resetDerivedLocked forgets what was derived from a log that has just
+// been replaced (a follower applying a bootstrap frame): the
+// consolidated system, the normal-equation state, and the position of
+// the bootstrap stream, so the new blocks are noised and folded from the
+// first one exactly as a fresh process holding them would. Caller holds
+// d.mu.
+func (d *Dataset) resetDerivedLocked() {
+	d.boot = bootRand(d.seed)
+	d.cons, d.consBlocks = nil, 0
+	d.nsG, d.nsBlocks, d.nsRows = nil, 0, 0
 }
 
 // Refresh forces the estimate panel up to date (a no-op when it is not

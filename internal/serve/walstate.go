@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"slices"
 
+	"repro/internal/core/inference"
 	"repro/internal/wal"
 )
 
@@ -418,11 +419,12 @@ type pendingCommit struct {
 // {"gen":<20 digits>,"consumed":<24 characters>,"blocks": — 73 bytes.
 const recordHeadroom = 96
 
-// prepareCommit canonicalises, encodes and hashes a commit's blocks:
-// the O(nnz) work of a commit, which belongs before d.mu.
+// prepareCommit canonicalises, digests, encodes and hashes a commit's
+// blocks: the O(nnz) work of a commit, which belongs before d.mu.
 func prepareCommit(blocks []measBlock) pendingCommit {
 	for i := range blocks {
 		blocks[i].m = canonicalMatrix(blocks[i].m)
+		blocks[i].digest = inference.Digest(blocks[i].m)
 	}
 	pc := pendingCommit{blocks: blocks}
 	pc.buf, pc.err = appendBlocksJSON(make([]byte, recordHeadroom), blocks)
