@@ -16,26 +16,30 @@
 // The estimate panel behind every answer is solved by the block solver
 // named with -solver: lsmr (solver.LSMRMulti, the paper's §7.6 solver;
 // the default), cgls (solver.CGLSMulti), or normal (solver.NormalMulti
-// over incrementally maintained normal-equation state — refreshes after
-// new measurements cost O(delta rows) instead of a full re-solve, with
-// answers bit-identical to a cold rebuild; see the internal/serve
-// package docs). A dataset created over HTTP may override the choice
+// over normal equations that new measurements fold into at O(delta
+// rows) per refresh, with answers bit-identical under any refresh
+// schedule; see the internal/serve package docs). A dataset created
+// over HTTP may override the choice
 // per dataset with the "solver" field, and may set "damping" (lsmr and
 // normal only) to a Tikhonov λ that regularizes ill-conditioned
 // measurement logs. The iterative solvers also refresh incrementally:
 // each refresh warm-starts from the previous generation's panel and
 // stops at the cold solve's absolute convergence target.
 //
-// With -state-dir every measurement commit persists durably under that
+// With -state-dir every measurement commit persists under that
 // directory, and re-creating a dataset name (preload included) restores
 // the log and its spent budget, so a restarted server answers
-// bit-identically and cannot re-grant spent budget. Each commit appends
-// one CRC-framed record to a per-dataset write-ahead log (O(delta)
-// bytes per commit) that is periodically compacted into a checkpoint
-// (-checkpoint-every records); a torn log tail from a crash is
-// truncated at the first bad frame on restart, never refused. -fsync
-// picks the log durability policy (always per record, interval batched
-// by -fsync-interval, or never). State directories written by the
+// bit-identically. Each commit appends one CRC-framed record to a
+// per-dataset write-ahead log (O(delta) bytes per commit) that is
+// periodically compacted into a checkpoint (-checkpoint-every records);
+// a torn log tail from a crash is truncated at the first bad frame on
+// restart, never refused. -fsync picks the log durability policy:
+// always per record (the default), interval batched by
+// -fsync-interval, or never. Only always makes a commit durable before
+// it is acknowledged, so only always guarantees a restart never
+// re-grants spent budget: under interval or never, a commit that was
+// acknowledged, answered and replicated can be lost on power failure,
+// and its ε is then re-granted. State directories written by the
 // retired snapshot-per-commit backend load as-is: the snapshot file is
 // the checkpoint. On an unrecoverable disk error a dataset degrades to
 // read-only — writes return 503 while queries keep serving from the

@@ -70,31 +70,35 @@
 // the one frame goes to the WAL and the replication stream alike.
 // Re-creating the dataset restores the log *and its spent budget*
 // (kernel.RestoreConsumed; replay never re-grants), making restarts
-// bit-identical and re-spend-proof. On an unrecoverable disk error the
-// dataset degrades to explicit read-only — writes fail with
-// serve.ErrReadOnly (HTTP 503) while queries keep serving from the warm
-// panel. The deterministic golden-session test pins the whole create →
+// bit-identical and, under the default fsync policy "always",
+// re-spend-proof (the other policies can lose an acknowledged commit,
+// and re-grant its ε, on power failure). On an unrecoverable disk
+// error the dataset degrades to explicit read-only — writes fail with
+// serve.ErrReadOnly (HTTP 503) while queries keep serving from the
+// warm panel. The deterministic golden-session test pins the whole create →
 // plan-measure → query → restart → query response stream, and a crash
 // matrix (every record boundary, mid-frame tears, arbitrary bit flips)
 // plus a WAL replay fuzzer pin the recovery semantics.
 //
 // Refreshes across measurement generations are incremental rather than
-// from-scratch. The iterative solvers solve a consolidated system
-// (inference.Consolidated): blocks that repeat a strategy matrix fold,
-// in log order, into one inverse-variance-weighted block, so a solve
-// costs the number of distinct strategies in the log, not its length.
-// LSMR and CGLS warm-start each panel solve from the previous
-// generation's estimate (Options.X0) and stop at the cold solve's
-// absolute convergence target (Options.TolFloor), so only the delta the
-// new rows introduced is iterated on; NNLS starts cold (a warm FISTA
-// start tightens its own stopping target). The "normal" solver
-// goes further, maintaining cached weighted normal-equation state
-// (Gram and right-hand side) that new measurement blocks fold into via
-// rank-k mat.GramUpdate passes — O(delta rows) per refresh, with
-// answers bit-identical to a cold rebuild and well-defined cold
-// fallbacks (weight-cap changes, snapshot restores, oversized deltas).
-// The estimate panel persists beside the log, so restarts warm-start
-// too.
+// from-scratch, through one mechanism for every solver: the blocks
+// committed since the last refresh fold, in log order, into the system
+// the solver family solves, and the fold is redone from the first block
+// only when a new block moves the 100× weight cap. The iterative
+// solvers fold into a consolidated system (inference.Consolidated):
+// blocks that repeat a strategy matrix become one
+// inverse-variance-weighted block, so a solve costs the number of
+// distinct strategies in the log, not its length. LSMR and CGLS
+// warm-start each panel solve from the previous generation's estimate
+// (Options.X0) and stop at the cold solve's absolute convergence target
+// (Options.TolFloor), so only the delta the new rows introduced is
+// iterated on; NNLS starts cold (a warm FISTA start tightens its own
+// stopping target). The "normal" solver folds into the weighted normal
+// equations (inference.NormalEquations: Gram and right-hand side,
+// accumulated by rank-k mat.GramUpdate passes) and solves them
+// directly, so its answers are bit-identical under any refresh
+// schedule. The estimate panel persists beside the log, so restarts
+// warm-start too.
 //
 // The serve tier scales out as a cluster (internal/cluster,
 // cmd/ektelo-router): a static topology of serve processes, datasets

@@ -27,8 +27,9 @@ func (d *Dataset) foldStateForTest(t *testing.T) foldState {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	_, y, w := d.cons.System()
-	return foldState{groups: d.cons.Groups(), y: y, w: w}
+	cons := d.fold.(*inference.Consolidated)
+	_, y, w := cons.System()
+	return foldState{groups: cons.Groups(), y: y, w: w}
 }
 
 func (a foldState) equal(b foldState) bool {
@@ -153,7 +154,7 @@ func TestConsolidatedMatchesStackedModel(t *testing.T) {
 					ms.Add(b.m, b.y, b.scale)
 					stackedY = append(stackedY, b.rhsPanel(k)...)
 				}
-				consA, consY, consW := pd.cons.System()
+				consA, consY, consW := pd.fold.(*inference.Consolidated).System()
 				served := append([]float64(nil), pd.panel...)
 				blocks := len(pd.blocks)
 				pd.mu.Unlock()

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -20,89 +21,192 @@ func incrementalWorkload(domain int) []mat.Range1D {
 	return w
 }
 
-// TestIncrementalNormalWarmColdBitIdentical is the tentpole acceptance
-// pin: on the "normal" solver, a dataset refreshed incrementally
-// (rank-k Gram/RHS updates over each appended generation) must serve
-// answers AND bootstrap standard errors bit-identical to an identically
-// seeded dataset forced to rebuild cold every round — at every
-// generation — while its summary counts the warm refreshes. The
-// iterative "lsmr" case pins the weaker contract of warm-started
-// solves: answers and standard errors within 1e-6 relative of the cold
-// rebuild (both sides hold the same bootstrap noise per block).
-func TestIncrementalNormalWarmColdBitIdentical(t *testing.T) {
-	for _, tc := range []struct {
-		solver  string
-		bitwise bool
-	}{{SolverNormal, true}, {SolverLSMR, false}} {
-		t.Run(tc.solver, func(t *testing.T) {
-			warmSrv := New(Config{BatchWindow: time.Microsecond})
-			defer warmSrv.Close()
-			coldSrv := New(Config{BatchWindow: time.Microsecond, ColdRefresh: true})
-			defer coldSrv.Close()
-			const domain, rounds = 32, 8
-			wd, err := warmSrv.CreateDatasetWithOptions("inc", "piecewise", domain, 1000, 19, 50, tc.solver, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cd, err := coldSrv.CreateDatasetWithOptions("inc", "piecewise", domain, 1000, 19, 50, tc.solver, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w := incrementalWorkload(domain)
-			for round := 1; round <= rounds; round++ {
-				if _, err := wd.Measure("h2", 0.5); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := cd.Measure("h2", 0.5); err != nil {
-					t.Fatal(err)
-				}
-				wres, err := wd.Query(w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cres, err := cd.Query(w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(wres.Stderr) != len(cres.Stderr) || len(wres.Stderr) == 0 {
-					t.Fatalf("round %d: stderr shape mismatch", round)
-				}
-				if !tc.bitwise {
-					for i := range cres.Answers {
-						if d := math.Abs(wres.Answers[i] - cres.Answers[i]); d > 1e-6*(1+math.Abs(cres.Answers[i])) {
-							t.Fatalf("round %d: answer %d: warm %v vs cold %v", round, i, wres.Answers[i], cres.Answers[i])
-						}
-						if d := math.Abs(wres.Stderr[i] - cres.Stderr[i]); d > 1e-6*(1+math.Abs(cres.Stderr[i])) {
-							t.Fatalf("round %d: stderr %d: warm %v vs cold %v", round, i, wres.Stderr[i], cres.Stderr[i])
-						}
-					}
-					continue
-				}
-				for i := range cres.Answers {
-					if wres.Answers[i] != cres.Answers[i] {
-						t.Fatalf("round %d: answer %d diverges: %v vs %v (not bit-identical)",
-							round, i, wres.Answers[i], cres.Answers[i])
-					}
-				}
-				for i := range cres.Stderr {
-					if wres.Stderr[i] != cres.Stderr[i] {
-						t.Fatalf("round %d: stderr %d diverges: %v vs %v (not bit-identical)",
-							round, i, wres.Stderr[i], cres.Stderr[i])
-					}
-				}
-			}
-			wsum, csum := wd.Summary(), cd.Summary()
-			if wsum.ColdRefreshes != 1 || wsum.WarmRefreshes != rounds-1 {
-				t.Errorf("warm dataset counters: cold=%d warm=%d, want 1/%d", wsum.ColdRefreshes, wsum.WarmRefreshes, rounds-1)
-			}
-			if csum.ColdRefreshes != rounds || csum.WarmRefreshes != 0 {
-				t.Errorf("cold dataset counters: cold=%d warm=%d, want %d/0", csum.ColdRefreshes, csum.WarmRefreshes, rounds)
-			}
-			if wsum.CoveredRows != wsum.MeasuredRows || wsum.PendingRows != 0 {
-				t.Errorf("coverage after refresh: covered=%d pending=%d rows=%d", wsum.CoveredRows, wsum.PendingRows, wsum.MeasuredRows)
-			}
-		})
+// incrementalLogRounds and incrementalCapMover shape the shared log of
+// the refresh-schedule tests: h2, identity and hb in rotation at ε 0.5
+// (h2, the noisiest, first, so it sets the 100× weight cap), except one
+// identity block at ε 0.002 whose weight lowers the cap under the
+// identity blocks before it.
+const incrementalLogRounds, incrementalCapMover = 8, 5
+
+// measureIncrementalRound commits round r (1-based) of the shared log.
+func measureIncrementalRound(t *testing.T, d *Dataset, r int) {
+	t.Helper()
+	strategy, eps := []string{"hb", "h2", "identity"}[r%3], 0.5
+	if r == incrementalCapMover {
+		strategy, eps = "identity", 0.002
 	}
+	if _, err := d.Measure(strategy, eps); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// createIncremental creates the seeded dataset every schedule of the
+// shared log runs on.
+func createIncremental(t *testing.T, cfg Config, name, solverName string) (*Server, *Dataset) {
+	t.Helper()
+	cfg.BatchWindow = time.Microsecond
+	s := New(cfg)
+	d, err := s.CreateDatasetWithOptions(name, "piecewise", 32, 1000, 19, 50, solverName, 0)
+	if err != nil {
+		s.Close()
+		t.Fatal(err)
+	}
+	return s, d
+}
+
+// queryIncremental answers the fixed incremental workload.
+func queryIncremental(t *testing.T, d *Dataset) QueryResult {
+	t.Helper()
+	res, err := d.Query(incrementalWorkload(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Stderr) != len(res.Answers) {
+		t.Fatalf("%d stderr for %d answers", len(res.Stderr), len(res.Answers))
+	}
+	return res
+}
+
+// requireBitIdentical fails unless got's answers and standard errors
+// equal want's bit for bit.
+func requireBitIdentical(t *testing.T, what string, got, want QueryResult) {
+	t.Helper()
+	if !bitsEqual(got.Answers, want.Answers) {
+		t.Fatalf("%s: answers %v, want %v (not bit-identical)", what, got.Answers, want.Answers)
+	}
+	if !bitsEqual(got.Stderr, want.Stderr) {
+		t.Fatalf("%s: stderr %v, want %v (not bit-identical)", what, got.Stderr, want.Stderr)
+	}
+}
+
+// requireWithin fails unless got's answers and standard errors are
+// within rel (relative, plus an absolute 1) of want's.
+func requireWithin(t *testing.T, what string, got, want QueryResult, rel float64) {
+	t.Helper()
+	for i := range want.Answers {
+		if d := math.Abs(got.Answers[i] - want.Answers[i]); d > rel*(1+math.Abs(want.Answers[i])) {
+			t.Fatalf("%s: answer %d: %v vs %v", what, i, got.Answers[i], want.Answers[i])
+		}
+		if d := math.Abs(got.Stderr[i] - want.Stderr[i]); d > rel*(1+math.Abs(want.Stderr[i])) {
+			t.Fatalf("%s: stderr %d: %v vs %v", what, i, got.Stderr[i], want.Stderr[i])
+		}
+	}
+}
+
+// TestIncrementalNormalWarmColdBitIdentical pins that the "normal"
+// solver's answers are a function of the log: one log, with a block that
+// moves the weight cap, served under three refresh schedules — every
+// commit, only at the end, and across a restart — yields answers AND
+// bootstrap standard errors bit-identical between all three, while the
+// every-commit summary counts a refresh that extended the fold as warm
+// and one that began or redid it as cold. The iterative "lsmr" case
+// pins the weaker contract of warm-started solves: at every generation,
+// answers and standard errors within 1e-6 relative of a cold solve of
+// the same log (both sides hold the same bootstrap noise per block).
+func TestIncrementalNormalWarmColdBitIdentical(t *testing.T) {
+	const rounds = incrementalLogRounds
+	t.Run(SolverNormal, func(t *testing.T) {
+		es, every := createIncremental(t, Config{}, "inc", SolverNormal)
+		defer es.Close()
+		var want QueryResult
+		for r := 1; r <= rounds; r++ {
+			measureIncrementalRound(t, every, r)
+			want = queryIncremental(t, every)
+		}
+		sum := every.Summary()
+		if sum.ColdRefreshes != 2 || sum.WarmRefreshes != rounds-2 {
+			t.Errorf("every-commit counters: cold=%d warm=%d, want 2/%d (first refresh and cap move cold)",
+				sum.ColdRefreshes, sum.WarmRefreshes, rounds-2)
+		}
+		if sum.CoveredRows != sum.MeasuredRows || sum.PendingRows != 0 {
+			t.Errorf("coverage after refresh: covered=%d pending=%d rows=%d", sum.CoveredRows, sum.PendingRows, sum.MeasuredRows)
+		}
+
+		ls, last := createIncremental(t, Config{}, "inc", SolverNormal)
+		defer ls.Close()
+		for r := 1; r <= rounds; r++ {
+			measureIncrementalRound(t, last, r)
+		}
+		requireBitIdentical(t, "refreshed only at the end", queryIncremental(t, last), want)
+
+		// Refreshed at every third commit, restarted with the last commits
+		// unrefreshed, refreshed once more after the restore.
+		dir := t.TempDir()
+		rs, before := createIncremental(t, Config{StateDir: dir}, "inc", SolverNormal)
+		for r := 1; r <= rounds; r++ {
+			measureIncrementalRound(t, before, r)
+			if r%3 == 0 {
+				queryIncremental(t, before)
+			}
+		}
+		rs.Close()
+		rs2, after := createIncremental(t, Config{StateDir: dir}, "inc", SolverNormal)
+		defer rs2.Close()
+		requireBitIdentical(t, "refreshed across a restart", queryIncremental(t, after), want)
+	})
+	t.Run(SolverLSMR, func(t *testing.T) {
+		ws, warm := createIncremental(t, Config{}, "inc", SolverLSMR)
+		defer ws.Close()
+		cs, cold := createIncremental(t, Config{}, "inc", SolverLSMR)
+		defer cs.Close()
+		for r := 1; r <= rounds; r++ {
+			measureIncrementalRound(t, warm, r)
+			measureIncrementalRound(t, cold, r)
+			got := queryIncremental(t, warm)
+			// No previous panel to warm-start from: a cold solve.
+			cold.mu.Lock()
+			cold.stale, cold.panel = true, nil
+			cold.mu.Unlock()
+			requireWithin(t, fmt.Sprintf("round %d warm vs cold", r), got, queryIncremental(t, cold), 1e-6)
+		}
+		if sum := warm.Summary(); sum.ColdRefreshes != 1 || sum.WarmRefreshes != rounds-1 {
+			t.Errorf("warm dataset counters: cold=%d warm=%d, want 1/%d", sum.ColdRefreshes, sum.WarmRefreshes, rounds-1)
+		}
+		if sum := cold.Summary(); sum.ColdRefreshes != rounds || sum.WarmRefreshes != 0 {
+			t.Errorf("cold dataset counters: cold=%d warm=%d, want %d/0", sum.ColdRefreshes, sum.WarmRefreshes, rounds)
+		}
+	})
+}
+
+// TestIncrementalSolverSwitchMidLog switches one dataset lsmr → normal
+// → lsmr mid-log through SetSolver. Only the current solver family's
+// system is kept, so each switch across families must refold the log:
+// the "normal" answers equal, bit for bit, those of a same-seed dataset
+// that used "normal" from the start, and the final "lsmr" answers
+// (warm-started from the normal panel) are within 1e-6 of a cold solve.
+func TestIncrementalSolverSwitchMidLog(t *testing.T) {
+	ss, switched := createIncremental(t, Config{}, "inc", SolverLSMR)
+	defer ss.Close()
+	ns, normal := createIncremental(t, Config{}, "inc", SolverNormal)
+	defer ns.Close()
+	cs, cold := createIncremental(t, Config{}, "inc", SolverLSMR)
+	defer cs.Close()
+	const toNormal, backToLSMR = 3, 6
+	var got QueryResult
+	for r := 1; r <= incrementalLogRounds; r++ {
+		switch r {
+		case toNormal:
+			if err := switched.SetSolver(SolverNormal); err != nil {
+				t.Fatal(err)
+			}
+		case backToLSMR:
+			if err := switched.SetSolver(SolverLSMR); err != nil {
+				t.Fatal(err)
+			}
+		}
+		measureIncrementalRound(t, switched, r)
+		measureIncrementalRound(t, normal, r)
+		measureIncrementalRound(t, cold, r)
+		got = queryIncremental(t, switched)
+		want := queryIncremental(t, normal)
+		if r >= toNormal && r < backToLSMR {
+			requireBitIdentical(t, fmt.Sprintf("round %d on normal after the switch", r), got, want)
+		}
+	}
+	cold.mu.Lock()
+	cold.stale, cold.panel = true, nil
+	cold.mu.Unlock()
+	requireWithin(t, "lsmr after switching back vs cold", got, queryIncremental(t, cold), 1e-6)
 }
 
 // TestIncrementalNormalMatchesLSMR cross-checks the normal solver's
@@ -146,10 +250,10 @@ func TestIncrementalNormalMatchesLSMR(t *testing.T) {
 	}
 }
 
-// TestIncrementalWeightChangeFallsBackCold pins the soundness fallback:
-// when a new block's noise scale moves the inverse-noise weight cap
-// applied to already-covered blocks, the cached normal state cannot be
-// extended and the refresh must rebuild cold.
+// TestIncrementalWeightChangeFallsBackCold pins the refold rule: when a
+// new block's noise scale moves the inverse-noise weight cap applied to
+// already-folded blocks, the normal equations cannot be extended and the
+// refresh must refold from the first block (a cold refresh).
 func TestIncrementalWeightChangeFallsBackCold(t *testing.T) {
 	s := New(Config{BatchWindow: time.Microsecond})
 	defer s.Close()
@@ -167,8 +271,8 @@ func TestIncrementalWeightChangeFallsBackCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Round 2: a very noisy block. Its tiny weight drags the 100× weight
-	// cap below block 1's old weight, so the covered prefix re-weights
-	// and the cached Gram/RHS state is unsound to extend.
+	// cap below block 1's old weight, so the folded prefix re-weights
+	// and the Gram/RHS state is unsound to extend.
 	if _, err := d.Measure("identity", 0.0001); err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"repro/internal/core/inference"
 )
 
 // refreshBenchWrites is mixed.rw's write stream (bench/spec.go): three
@@ -112,7 +114,7 @@ func TestRefreshCostFollowsDeltaNotLog(t *testing.T) {
 		t.Fatalf("refresh at 48 blocks took %d iterations, more than 1.5× the %d at 3 blocks", sum.SolveIterations, itersAt3)
 	}
 	d.mu.Lock()
-	groups := d.cons.Groups()
+	groups := d.fold.(*inference.Consolidated).Groups()
 	d.mu.Unlock()
 	if groups != 3 {
 		t.Fatalf("%d groups for three distinct strategies", groups)

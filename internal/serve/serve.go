@@ -16,8 +16,9 @@
 // estimate panel, and repeated workloads are memoized by a cache keyed
 // by (measurement-log generation, workload fingerprint, solver) — see
 // cache.go. With Config.StateDir set, every measurement commit is made
-// durable before the request returns and is restored (spent budget
-// included) when the dataset is re-created: each commit appends one
+// durable before the request returns (under the default fsync policy,
+// wal.PolicyAlways) and is restored (spent budget included) when the
+// dataset is re-created: each commit appends one
 // CRC-framed record to a per-dataset write-ahead log that is
 // periodically compacted into a snapshot-format checkpoint; torn log
 // tails truncate cleanly on restart, and an unrecoverable disk error
@@ -53,20 +54,23 @@
 // termination state is surfaced through Summary and QueryResult so
 // truncated (non-converged) estimates are visible to clients.
 //
-// Refreshes are incremental across measurement generations. The
-// iterative solvers solve a consolidated system — blocks that repeat a
-// strategy matrix are folded into one inverse-variance-weighted block
-// (inference.Consolidated), so a solve costs the number of distinct
-// strategies in the log, not its length — warm-started from the
-// previous generation's panel and stopped at the cold solve's absolute
-// convergence target (refreshLocked); the "normal" solver maintains
-// cached weighted normal-equation state that delta blocks fold into
-// with rank-k mat.GramUpdate passes, making a refresh O(delta rows)
-// with answers bit-identical to a cold rebuild (refreshNormalLocked,
-// which also documents the cold-fallback conditions). Summary reports the
-// warm/cold refresh counters, saved iterations, and the covered versus
-// pending log rows; snapshots carry the estimate panel so restarted
-// datasets warm-start too.
+// Refreshes are incremental across measurement generations through one
+// mechanism (foldLocked): the blocks committed since the last refresh
+// are folded, in log order, into the system the dataset's solver
+// family solves, and the fold is redone from the first block only when
+// a new block moves the 100× weight cap. The iterative solvers fold
+// into a consolidated system — blocks that repeat a strategy matrix
+// become one inverse-variance-weighted block (inference.Consolidated),
+// so a solve costs the number of distinct strategies in the log, not
+// its length — and cgls/lsmr warm-start from the previous generation's
+// panel, stopping at the cold solve's absolute convergence target. The
+// "normal" solver folds into the weighted normal equations
+// (inference.NormalEquations, rank-k mat.GramUpdate passes) and solves
+// them directly, so its answers are a function of the log bit for bit
+// under any refresh schedule. Summary reports the warm/cold refresh
+// counters, saved iterations, and the covered versus pending log rows;
+// snapshots carry the estimate panel so restarted datasets warm-start
+// too.
 package serve
 
 import (
@@ -158,7 +162,9 @@ type Config struct {
 	StateDir string
 	// Fsync is the WAL fsync policy: wal.PolicyAlways (default — one
 	// record is one privacy-relevant commit), wal.PolicyInterval, or
-	// wal.PolicyNever.
+	// wal.PolicyNever. Only PolicyAlways makes a commit durable before it
+	// is acknowledged; under the others a power failure can lose an
+	// acknowledged commit and re-grant its ε on restart.
 	Fsync string
 	// FsyncInterval is the wal.PolicyInterval sync spacing (0: 100ms).
 	FsyncInterval time.Duration
@@ -170,12 +176,6 @@ type Config struct {
 	// (wal.OSFS). Tests inject wal.FaultFS to drive the crash-recovery
 	// matrix and count durable bytes.
 	FS wal.FS
-	// ColdRefresh disables the incremental solve path: every refresh
-	// rebuilds the estimate panel from scratch — no warm-started solves,
-	// no cached normal-equation state. It exists as the reference the
-	// warm = cold tests compare against and as a safety valve; the
-	// default (false) serves the same answers faster.
-	ColdRefresh bool
 	// ReplRetain bounds the in-memory replication stream to this many
 	// most-recent frames; older frames are trimmed and a follower
 	// tailing below the trim floor restarts from a regenerated
@@ -281,11 +281,11 @@ func loadOrCreateAuditKey(path string) ed25519.PrivateKey {
 // The estimate-panel solvers refreshLocked dispatches between. CGLS and
 // LSMR run k right-hand sides through one MatMat/TMatMat panel pass per
 // iteration (LSMR is the paper's named solver with the monotone ‖Aᵀr‖
-// stopping rule, CGLS the original default); "normal" maintains the
-// normal-equation state (Gram matrix + right-hand-side panel)
-// incrementally across generations with rank-k mat.GramUpdate passes
-// and solves it directly per refresh (solver.NormalMulti) — the solve
-// path whose warm and cold answers are bit-identical.
+// stopping rule, CGLS the original default); "normal" solves the
+// weighted normal equations (inference.NormalEquations, extended by the
+// same log-ordered fold as the iterative solvers' system) directly per
+// refresh (solver.NormalMulti) — the solver whose answers depend only on
+// the log, not on when refreshes ran.
 const (
 	SolverCGLS   = "cgls"
 	SolverLSMR   = "lsmr"
@@ -443,32 +443,18 @@ type Dataset struct {
 	// next refresh must absorb.
 	panelRows int
 
-	// Incremental normal-equation state ("normal" solver): the cached
-	// Gram matrix Σ w_b²·m_bᵀm_b and right-hand-side panel
-	// Σ w_b²·m_bᵀY_b covering the log prefix blocks[:nsBlocks]
-	// (nsRows measurement rows), built at panel width nsK with the
-	// per-block weights nsWeights. A refresh folds only the delta blocks
-	// in with rank-k mat.GramUpdate/mat.AddScaledTMatMat passes; see
-	// refreshNormalLocked for the conditions that drop the state and
-	// rebuild cold.
-	nsG       *mat.Dense
-	nsRHS     []float64
-	nsBlocks  int
-	nsRows    int
-	nsK       int
-	nsWeights []float64
-
-	// Consolidated system (iterative solvers): cons holds the log prefix
-	// blocks[:consBlocks] folded under the weight cap consCap; see
-	// foldLocked.
-	cons       *inference.Consolidated
-	consBlocks int
-	consCap    float64
+	// fold holds the log prefix blocks[:folded], folded under the weight
+	// cap foldCap into the system of the solver's family: an
+	// *inference.NormalEquations for "normal", an *inference.Consolidated
+	// for the iterative solvers. See foldLocked.
+	fold    foldTarget
+	folded  int
+	foldCap float64
 
 	// Warm-vs-cold refresh accounting, surfaced through Summary:
 	// warmRefreshes reused previous-generation state (a warm-started
-	// iterative solve or an incremental normal-state update),
-	// coldRefreshes rebuilt from scratch, and savedIterations is the
+	// iterative solve, or a "normal" solve of an extended fold),
+	// coldRefreshes started from scratch, and savedIterations is the
 	// iterative solvers' estimated savings (last cold refresh's
 	// iteration count minus each warm refresh's, summed).
 	warmRefreshes   int
@@ -689,7 +675,9 @@ func strategyByName(name string, n int) (mat.Matrix, error) {
 
 // SetSolver switches the dataset's estimate-panel solver (one of
 // Solvers()) and marks the panel stale so the next query re-solves with
-// it. Switching away from a damped solver while damping is set is
+// it. A switch into or out of "normal" drops the fold, because only the
+// current family's system is kept; the next refresh refolds the log.
+// Switching away from a damped solver while damping is set is
 // rejected, since the target solver could not honor the dataset's λ.
 func (d *Dataset) SetSolver(name string) error {
 	if name == "" {
@@ -705,6 +693,9 @@ func (d *Dataset) SetSolver(name string) error {
 			d.name, d.damp, name)
 	}
 	if d.solver != name {
+		if (d.solver == SolverNormal) != (name == SolverNormal) {
+			d.fold, d.folded = nil, 0
+		}
 		d.solver = name
 		d.stale = true
 	}
@@ -750,9 +741,10 @@ type Summary struct {
 	// Damping is the dataset's Tikhonov λ (0: plain least squares).
 	Damping float64 `json:"damping"`
 	// WarmRefreshes / ColdRefreshes split the panel refreshes between
-	// the incremental path (previous-generation state reused: a
-	// warm-started iterative solve or a rank-k normal-state update) and
-	// from-scratch rebuilds; SavedIterations estimates the iterative
+	// those that reused previous-generation state (a warm-started
+	// iterative solve, or a "normal" solve of a fold that was extended
+	// rather than begun or redone) and those that started from scratch;
+	// SavedIterations estimates the iterative
 	// solver iterations the warm starts avoided (baselined against the
 	// last cold refresh).
 	WarmRefreshes   int `json:"warm_refreshes"`
@@ -1051,13 +1043,10 @@ func (d *Dataset) MeasurePlan(name string, eps float64, params plans.Params) (Pl
 }
 
 // refreshLocked brings the estimate panel up to date with one block
-// solve. The "normal" solver takes the incremental normal-equation path
-// (refreshNormalLocked); the iterative solvers (LSMRMulti, CGLSMulti or
-// NNLSMulti per d.solver) solve the consolidated weighted system
-// (foldLocked), cgls and lsmr warm-started from the previous
-// generation's panel when one with the same shape exists — the solver
-// then works off only the delta the new measurement rows introduced.
-// Caller holds d.mu.
+// solve of the system foldLocked has extended to the end of the log:
+// the "normal" solver solves the weighted normal equations directly
+// (solver.NormalMulti), the iterative ones the consolidated system
+// (solveConsolidatedLocked). Caller holds d.mu.
 func (d *Dataset) refreshLocked() error {
 	if !d.stale && d.panel != nil {
 		return nil
@@ -1065,12 +1054,49 @@ func (d *Dataset) refreshLocked() error {
 	if len(d.blocks) == 0 {
 		return fmt.Errorf("dataset %q: %w", d.name, ErrNoMeasurements)
 	}
-	if d.solver == SolverNormal {
-		return d.refreshNormalLocked()
-	}
 	k := 1 + d.cfg.Replicates
-	d.foldLocked(k)
-	a, panelY, w := d.cons.System()
+	extended := d.foldLocked(k)
+	var res solver.MultiResult
+	var warm bool
+	if ne, ok := d.fold.(*inference.NormalEquations); ok {
+		// The direct solve's answer depends only on the bits of G and B,
+		// and an extended fold holds the bits a fresh one would, so warm
+		// here means only that the fold was extended, not begun or redone.
+		res, warm = solver.NormalMulti(ne.G, ne.B, k, d.damp, d.work), extended
+	} else {
+		res, warm = d.solveConsolidatedLocked(d.fold.(*inference.Consolidated), k)
+	}
+	d.panelSolves++
+	if warm {
+		d.warmRefreshes++
+		if saved := d.baselineIters - res.Iterations; saved > 0 {
+			d.savedIterations += saved
+		}
+	} else {
+		d.coldRefreshes++
+		d.baselineIters = res.Iterations
+	}
+	d.panel, d.k = res.X, k
+	d.panelRows = d.rows
+	d.panelDirty = true
+	d.solveIterations, d.solveConverged = res.Iterations, res.Converged
+	if !res.Converged {
+		//lint:ignore lockscope rare truncation warning worth emitting at the exact solve; surfacing it to every refreshLocked caller for off-lock logging is not worth the plumbing
+		log.Printf("serve: dataset %q: %s panel solve truncated at %d iterations (MaxIter %d); answers may be degraded",
+			d.name, d.solver, res.Iterations, d.cfg.MaxIter)
+	}
+	d.stale = false
+	return nil
+}
+
+// solveConsolidatedLocked solves the consolidated weighted system c
+// with the iterative solver d.solver (LSMRMulti, CGLSMulti or
+// NNLSMulti), cgls and lsmr warm-started from the previous generation's
+// panel when one with the same shape exists — the solver then works off
+// only the delta the new measurement rows introduced. It reports whether
+// the solve was warm-started. Caller holds d.mu.
+func (d *Dataset) solveConsolidatedLocked(c *inference.Consolidated, k int) (solver.MultiResult, bool) {
+	a, panelY, w := c.System()
 	opts := solver.Options{MaxIter: d.cfg.MaxIter, Work: d.work, Damp: d.damp}
 	// Warm start: the previous generation's estimate panel (possibly
 	// restored from a snapshot) seeds the solve whenever its shape still
@@ -1082,8 +1108,7 @@ func (d *Dataset) refreshLocked() error {
 	// start point, so a warm start tightens its own target and, with the
 	// momentum reset, needs more iterations than the cold solve it was
 	// meant to shorten.
-	warm := !d.cfg.ColdRefresh && d.solver != SolverNNLS &&
-		d.panel != nil && d.k == k && len(d.panel) == d.n*k
+	warm := d.solver != SolverNNLS && d.panel != nil && d.k == k && len(d.panel) == d.n*k
 	var res solver.MultiResult
 	if d.solver == SolverNNLS {
 		// NNLSMulti applies the row weights itself and projects every
@@ -1113,49 +1138,44 @@ func (d *Dataset) refreshLocked() error {
 			res = solver.CGLSMulti(av, panelY, k, opts)
 		}
 	}
-	d.panelSolves++
-	if warm {
-		d.warmRefreshes++
-		if saved := d.baselineIters - res.Iterations; saved > 0 {
-			d.savedIterations += saved
-		}
-	} else {
-		d.coldRefreshes++
-		d.baselineIters = res.Iterations
-	}
-	d.panel, d.k = res.X, k
-	d.panelRows = d.rows
-	d.panelDirty = true
-	d.solveIterations, d.solveConverged = res.Iterations, res.Converged
-	if !res.Converged {
-		//lint:ignore lockscope rare truncation warning worth emitting at the exact solve; surfacing it to every refreshLocked caller for off-lock logging is not worth the plumbing
-		log.Printf("serve: dataset %q: %s panel solve truncated at %d iterations (MaxIter %d); answers may be degraded",
-			d.name, d.solver, res.Iterations, d.cfg.MaxIter)
-	}
-	d.stale = false
-	return nil
+	return res, warm
 }
 
-// foldLocked extends the consolidated system to the end of the log:
+// foldTarget is a system foldLocked extends block by block, in log
+// order: inference.Consolidated or inference.NormalEquations.
+type foldTarget interface {
+	Fold(m mat.Matrix, digest uint64, w float64, y []float64)
+}
+
+// foldLocked extends the solver family's system to the end of the log:
 // every block past the folded prefix gets its bootstrap noise (once, in
-// log order) and is folded, in log order, into the group of its strategy
-// matrix. The fold is a function of the log alone — a primary folding
-// commit by commit, a restart or a follower folding a replayed log in
-// one go, all hold the same floats. A block's weight depends on the
-// 100× cap, which a noisier later block can lower for earlier ones;
+// log order) and is folded, in log order, into d.fold — for the
+// iterative solvers into the group of its strategy matrix, for "normal"
+// into G and B. The fold is a function of the log alone — a primary
+// folding commit by commit, a restart or a follower folding a replayed
+// log in one go, all hold the same floats. A block's weight depends on
+// the 100× cap, which a noisier later block can lower for earlier ones;
 // when the cap moves the system is refolded from the first block, which
 // is what a process that saw the whole log at once would have built.
-// Caller holds d.mu.
-func (d *Dataset) foldLocked(k int) {
+// It reports whether an existing fold was extended (false: the fold was
+// begun or redone). Caller holds d.mu.
+func (d *Dataset) foldLocked(k int) (extended bool) {
 	maxW := d.weightCapLocked()
-	if d.cons == nil || d.consCap != maxW {
-		d.cons, d.consBlocks, d.consCap = inference.NewConsolidated(d.n, k), 0, maxW
+	extended = d.fold != nil && d.foldCap == maxW
+	if !extended {
+		if d.solver == SolverNormal {
+			d.fold = inference.NewNormalEquations(d.n, k)
+		} else {
+			d.fold = inference.NewConsolidated(d.n, k)
+		}
+		d.folded, d.foldCap = 0, maxW
 	}
-	for ; d.consBlocks < len(d.blocks); d.consBlocks++ {
-		b := &d.blocks[d.consBlocks]
+	for ; d.folded < len(d.blocks); d.folded++ {
+		b := &d.blocks[d.folded]
 		d.ensureBootNoiseLocked(b, k)
-		d.cons.Fold(b.m, b.digest, blockWeight(b.scale, maxW), b.rhsPanel(k))
+		d.fold.Fold(b.m, b.digest, blockWeight(b.scale, maxW), b.rhsPanel(k))
 	}
+	return extended
 }
 
 // coldTargets returns the per-column absolute convergence targets a
@@ -1210,81 +1230,6 @@ func blockWeight(scale, maxW float64) float64 {
 	return maxW
 }
 
-// blockWeightsLocked computes the per-block weights of the warm log.
-// Caller holds d.mu.
-func (d *Dataset) blockWeightsLocked() []float64 {
-	maxW := d.weightCapLocked()
-	out := make([]float64, len(d.blocks))
-	for i, b := range d.blocks {
-		out[i] = blockWeight(b.scale, maxW)
-	}
-	return out
-}
-
-// refreshNormalLocked is the "normal" solver's refresh: it maintains
-// the weighted normal-equation state G = Σ w_b²·m_bᵀm_b and
-// B = Σ w_b²·m_bᵀY_b across generations and folds only the delta
-// blocks in with rank-k mat.GramUpdate / mat.AddScaledTMatMat passes —
-// O(delta) accumulation instead of a from-scratch rebuild — then
-// solves (G + ridge + λ²)·X = B directly (solver.NormalMulti). Both
-// accumulators are strictly serial with per-cell adds in log order, so
-// the warm state equals a cold rebuild over the same blocks bit for
-// bit, and the answers are bit-identical between the two paths.
-//
-// The state is dropped and rebuilt cold when it cannot be extended
-// soundly: Config.ColdRefresh, no state yet (first refresh, or the log
-// was restored from a snapshot — the normal state is not persisted),
-// a panel-width change, a per-block weight change on the covered prefix
-// (a new block can move the weight cap applied to old blocks), or a
-// delta larger than the covered prefix (the update would do most of a
-// rebuild's work anyway, so rebuilding keeps one pass). Caller holds
-// d.mu.
-func (d *Dataset) refreshNormalLocked() error {
-	k := 1 + d.cfg.Replicates
-	n := d.n
-	weights := d.blockWeightsLocked()
-	warm := !d.cfg.ColdRefresh && d.nsG != nil && d.nsK == k && d.nsBlocks > 0 &&
-		d.nsBlocks <= len(d.blocks) && d.rows-d.nsRows <= d.nsRows &&
-		len(d.nsWeights) == d.nsBlocks
-	if warm {
-		for i, w := range d.nsWeights {
-			if weights[i] != w {
-				warm = false
-				break
-			}
-		}
-	}
-	if !warm {
-		d.nsG = mat.NewDense(n, n, nil)
-		d.nsRHS = make([]float64, n*k)
-		d.nsBlocks, d.nsRows, d.nsK = 0, 0, k
-	}
-	for bi := d.nsBlocks; bi < len(d.blocks); bi++ {
-		b := &d.blocks[bi]
-		d.ensureBootNoiseLocked(b, k)
-		yb := b.rhsPanel(k)
-		w := weights[bi]
-		mat.GramUpdate(d.nsG, b.m, w)
-		mat.AddScaledTMatMat(d.nsRHS, b.m, yb, k, w*w)
-		d.nsRows += len(b.y)
-	}
-	d.nsBlocks = len(d.blocks)
-	d.nsWeights = weights
-	res := solver.NormalMulti(d.nsG, d.nsRHS, k, d.damp, d.work)
-	d.panelSolves++
-	if warm {
-		d.warmRefreshes++
-	} else {
-		d.coldRefreshes++
-	}
-	d.panel, d.k = res.X, k
-	d.panelRows = d.nsRows
-	d.panelDirty = true
-	d.solveIterations, d.solveConverged = res.Iterations, res.Converged
-	d.stale = false
-	return nil
-}
-
 // ensureBootNoiseLocked draws the block's parametric-bootstrap noise —
 // (k−1) Laplace draws per row at the block's own scale, row-major —
 // exactly once, from the dataset's bootstrap stream in log order.
@@ -1292,9 +1237,9 @@ func (d *Dataset) refreshNormalLocked() error {
 // the stream consumed in block order, any refresh schedule (one block
 // per refresh, or several batched) and any solver yields the same noise
 // per block, which is what keeps warm and cold, restarted and replica
-// servers on identical replicate right-hand sides. Both refresh paths
-// run to the end of the log in block order, so the noised blocks are
-// always a prefix. Caller holds d.mu.
+// servers on identical replicate right-hand sides. The fold runs to the
+// end of the log in block order, so the noised blocks are always a
+// prefix. Caller holds d.mu.
 func (d *Dataset) ensureBootNoiseLocked(b *measBlock, k int) {
 	if b.boot != nil || k <= 1 {
 		return
@@ -1310,20 +1255,18 @@ func (d *Dataset) ensureBootNoiseLocked(b *measBlock, k int) {
 func bootRand(seed uint64) *rand.Rand { return noise.NewRand(seed ^ 0x9e3779b97f4a7c15) }
 
 // resetDerivedLocked forgets what was derived from a log that has just
-// been replaced (a follower applying a bootstrap frame): the
-// consolidated system, the normal-equation state, and the position of
-// the bootstrap stream, so the new blocks are noised and folded from the
-// first one exactly as a fresh process holding them would. Caller holds
-// d.mu.
+// been replaced (a follower applying a bootstrap frame): the fold and
+// the position of the bootstrap stream, so the new blocks are noised and
+// folded from the first one exactly as a fresh process holding them
+// would. Caller holds d.mu.
 func (d *Dataset) resetDerivedLocked() {
 	d.boot = bootRand(d.seed)
-	d.cons, d.consBlocks = nil, 0
-	d.nsG, d.nsBlocks, d.nsRows = nil, 0, 0
+	d.fold, d.folded = nil, 0
 }
 
 // Refresh forces the estimate panel up to date (a no-op when it is not
-// stale), so callers can separate refresh cost from query cost — the
-// incremental bench times exactly this.
+// stale), so callers can separate refresh cost from query cost —
+// BenchmarkRefreshLogLength times exactly this.
 func (d *Dataset) Refresh() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
