@@ -68,9 +68,18 @@
 // once, all before the dataset mutex is taken; under it remain the
 // envelope, one frame checksum, the log write and the audit leaf, and
 // the one frame goes to the WAL and the replication stream alike.
-// Re-creating the dataset restores the log *and its spent budget*
-// (kernel.RestoreConsumed; replay never re-grants), making restarts
-// bit-identical and, under the default fsync policy "always",
+// The log is the dataset's state machine: one transition
+// (applyRecordLocked) turns a record into state — blocks, generation,
+// absolute consumed budget, audit leaf — for the primary's commit, the
+// restart's replay and a follower's apply, which differ only in the
+// gates around it (the primary checks writability and budget first,
+// replay alone accepts checkpoint markers, a follower latches a
+// replication error on an audit mismatch). A commit the primary cannot
+// frame is never applied; its spend is logged as a budget-restore
+// record. Re-creating the dataset restores the log *and its spent
+// budget* (kernel.RestoreConsumed raises to each record's absolute
+// value; replay never re-grants), making restarts bit-identical and,
+// under the default fsync policy "always",
 // re-spend-proof (the other policies can lose an acknowledged commit,
 // and re-grant its ε, on power failure). On an unrecoverable disk
 // error the dataset degrades to explicit read-only — writes fail with

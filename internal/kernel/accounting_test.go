@@ -123,3 +123,42 @@ func TestNodesSnapshotShape(t *testing.T) {
 		t.Fatalf("child state = %+v", nodes[subs[0].ID()])
 	}
 }
+
+// TestRestoreConsumedIsAbsolute pins the restore contract replay and
+// replicas rely on: the root takes the recorded total bit for bit (from
+// 2.6779935278797153, adding the difference would land one ulp above
+// 7.842798517674207), a lower total is a no-op, consecutive restores
+// read as one history record, and NaN, negative or over-budget totals
+// are refused without moving anything.
+func TestRestoreConsumedIsAbsolute(t *testing.T) {
+	const first, total = 2.6779935278797153, 7.842798517674207
+	k, root := vecKernel([]float64{1, 2, 3, 4}, 10)
+	for _, v := range []float64{first, 2, total} {
+		if err := k.RestoreConsumed(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c := k.Consumed(); c != total {
+		t.Fatalf("consumed %v, want exactly %v", c, total)
+	}
+	if n := k.HistoryLen(); n != 1 {
+		t.Fatalf("%d history records after consecutive restores, want 1", n)
+	}
+	if _, _, err := root.VectorLaplace(mat.Identity(4), 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.RestoreConsumed(9); err != nil {
+		t.Fatal(err)
+	}
+	if c, n := k.Consumed(), k.HistoryLen(); c != 9 || n != 3 {
+		t.Fatalf("after a charge and a restore: consumed %v, %d history records; want 9, 3", c, n)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -1, 10.5} {
+		if err := k.RestoreConsumed(bad); err == nil {
+			t.Fatalf("RestoreConsumed(%v) accepted", bad)
+		}
+	}
+	if c := k.Consumed(); c != 9 {
+		t.Fatalf("refused restores moved consumed to %v", c)
+	}
+}

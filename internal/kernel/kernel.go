@@ -56,6 +56,15 @@ func validEps(eps float64) bool {
 	return eps > 0 && !math.IsInf(eps, 1)
 }
 
+// finiteScale reports whether the noise scale an operator derived from
+// eps is usable. It is checked before the charge: a denormal eps passes
+// validEps, but sensitivity/eps overflows to +Inf, and a charge granted
+// for infinite noise hands the caller a non-finite answer that no log
+// can record.
+func finiteScale(scale float64) bool {
+	return !math.IsNaN(scale) && !math.IsInf(scale, 0)
+}
+
 type sourceKind int
 
 const (
@@ -332,30 +341,40 @@ func (k *Kernel) charge(s *Session, id int, eps float64, kind string) bool {
 	return true
 }
 
-// RestoreConsumed replays previously spent budget onto a fresh kernel:
-// it charges eps directly at the root, attributed to the root session,
-// with a "Restore" history record. Services use it when reloading a
-// persisted measurement log, so a restarted kernel cannot re-grant
-// budget that was already spent before the restart (re-spending would
-// be a privacy violation, not a bookkeeping nit). eps == 0 is a no-op;
-// NaN/Inf are rejected like any other epsilon, and restoring more than
-// the global budget fails with ErrBudgetExceeded.
-func (k *Kernel) RestoreConsumed(eps float64) error {
-	if eps == 0 {
-		return nil
-	}
-	if !validEps(eps) {
-		return fmt.Errorf("kernel: RestoreConsumed requires positive finite eps, got %g", eps)
+// RestoreConsumed raises the root's consumed budget to the absolute
+// value total, attributing the difference to the root session under a
+// "Restore" history record; a total at or below the current consumption
+// is a no-op, since budget only grows. Services use it when replaying a
+// persisted measurement log and when mirroring a primary's log on a
+// replica, so a restarted or replicated kernel cannot re-grant budget
+// that was already spent (re-spending would be a privacy violation, not
+// a bookkeeping nit). The root takes total itself rather than its sum
+// with the difference, so it holds the recorded value bit for bit.
+// NaN, Inf and negative totals are rejected, and a total beyond the
+// global budget fails with ErrBudgetExceeded.
+func (k *Kernel) RestoreConsumed(total float64) error {
+	if !(total >= 0) || math.IsInf(total, 0) {
+		return fmt.Errorf("kernel: RestoreConsumed requires a finite non-negative total, got %g", total)
 	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if k.nodes[0].budget+eps > k.epsTotal+budgetSlack {
-		return fmt.Errorf("%w: restoring %g over remaining %g", ErrBudgetExceeded, eps, k.epsTotal-k.nodes[0].budget)
+	delta := total - k.nodes[0].budget
+	if !(delta > 0) {
+		return nil
 	}
-	k.nodes[0].budget += eps
-	k.rootSess.consumed += eps
+	if total > k.epsTotal+budgetSlack {
+		return fmt.Errorf("%w: restoring %g over remaining %g", ErrBudgetExceeded, delta, k.epsTotal-k.nodes[0].budget)
+	}
+	k.nodes[0].budget = total
+	k.rootSess.consumed += delta
 	k.rootSess.charges++
-	k.history = append(k.history, QueryRecord{Source: 0, Epsilon: eps, Kind: "Restore"})
+	// Consecutive restores extend one history record, so a replayed log
+	// reads the same however many of its records raised the budget.
+	if h := len(k.history) - 1; h >= 0 && k.history[h].Kind == "Restore" {
+		k.history[h].Epsilon += delta
+	} else {
+		k.history = append(k.history, QueryRecord{Source: 0, Epsilon: delta, Kind: "Restore"})
+	}
 	return nil
 }
 
@@ -458,18 +477,21 @@ func (h *Handle) VectorGeometric(m mat.Matrix, eps float64) (answers []float64, 
 	if mc != len(n.vector) {
 		return nil, 0, fmt.Errorf("kernel: VectorGeometric matrix cols %d != domain %d", mc, len(n.vector))
 	}
-	if !h.kernel().charge(h.s, h.id, eps, "VectorGeometric") {
-		return nil, 0, ErrBudgetExceeded
-	}
 	sens := mat.L1Sensitivity(m)
-	y := mat.Mul(m, n.vector)
-	for i := range y {
-		y[i] += float64(noise.TwoSidedGeometric(h.s.rng, eps, sens))
-	}
 	// Var of the two-sided geometric with alpha = exp(-eps/sens) is
 	// 2*alpha/(1-alpha)^2; report the std dev as the scale.
 	alpha := math.Exp(-eps / sens)
 	sd := math.Sqrt(2*alpha) / (1 - alpha)
+	if !finiteScale(sd) {
+		return nil, 0, fmt.Errorf("kernel: VectorGeometric noise scale %g at eps %g is not finite", sd, eps)
+	}
+	if !h.kernel().charge(h.s, h.id, eps, "VectorGeometric") {
+		return nil, 0, ErrBudgetExceeded
+	}
+	y := mat.Mul(m, n.vector)
+	for i := range y {
+		y[i] += float64(noise.TwoSidedGeometric(h.s.rng, eps, sens))
+	}
 	return y, sd, nil
 }
 
@@ -621,10 +643,14 @@ func (h *Handle) NoisyCount(eps float64) (float64, error) {
 	if !validEps(eps) {
 		return 0, fmt.Errorf("kernel: NoisyCount requires positive finite eps, got %g", eps)
 	}
+	scale := 1 / eps
+	if !finiteScale(scale) {
+		return 0, fmt.Errorf("kernel: NoisyCount noise scale %g at eps %g is not finite", scale, eps)
+	}
 	if !h.kernel().charge(h.s, h.id, eps, "NoisyCount") {
 		return 0, ErrBudgetExceeded
 	}
-	return float64(n.table.NumRows()) + noise.Laplace(h.s.rng, 1/eps), nil
+	return float64(n.table.NumRows()) + noise.Laplace(h.s.rng, scale), nil
 }
 
 // VectorLaplace answers the query set M on a vector source with the
@@ -641,12 +667,15 @@ func (h *Handle) VectorLaplace(m mat.Matrix, eps float64) (answers []float64, no
 	if mc != len(n.vector) {
 		return nil, 0, fmt.Errorf("kernel: VectorLaplace matrix cols %d != domain %d", mc, len(n.vector))
 	}
+	sens := mat.L1Sensitivity(m)
+	scale := sens / eps
+	if !finiteScale(scale) {
+		return nil, 0, fmt.Errorf("kernel: VectorLaplace noise scale %g at eps %g is not finite", scale, eps)
+	}
 	if !h.kernel().charge(h.s, h.id, eps, "VectorLaplace") {
 		return nil, 0, ErrBudgetExceeded
 	}
-	sens := mat.L1Sensitivity(m)
 	y := mat.Mul(m, n.vector)
-	scale := sens / eps
 	for i := range y {
 		y[i] += noise.Laplace(h.s.rng, scale)
 	}

@@ -99,3 +99,41 @@ func TestNaNSensitivityRejected(t *testing.T) {
 		t.Fatalf("bad sens leaked consumption %v", c)
 	}
 }
+
+// TestDenormalEpsilonRejectedBeforeCharge pins the noise-scale guard: a
+// denormal eps is positive and finite, so it passes validEps, but the
+// scale sensitivity/eps it implies is +Inf. The operators must refuse it
+// before the charge — with the charge granted, the caller would hold a
+// spent budget and non-finite answers it cannot log.
+func TestDenormalEpsilonRejectedBeforeCharge(t *testing.T) {
+	const denormal = 5e-324
+	k, root := vecKernel([]float64{1, 2, 3, 4}, 1)
+	if _, _, err := root.VectorLaplace(mat.Identity(4), denormal); err == nil {
+		t.Fatal("VectorLaplace accepted a denormal eps")
+	}
+	if _, _, err := root.VectorGeometric(mat.Identity(4), denormal); err == nil {
+		t.Fatal("VectorGeometric accepted a denormal eps")
+	}
+	if c, n := k.Consumed(), k.HistoryLen(); c != 0 || n != 0 {
+		t.Fatalf("denormal eps charged: consumed %v, %d history records", c, n)
+	}
+	y, scale, err := root.VectorLaplace(mat.Identity(4), 0.5)
+	if err != nil || math.IsInf(scale, 0) || k.Consumed() != 0.5 {
+		t.Fatalf("valid charge after the refusals: scale %v, consumed %v, err %v", scale, k.Consumed(), err)
+	}
+	for _, v := range y {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("non-finite answer %v", v)
+		}
+	}
+
+	tab := dataset.New(dataset.Schema{{Name: "a", Size: 2}})
+	tab.Append(0)
+	tk, troot := InitTable(tab, 1, noise.NewRand(3))
+	if _, err := troot.NoisyCount(denormal); err == nil {
+		t.Fatal("NoisyCount accepted a denormal eps")
+	}
+	if c := tk.Consumed(); c != 0 {
+		t.Fatalf("denormal NoisyCount charged %v", c)
+	}
+}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -15,28 +14,28 @@ import (
 // This file hooks the tamper-evident budget ledger (internal/audit)
 // into the serve tier. Every committed budget mutation — a strategy
 // measurement, a plan's combined charge, a failed plan's partial
-// spend, and the same records applied by followers and crash-recovery
-// replay — appends exactly one Merkle leaf whose payload carries
+// spend — appends exactly one Merkle leaf whose payload carries
 // (dataset, generation, operator, session, kernel charge count,
 // epsilon, absolute consumed, SHA-256 commitment of the canonical
-// measurement-block encoding). Three integrations keep the ledger
-// equal everywhere the state is equal:
+// measurement-block encoding). The ledger is log state like any other:
+// the leaf is derived inside the one state transition,
+// applyRecordLocked (walstate.go), so the primary commit, WAL replay
+// and follower apply grow it by the same code. Three record rules keep
+// it equal everywhere the log is equal:
 //
 //   - The WATERMARK RULE: a measurement record grows the ledger only
 //     when its generation is beyond auditGen, a budget record only
-//     when its absolute consumed is beyond auditConsumed. The primary
-//     commit path, the follower apply path and the WAL replay loop
-//     all derive leaves from the identical record payload under this
-//     one rule, so all three converge to identical trees — and the
-//     collapsed bootstrap frames of a re-seeded stream are leaf-
-//     neutral (their generation is already covered by the audit-state
-//     frame that precedes them).
+//     when its absolute consumed is beyond auditConsumed. So the
+//     collapsed bootstrap frames of a re-seeded stream are leaf-neutral
+//     (their generation is already covered by the audit-state frame
+//     that precedes them), and so are the records a checkpoint covers.
 //
-//   - AUDIT CHECKPOINTS: after every commit the primary appends a
-//     wal.TypeAuditCheckpoint record (tree size + root) to the WAL
-//     and the replication stream. Replay must reproduce the recorded
-//     root or the create fails; a follower that computes a different
-//     root has a replication-integrity error, surfaced in /v1/status.
+//   - AUDIT CHECKPOINTS: after every commit the primary sinks a
+//     wal.TypeAuditCheckpoint record (tree size + root) to the
+//     replication stream and the WAL. Applying one checks that the
+//     local tree held exactly that root: replay fails the create on a
+//     mismatch, and a follower latches a replication-integrity error,
+//     surfaced in /v1/status.
 //
 //   - AUDIT STATE: bootstrap streams (process restart, trimmed
 //     stream) open with a wal.TypeAuditState record carrying the full
@@ -84,9 +83,10 @@ type commitMeta struct {
 // auditMeasLeafLocked appends the ledger leaf for a measurement record
 // under the watermark rule. commitment is the hex SHA-256 of the
 // record's canonical measurement-block encoding (the snapshot codec's
-// "blocks" array), so the leaf binds the charge to the exact bytes
-// every replica replays. Caller holds d.mu.
-func (d *Dataset) auditMeasLeafLocked(m walMeas, commitment string) AuditReceipt {
+// "blocks" array) — taken by prepareCommit on the primary and by
+// decodeRecord elsewhere — so the leaf binds the charge to the exact
+// bytes every replica replays. Caller holds d.mu.
+func (d *Dataset) auditMeasLeafLocked(m *walMeas, commitment string) AuditReceipt {
 	if m.Gen <= d.auditGen {
 		return AuditReceipt{}
 	}
@@ -112,29 +112,12 @@ func (d *Dataset) auditMeasLeafLocked(m walMeas, commitment string) AuditReceipt
 	return AuditReceipt{Index: idx, Leaf: audit.FormatHash(leaf)}
 }
 
-// replayMeasLeafLocked is auditMeasLeafLocked for a decoded record
-// (WAL replay, follower apply): the commitment is recomputed from the
-// re-encoded blocks, only when the watermark rule will use it. Caller
-// holds d.mu.
-func (d *Dataset) replayMeasLeafLocked(m walMeas) error {
-	if m.Gen <= d.auditGen {
-		return nil
-	}
-	enc, err := json.Marshal(m.Blocks)
-	if err != nil {
-		return fmt.Errorf("serve: audit commitment for %q: %w", d.name, err)
-	}
-	sum := sha256.Sum256(enc)
-	d.auditMeasLeafLocked(m, hex.EncodeToString(sum[:]))
-	return nil
-}
-
 // auditSpendLeafLocked appends the ledger leaf for a budget-restore
 // record under the watermark rule (a spend whose absolute consumed is
 // already covered — e.g. a concurrent commit landed a larger value
 // first — is leaf-neutral, identically at every replay site). Caller
 // holds d.mu.
-func (d *Dataset) auditSpendLeafLocked(b walBudget) AuditReceipt {
+func (d *Dataset) auditSpendLeafLocked(b *walBudget) AuditReceipt {
 	if b.Consumed <= d.auditConsumed {
 		return AuditReceipt{}
 	}
@@ -157,25 +140,17 @@ func (d *Dataset) auditSpendLeafLocked(b walBudget) AuditReceipt {
 	return AuditReceipt{Index: idx, Leaf: audit.FormatHash(leaf)}
 }
 
-// auditCheckpointLocked appends the post-commit ledger head to the
-// replication stream and, when the dataset persists, to the log
-// (not counted against the compaction cadence — it is a pin, not
-// state). Caller holds d.mu.
+// auditCheckpointLocked sinks the post-commit ledger head as an audit
+// checkpoint record. The primary does not apply its own head — the check
+// would hash the whole tree again to compare it with itself. Caller
+// holds d.mu.
 func (d *Dataset) auditCheckpointLocked() {
-	root := d.audit.Root()
-	payload, err := json.Marshal(&walAuditCkpt{Size: d.audit.Size(), Root: audit.FormatHash(root)})
+	payload, err := json.Marshal(&walAuditCkpt{Size: d.audit.Size(), Root: audit.FormatHash(d.audit.Root())})
 	if err != nil {
 		// walAuditCkpt has no unmarshalable fields; unreachable.
 		return
 	}
-	frame := d.appendReplLocked(wal.TypeAuditCheckpoint, payload)
-	if d.wlog == nil || d.readOnly {
-		return
-	}
-	//lint:ignore lockscope commit-section ledger append is the transparency-log design: the audit head must hit the log in commit order so replay validates the same prefix roots the clients saw
-	if err := d.wlog.AppendFramed(frame); err != nil {
-		d.degradeLocked(err)
-	}
+	d.sinkLocked(record{typ: wal.TypeAuditCheckpoint, frame: wal.AppendFrame(nil, wal.TypeAuditCheckpoint, payload)})
 }
 
 // installAuditStateLocked installs a shipped or replayed full-ledger

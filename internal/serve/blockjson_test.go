@@ -83,34 +83,59 @@ func strategyMust(t *testing.T, name string, n int) mat.Matrix {
 	return m
 }
 
-// TestCommitWithNonFiniteAnswerDegrades: a block the encoder refuses
-// (as json.Marshal refused it) still commits in memory — its budget is
-// spent — but reaches neither the stream nor the ledger, and a
-// persisting dataset degrades to read-only.
-func TestCommitWithNonFiniteAnswerDegrades(t *testing.T) {
-	s := New(Config{StateDir: t.TempDir()})
-	defer s.Close()
+// TestCommitWithNonFiniteAnswerRecordsSpend: a block the encoder
+// refuses (as json.Marshal refused it) cannot be framed, so the commit
+// is never applied — no block, no generation, nothing a replay or a
+// replica could not rebuild — and the dataset stays writable. The
+// budget the measurement charged is spent all the same, so it is
+// recorded as a budget-restore record: a ledger leaf that survives a
+// restart.
+func TestCommitWithNonFiniteAnswerRecordsSpend(t *testing.T) {
+	dir := t.TempDir()
+	s := New(Config{StateDir: dir})
 	d, err := s.CreateDataset("nan", "piecewise", 8, 100, 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := d.Summary()
-	y := make([]float64, 8)
+	sess := d.kern.NewSession()
+	y, scale, err := sess.Bind(d.root).VectorLaplace(strategyMust(t, "identity", 8), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	y[3] = math.NaN()
-	pc := prepareCommit([]measBlock{{m: strategyMust(t, "identity", 8), y: y, scale: 1}})
+	pc := prepareCommit([]measBlock{{m: strategyMust(t, "identity", 8), y: y, scale: scale}})
 	if pc.err == nil {
 		t.Fatal("prepareCommit encoded a NaN answer")
 	}
 	d.mu.Lock()
-	rcpt := d.commitBlocksLocked(pc, commitMeta{Op: "measure:identity"})
+	rcpt, err := d.commitBlocksLocked(pc, commitMeta{Op: "measure:identity", Session: sess.ID(), Charges: sess.Charges(), Eps: 1})
 	d.mu.Unlock()
-	after := d.Summary()
-	if after.Generation != before.Generation+1 || after.Measurements != 1 {
-		t.Fatalf("the block did not commit in memory: %+v", after)
+	if err == nil || rcpt != (AuditReceipt{}) {
+		t.Fatalf("unframeable commit: receipt %+v, err %v; want an error", rcpt, err)
 	}
-	if !after.ReadOnly || after.WALOffset != before.WALOffset || after.AuditSize != before.AuditSize || rcpt != (AuditReceipt{}) {
-		t.Fatalf("read_only %v, stream %d→%d, ledger %d→%d, receipt %+v; want degraded and nothing published",
-			after.ReadOnly, before.WALOffset, after.WALOffset, before.AuditSize, after.AuditSize, rcpt)
+	after := d.Summary()
+	if after.Generation != before.Generation || after.Measurements != 0 || after.ReadOnly {
+		t.Fatalf("unframeable commit applied or degraded: %+v", after)
+	}
+	if after.Consumed != 1 || after.AuditSize != before.AuditSize+1 || after.WALOffset <= before.WALOffset {
+		t.Fatalf("spend not recorded: consumed %v, ledger %d→%d, stream %d→%d",
+			after.Consumed, before.AuditSize, after.AuditSize, before.WALOffset, after.WALOffset)
+	}
+	if _, err := d.Measure("identity", 1); err != nil {
+		t.Fatalf("measure after the refused commit: %v", err)
+	}
+	s.Close()
+
+	s2 := New(Config{StateDir: dir})
+	defer s2.Close()
+	d2, err := s2.CreateDataset("nan", "piecewise", 8, 100, 1, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := d2.Summary(); sum.Consumed != 2 || sum.Generation != 1 || sum.AuditSize != after.AuditSize+1 {
+		t.Fatalf("restart: consumed %v, generation %d, ledger %d; want 2, 1, %d",
+			sum.Consumed, sum.Generation, sum.AuditSize, after.AuditSize+1)
 	}
 }
 

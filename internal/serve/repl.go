@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"math"
 	"sync/atomic"
 	"time"
@@ -57,14 +56,15 @@ import (
 // are pure post-processing over the replicated measurement log and
 // never touch it), spends no budget (writes are refused with
 // ErrNotPrimary before any kernel session is created; the primary's
-// consumed value is mirrored through RestoreConsumed so summaries
-// agree), and applies shipped frames through the same strict replay
-// path the crash-recovery loader uses (decodeStrict + decodeBlock +
-// generation guard + absolute-budget max). Applied frames are appended
-// verbatim to the follower's own local WAL when persistence is
-// enabled, so a restarted replica recovers its log locally and the
-// tail resumes from wherever the primary's stream stands — re-applying
-// from offset zero is safe by the same idempotence.
+// absolute consumed value is restored through RestoreConsumed so
+// summaries agree), and applies shipped frames through the one state
+// transition the primary commit and the crash-recovery loader use
+// (applyRecordLocked, walstate.go). The transition sinks every applied
+// frame onto the follower's own replication stream and, when
+// persistence is enabled, its local WAL, so a restarted replica
+// recovers its log locally and the tail resumes from wherever the
+// primary's stream stands — re-applying from offset zero is safe by the
+// transition's idempotence.
 //
 // A replica at generation G answers bit-identically to the primary at
 // generation G when the dataset uses the "normal" solver; an iterative
@@ -310,25 +310,28 @@ func (s *Server) CreateFollower(name string, domain int, epsTotal float64, seed 
 }
 
 // ApplyWALStream verifies and applies shipped replication frames to a
-// follower dataset, in order, through the strict replay path: every
-// frame re-checked by CRC (wal.ScanStream), every payload
-// strict-decoded, measurement records generation-guarded and budget
-// values absolute — applying the same stream twice is a no-op.
-// Applied measurement and budget frames are appended verbatim to the
-// follower's local WAL when persistence is enabled. It returns the
-// number of records that changed state. Partial streams fail after
-// applying the clean prefix; the follower simply re-tails.
+// follower dataset, in order: every frame re-checked by CRC
+// (wal.ScanStream) and decoded by decodeRecord before the lock, then
+// applied by the one state transition, applyRecordLocked, which sinks
+// it onto the follower's own stream and local WAL. Measurement records
+// are generation-guarded and budget values absolute, so applying the
+// same stream twice is a no-op. Only the gates are the follower's own:
+// checkpoint markers, which belong to physical log files, are refused,
+// and a shipped audit record the rebuilt ledger disagrees with latches
+// the sticky replication error. It returns the number of records that
+// changed state. Partial streams fail after applying the clean prefix;
+// the follower simply re-tails.
 func (d *Dataset) ApplyWALStream(data []byte) (applied int, err error) {
 	if !d.follower {
 		return 0, fmt.Errorf("serve: dataset %q is not a follower", d.name)
 	}
 	recs, clean := wal.ScanStream(data)
 	for i, rec := range recs {
-		ok, err := d.applyReplRecord(rec)
+		changed, err := d.applyShipped(rec)
 		if err != nil {
 			return applied, fmt.Errorf("serve: replica %q: shipped record %d: %w", d.name, i, err)
 		}
-		if ok {
+		if changed {
 			applied++
 		}
 	}
@@ -338,173 +341,26 @@ func (d *Dataset) ApplyWALStream(data []byte) (applied int, err error) {
 	return applied, nil
 }
 
-// applyReplRecord applies one shipped record under the dataset lock,
-// reporting whether it changed state.
-func (d *Dataset) applyReplRecord(rec wal.Record) (bool, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	switch rec.Type {
-	case wal.TypeDatasetCreate:
-		var c walCreate
-		if err := decodeStrict(rec.Payload, &c); err != nil {
-			return false, err
-		}
-		// Identity frames recur at the head of every epoch; they assert,
-		// never mutate.
-		return false, d.checkIdentity("shipped stream", c.Name, c.Domain, c.EpsTotal)
-	case wal.TypeMeasurementBlock:
-		var m walMeas
-		if err := decodeStrict(rec.Payload, &m); err != nil {
-			return false, err
-		}
-		ok, err := d.applyMeasLocked(m)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, d.mirrorConsumedLocked(m.Consumed)
-		}
-		d.stale = true
-		d.cache.invalidate()
-		if err := d.replayMeasLeafLocked(m); err != nil {
-			return true, err
-		}
-		// The mirror can fail (a shipped consumed above the replica's
-		// eps_total) AFTER the blocks landed above. The frame must still be
-		// recorded on the replica's own stream and local log: state changed,
-		// and dropping the frame here would fork this replica's history
-		// from the primary's — a restart or downstream follower would
-		// replay a log missing a generation it already holds. Record
-		// first, then report the mirror error.
-		merr := d.mirrorConsumedLocked(m.Consumed)
-		d.shipToLocalLogLocked(d.appendReplLocked(rec.Type, rec.Payload))
-		return true, merr
-	case wal.TypeBudgetRestore:
-		var b walBudget
-		if err := decodeStrict(rec.Payload, &b); err != nil {
-			return false, err
-		}
-		if !validConsumed(b.Consumed) {
-			return false, fmt.Errorf("consumed %g", b.Consumed)
-		}
-		before := d.kern.Consumed()
-		if err := d.mirrorConsumedLocked(b.Consumed); err != nil {
-			return false, err
-		}
-		if b.Consumed <= before {
-			return false, nil
-		}
-		d.auditSpendLeafLocked(b)
-		d.shipToLocalLogLocked(d.appendReplLocked(rec.Type, rec.Payload))
-		return true, nil
-	case wal.TypeAuditCheckpoint:
-		var c walAuditCkpt
-		if err := decodeStrict(rec.Payload, &c); err != nil {
-			return false, err
-		}
-		// The primary's shipped ledger head is the in-band integrity
-		// check: the replica's independently rebuilt tree must have held
-		// exactly this root at this size. Divergence latches the sticky
-		// replication error (surfaced in /v1/status) — the replica's
-		// history is not the primary's, and serving proofs from it would
-		// be lying to auditors.
-		if err := d.checkAuditCheckpointLocked(c); err != nil {
-			d.setReplicationErrorLocked(err)
-			return false, err
-		}
-		d.shipToLocalLogLocked(d.appendReplLocked(rec.Type, rec.Payload))
-		return false, nil
-	case wal.TypeAuditState:
-		var st walAuditState
-		if err := decodeStrict(rec.Payload, &st); err != nil {
-			return false, err
-		}
-		changed, err := d.installAuditStateLocked(st)
-		if err != nil {
-			d.setReplicationErrorLocked(err)
-			return false, err
-		}
-		d.shipToLocalLogLocked(d.appendReplLocked(rec.Type, rec.Payload))
-		return changed, nil
-	default:
-		// Checkpoint markers belong to physical log files; the logical
-		// stream never carries them.
+// applyShipped is follower apply's gate around applyRecordLocked for
+// one shipped record, reporting whether it changed state.
+func (d *Dataset) applyShipped(rec wal.Record) (bool, error) {
+	if rec.Type == wal.TypeCheckpointMarker {
 		return false, fmt.Errorf("unexpected record type %d in shipped stream", rec.Type)
 	}
-}
-
-// mirrorConsumedLocked raises the replica's consumed budget to the
-// primary's absolute value (never lowers it — budget only grows).
-// Mirroring uses the same RestoreConsumed path as crash recovery, so a
-// replica's summary agrees with the primary's without any session ever
-// spending on the replica. Caller holds d.mu.
-func (d *Dataset) mirrorConsumedLocked(consumed float64) error {
-	delta := consumed - d.kern.Consumed()
-	if delta <= 0 {
-		return nil
+	r, err := decodeRecord(rec, d.n)
+	if err != nil {
+		return false, err
 	}
-	return d.kern.RestoreConsumed(delta)
-}
-
-// shipToLocalLogLocked appends an applied shipped record, in the frame
-// its own stream already holds, to the follower's own WAL, so a
-// restarted replica recovers locally and resumes tailing. Advisory in
-// the same sense as every persist path: a failure degrades local
-// durability (logged, read-only latch) but the in-memory replica keeps
-// applying and serving. Caller holds d.mu.
-func (d *Dataset) shipToLocalLogLocked(frame []byte) {
-	if d.wlog == nil || d.readOnly {
-		return
+	r.frame = wal.AppendFrame(nil, rec.Type, rec.Payload)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	changed, _, err := d.applyRecordLocked(r)
+	if err != nil && (r.typ == wal.TypeAuditCheckpoint || r.typ == wal.TypeAuditState) {
+		// The primary's shipped ledger is the in-band integrity check: a
+		// replica whose rebuilt tree disagrees has a history that is not
+		// the primary's, and serving proofs from it would be lying to
+		// auditors.
+		d.setReplicationErrorLocked(err)
 	}
-	//lint:ignore lockscope commit-section append is the replication design: the local log must record frames in applied order, and the fsync policy bounds the hold
-	if err := d.wlog.AppendFramed(frame); err != nil {
-		//lint:ignore lockscope error path: logs once when the local append fails, immediately before the read-only degrade
-		log.Printf("serve: replica %q: local log append failed: %v", d.name, err)
-		d.degradeLocked(err)
-		return
-	}
-	d.walRecs++
-	d.persistPanelLocked()
-	d.maybeCompactLocked()
-}
-
-// applyMeasLocked applies a measurement record's blocks if its
-// generation is not already covered — the strict replay step shared by
-// crash recovery (loadStateWAL) and follower apply. It validates
-// exactly like the loader: bad generations or consumed values and
-// undecodable blocks are errors, an already-covered generation is a
-// clean skip (false, nil). Every block decodes before any state
-// mutates, so a mid-record decode error cannot leave a partial append
-// behind. A Full record carries the complete history collapsed into
-// one frame (a bootstrap stream): it REPLACES the measurement log —
-// content-equal on its shared prefix with what a correct follower
-// already holds — where appending would duplicate every block a
-// resyncing follower had applied before its stream reset. Caller
-// holds d.mu.
-func (d *Dataset) applyMeasLocked(m walMeas) (bool, error) {
-	if m.Gen == 0 || !validConsumed(m.Consumed) {
-		return false, fmt.Errorf("generation %d, consumed %g", m.Gen, m.Consumed)
-	}
-	if m.Gen <= d.gen {
-		return false, nil
-	}
-	decoded := make([]measBlock, 0, len(m.Blocks))
-	rows := 0
-	for bi, sb := range m.Blocks {
-		mb, err := decodeBlock(bi, sb, d.n)
-		if err != nil {
-			return false, err
-		}
-		decoded = append(decoded, mb)
-		rows += len(mb.y)
-	}
-	if m.Full {
-		d.blocks, d.rows = decoded, rows
-		d.resetDerivedLocked()
-	} else {
-		d.blocks = append(d.blocks, decoded...)
-		d.rows += rows
-	}
-	d.gen = m.Gen
-	return true, nil
+	return changed, err
 }

@@ -27,13 +27,16 @@
 // of its block) and does that work (canonicalise, encode, hash) before
 // the dataset mutex: prepareCommit, then commitBlocksLocked.
 //
-// The WAL doubles as the serve tier's replication stream (repl.go):
-// every dataset serves its commit history as verbatim frames
-// (WALTail, GET /v1/datasets/{name}/wal), and follower datasets
-// (CreateFollower) on other processes apply it through the same strict
-// replay path a restart uses — bit-identical read replicas that mirror
-// but never spend budget and refuse writes with ErrNotPrimary (HTTP
-// 421). internal/cluster builds the consistent-hash routing, health
+// The log is the dataset's state machine: one transition,
+// applyRecordLocked (walstate.go), turns a log record into state for
+// the primary's commits, the restart's WAL replay and a follower's
+// apply alike, and only the gates around it differ. The WAL doubles as
+// the serve tier's replication stream (repl.go): every dataset serves
+// its commit history as verbatim frames (WALTail, GET
+// /v1/datasets/{name}/wal), and follower datasets (CreateFollower) on
+// other processes apply it through that transition — bit-identical
+// read replicas that mirror but never spend budget and refuse writes
+// with ErrNotPrimary (HTTP 421). internal/cluster builds the consistent-hash routing, health
 // probing and failover tier on top; /healthz and /v1/status (status.go)
 // are the probe surface.
 //
@@ -582,7 +585,6 @@ func (s *Server) addDataset(name string, x []float64, seed uint64, epsTotal floa
 		work:     mat.NewWorkspace(),
 		solver:   solverName,
 		damp:     damping,
-		cache:    newPanelCache(s.cfg.CacheSize),
 		fs:       s.cfg.FS,
 		seed:     seed,
 		follower: primary != "",
@@ -601,6 +603,9 @@ func (s *Server) addDataset(name string, x []float64, seed uint64, epsTotal floa
 			return nil, err
 		}
 	}
+	// The answer cache starts with the restored log, so the replay's
+	// transitions had none to invalidate.
+	d.cache = newPanelCache(s.cfg.CacheSize)
 	// Seed the replication stream from the (possibly restored) state
 	// before the dataset is visible: followers that connect immediately
 	// see a complete history from offset zero.
@@ -877,59 +882,42 @@ func (d *Dataset) MeasureAudited(strategy string, eps float64) (rows int, rcpt A
 	pc := prepareCommit([]measBlock{{m: m, y: y, scale: scale}})
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	rcpt = d.commitBlocksLocked(pc, meta)
+	if rcpt, err = d.commitBlocksLocked(pc, meta); err != nil {
+		return 0, AuditReceipt{}, err
+	}
 	return len(y), rcpt, nil
 }
 
-// commitBlocksLocked appends newly measured blocks to the warm log,
-// bumps the log generation (invalidating every cached workload answer),
-// marks the panel stale and persists the record. Caller holds d.mu and
-// passes the commit prepared off the lock (prepareCommit): blocks in
-// snapshot-canonical form (Dense or CSR), so a log reloaded after a
-// restart is byte-identical solver input, already encoded and hashed.
-// Everything O(nnz) — canonicalisation, the JSON encode, the
-// commitment — happened there; what stays inside is append/bump, a
-// small envelope, one frame checksum and the log write, so concurrent
-// queries are never answered from a half-committed log.
-// Appending advances d.rows while d.panelRows stays at the covered
-// prefix — the gap between the two is the generation delta the next
-// refresh absorbs incrementally (Summary reports it as PendingRows).
-// The commit also appends the charge's audit-ledger leaf and a signed-
-// head checkpoint record (audit.go); the returned receipt identifies
-// the leaf for later inclusion proofs.
-func (d *Dataset) commitBlocksLocked(pc pendingCommit, meta commitMeta) AuditReceipt {
-	for _, b := range pc.blocks {
-		d.blocks = append(d.blocks, b)
-		d.rows += len(b.y)
-	}
-	d.gen++
-	d.stale = true
-	d.cache.invalidate()
-	// One frame serves every consumer of the commit record: the
-	// replication stream (always — replicas tail memory state, not the
-	// disk), the WAL append, and the audit leaf, whose commitment hashes
-	// the block bytes every replay site re-encodes identically.
+// commitBlocksLocked is the primary's commit: it frames the
+// measurement-block record of newly measured blocks at the next
+// generation, applies it through the one state transition
+// (applyRecordLocked, walstate.go) and sinks the audit checkpoint.
+// Caller holds d.mu and passes the commit prepared off the lock
+// (prepareCommit): canonical blocks, already encoded and hashed, so what
+// stays inside is append/bump, a small envelope, one frame checksum and
+// the log write, and concurrent queries are never answered from a
+// half-committed log. The receipt identifies the commit's audit leaf.
+//
+// A commit whose record cannot be framed (a non-finite value) is not
+// applied — the log would hold state no replay or replica can rebuild.
+// Its budget is spent, so the spend is recorded as a budget-restore
+// record instead, and the commit fails.
+func (d *Dataset) commitBlocksLocked(pc pendingCommit, meta commitMeta) (AuditReceipt, error) {
 	rec, frame, err := d.frameCommitLocked(pc, meta)
-	var rcpt AuditReceipt
-	if err == nil {
-		d.appendReplFrameLocked(frame)
-		rcpt = d.auditMeasLeafLocked(rec, pc.commitment)
-		err = d.persistCommitLocked(frame)
-		d.auditCheckpointLocked()
-	}
 	if err != nil {
-		// The measurement is committed and its budget spent; failing the
-		// request now would invite a retry and a double spend. Surface the
-		// durability gap loudly instead — and, when the dataset persists,
-		// degrade to read-only so the gap between memory and disk cannot
-		// widen.
-		//lint:ignore lockscope error path: one line at the moment durability is lost, then the read-only degrade stops further writes
-		log.Printf("serve: dataset %q: persist failed: %v", d.name, err)
-		if d.wlog != nil {
-			d.degradeLocked(err)
-		}
+		meta.Op = "commit-failed:" + meta.Op
+		d.commitSpendLocked(meta)
+		return AuditReceipt{}, err
 	}
-	return rcpt
+	_, rcpt, _ := d.applyRecordLocked(record{
+		typ:        wal.TypeMeasurementBlock,
+		payload:    rec,
+		frame:      frame,
+		blocks:     pc.blocks,
+		commitment: pc.commitment,
+	})
+	d.auditCheckpointLocked()
+	return rcpt, nil
 }
 
 // PlanResult reports one plan-mode measurement: what executed, what it
@@ -1000,16 +988,8 @@ func (d *Dataset) MeasurePlan(name string, eps float64, params plans.Params) (Pl
 		// prevent. The log carries it as one budget-restore record.
 		meta := commitMeta{Op: "plan-failed:" + name, Session: sess.ID(), Charges: sess.Charges(), Eps: sess.Consumed()}
 		d.mu.Lock()
-		perr := d.commitSpendLocked(meta)
-		if perr != nil && d.wlog != nil {
-			d.degradeLocked(perr)
-		}
+		d.commitSpendLocked(meta)
 		d.mu.Unlock()
-		// Logging happens off the lock: stderr I/O under the dataset
-		// mutex is exactly the write-starves-probes class PR 8 removed.
-		if perr != nil {
-			log.Printf("serve: dataset %q: persist after failed plan: %v", d.name, perr)
-		}
 		return PlanResult{}, execErr
 	}
 	nb := env.MS.NumBlocks()
@@ -1024,9 +1004,12 @@ func (d *Dataset) MeasurePlan(name string, eps float64, params plans.Params) (Pl
 	epsCharged := sess.Consumed()
 	meta := commitMeta{Op: "plan:" + name, Session: sess.ID(), Charges: sess.Charges(), Eps: epsCharged}
 	d.mu.Lock()
-	rcpt := d.commitBlocksLocked(pc, meta)
+	rcpt, err := d.commitBlocksLocked(pc, meta)
 	gen := d.gen
 	d.mu.Unlock()
+	if err != nil {
+		return PlanResult{}, err
+	}
 	consumed := d.kern.Consumed()
 	return PlanResult{
 		Plan:       name,

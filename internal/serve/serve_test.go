@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -574,5 +575,47 @@ func TestBatcherRecoversFromPanicUnderLock(t *testing.T) {
 	}
 	if res, err := d.Query([]mat.Range1D{{Lo: 0, Hi: 31}}); err != nil || len(res.Answers) != 1 {
 		t.Fatalf("query after repaired log: res=%+v err=%v", res, err)
+	}
+}
+
+// TestServeDenormalEpsilonRefused: a denormal ε is positive and finite,
+// but its Laplace scale is +Inf. The measure must fail as bad input
+// before any budget moves — no generation, no spend, no ledger leaf, no
+// read-only degrade — and the dataset must keep measuring and answering
+// finitely, with or without persistence.
+func TestServeDenormalEpsilonRefused(t *testing.T) {
+	for _, stateDir := range []string{"", t.TempDir()} {
+		t.Run(fmt.Sprintf("persist=%v", stateDir != ""), func(t *testing.T) {
+			s := New(Config{BatchWindow: 200 * time.Microsecond, StateDir: stateDir})
+			ts := httptest.NewServer(s.Handler())
+			defer s.Close()
+			defer ts.Close()
+			if _, err := s.CreateDataset("tiny", "piecewise", 32, 1000, 1, 5); err != nil {
+				t.Fatal(err)
+			}
+			var before, after Summary
+			getJSON(t, ts.URL+"/v1/datasets/tiny", &before)
+			status, body := postJSON(t, ts.URL+"/v1/datasets/tiny/measure", measureRequest{Strategy: "identity", Eps: 5e-324}, nil)
+			if status != http.StatusBadRequest {
+				t.Fatalf("denormal eps: status %d (%s), want 400", status, body)
+			}
+			getJSON(t, ts.URL+"/v1/datasets/tiny", &after)
+			if after.Generation != before.Generation || after.Consumed != before.Consumed ||
+				after.AuditSize != before.AuditSize || after.WALOffset != before.WALOffset || after.ReadOnly {
+				t.Fatalf("refused measure moved state: %+v -> %+v", before, after)
+			}
+			if status, body := postJSON(t, ts.URL+"/v1/datasets/tiny/measure", measureRequest{Strategy: "identity", Eps: 1}, nil); status != http.StatusOK {
+				t.Fatalf("measure after the refusal: status %d (%s)", status, body)
+			}
+			var res QueryResult
+			if status, body := postJSON(t, ts.URL+"/v1/datasets/tiny/query", queryRequest{Ranges: [][2]int{{0, 31}, {3, 9}}}, &res); status != http.StatusOK {
+				t.Fatalf("query: status %d (%s)", status, body)
+			}
+			for _, v := range append(res.Answers, res.Stderr...) {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("non-finite answer: %v ± %v", res.Answers, res.Stderr)
+				}
+			}
+		})
 	}
 }

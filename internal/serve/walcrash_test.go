@@ -417,3 +417,70 @@ func TestWALLegacySnapshotMigration(t *testing.T) {
 		}
 	}
 }
+
+// legacyTail is the one-record log the v1 and v2 fixtures load under:
+// a measurement of the total query at generation 2, as a commit after
+// the checkpoint would have appended it.
+const legacyTail = `{"gen":2,"consumed":3,"blocks":[{"rows":1,"cols":32,"dense":[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1],"y":[14771.5],"scale":1}],"op":"measure:total","session":1,"charges":1,"eps":1}`
+
+// TestWALLegacyCheckpointFormats freezes the two checkpoint formats
+// older than the current one: a hand-written version-1 snapshot (no
+// panel, no audit ledger) and version-2 snapshot (a warm-start panel,
+// no audit ledger), each under a one-record log tail, load through the
+// replay path to the pinned generation, budget, log size, audit head
+// and answers.
+func TestWALLegacyCheckpointFormats(t *testing.T) {
+	for _, v := range []string{"v1", "v2"} {
+		t.Run(v, func(t *testing.T) {
+			dir := t.TempDir()
+			snap, err := os.ReadFile("testdata/legacy_" + v + ".snapshot.json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(snapshotPath(dir, "mig"), snap, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			tail := wal.AppendFrame([]byte(wal.Magic), wal.TypeMeasurementBlock, []byte(legacyTail))
+			if err := os.WriteFile(walFilePath(dir, "mig"), tail, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var want struct {
+				Answers      []float64 `json:"answers"`
+				Consumed     float64   `json:"consumed"`
+				Generation   uint64    `json:"generation"`
+				Measurements int       `json:"measurements"`
+				MeasuredRows int       `json:"measured_rows"`
+				AuditSize    uint64    `json:"audit_size"`
+				AuditRoot    string    `json:"audit_root"`
+			}
+			data, err := os.ReadFile("testdata/legacy_" + v + ".expected.json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(data, &want); err != nil {
+				t.Fatal(err)
+			}
+
+			s := New(Config{BatchWindow: 100 * time.Microsecond, StateDir: dir})
+			defer s.Close()
+			d, err := s.CreateDataset("mig", "piecewise", 32, 5000, 3, 10)
+			if err != nil {
+				t.Fatalf("%s checkpoint with a log tail refused: %v", v, err)
+			}
+			sum := d.Summary()
+			if sum.Generation != want.Generation || sum.Consumed != want.Consumed ||
+				sum.Measurements != want.Measurements || sum.MeasuredRows != want.MeasuredRows ||
+				sum.AuditSize != want.AuditSize || sum.AuditRoot != want.AuditRoot {
+				t.Fatalf("%s state: generation %d, consumed %v, %d blocks / %d rows, audit %d %s; want %+v",
+					v, sum.Generation, sum.Consumed, sum.Measurements, sum.MeasuredRows, sum.AuditSize, sum.AuditRoot, want)
+			}
+			got, err := d.Query(crashWorkload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bitsEqual(got.Answers, want.Answers) {
+				t.Fatalf("%s answers %v, want %v", v, got.Answers, want.Answers)
+			}
+		})
+	}
+}

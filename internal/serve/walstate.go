@@ -18,17 +18,35 @@ import (
 	"repro/internal/wal"
 )
 
-// This file is measurement-log persistence (Config.StateDir): each
-// commit appends one CRC-framed record to the dataset's write-ahead
-// log — O(delta) durable bytes per measurement, framed once and shared
-// with the replication stream — and a restart rebuilds the exact
-// pre-crash state from the last checkpoint plus a log replay. The
-// checkpoint file is the snapshot format of persist.go
-// (compaction folds a grown log back into it), at the path the retired
-// snapshot-per-commit backend wrote, so a state directory from that
-// backend loads unmodified.
+// This file is the dataset's measurement log as a state machine, and
+// its persistence (Config.StateDir).
 //
-// Record payloads (JSON, strict-decoded on replay):
+// One transition, applyRecordLocked, turns a log record into state: it
+// appends the record's blocks (or, for a collapsed bootstrap record,
+// replaces the log with them), advances the generation, raises the
+// consumed budget to the record's absolute value, marks the panel stale,
+// derives the audit leaf under the watermark rule (audit.go) and sinks
+// the record. Three callers feed it, and only their gates differ:
+//
+//   - The primary commit (commitBlocksLocked, commitSpendLocked) checks
+//     writability and budget before d.mu, then passes the record it
+//     built — canonical blocks, commitment and sealed frame from
+//     prepareCommit — so it never decodes what it just encoded.
+//   - WAL replay (loadStateWAL) decodes each record with decodeRecord,
+//     alone accepts checkpoint markers, and turns any error into a
+//     failed create.
+//   - Follower apply (ApplyWALStream, repl.go) decodes each shipped
+//     record with the same decodeRecord, before the lock, and latches a
+//     replication error when the shipped audit ledger disagrees.
+//
+// Sinking (sinkLocked) puts the frame on the replication stream and in
+// the local WAL. A state record — measurement or budget — counts toward
+// Config.CheckpointEvery and compacts the log when due, and a
+// measurement record also writes the panel sidecar; the audit records
+// do neither. Replay sinks nothing, since the record is already in the
+// log, and only counts it.
+//
+// Record payloads (JSON, strict-decoded):
 //
 //	dataset-create    — dataset identity (name, domain, eps_total);
 //	                    first record of a fresh log
@@ -42,28 +60,30 @@ import (
 //	checkpoint-marker — generation + consumed of the checkpoint a
 //	                    compacted log sits on
 //
-// Replay is idempotent so compaction's crash windows are harmless:
-// measurement records are skipped when their generation is already
-// covered by the checkpoint, and budget values are absolute (replay
-// takes the max — never re-granting spent budget, even when a record's
+// The transition is idempotent, so compaction's crash windows and
+// re-shipped frames are harmless: a measurement record whose generation
+// the log already covers is skipped, and budget values are absolute —
+// raising to one never re-grants spent budget, even when a record's
 // consumed includes a concurrent session's charge whose own record
-// never landed).
+// never landed.
 //
 // The estimate panel is NOT logged per commit (it would dominate the
 // write amplification the WAL exists to remove). It persists to an
-// advisory sidecar file, written at the first commit after a refresh:
-// the panel the last commit saw, one generation behind the log. That is
-// the start the uninterrupted process's next iterative solve had, so a
-// restarted one warm-starts from the same panel and answers bit for
-// bit the same (restart = before). A missing or invalid sidecar only
-// costs the warm start.
+// advisory sidecar file, written when a measurement record is sunk
+// after a refresh: the panel the last commit saw, one generation behind
+// the log. That is the start the uninterrupted process's next iterative
+// solve had, so a restarted one warm-starts from the same panel and
+// answers bit for bit the same (restart = before). A missing or invalid
+// sidecar only costs the warm start.
 //
-// When an append fails (disk gone, injected fault), the committed
-// measurement stays committed — its budget is spent and failing the
-// request would invite a retried double spend — but the dataset
-// degrades to explicit read-only: further Measure/MeasurePlan calls
-// fail with ErrReadOnly (HTTP 503) while queries keep serving from the
-// warm panel. A restart recovers the clean log prefix.
+// When an append fails (disk gone, injected fault), the applied record
+// stays applied — its budget is spent and failing the request would
+// invite a retried double spend — but the dataset degrades to explicit
+// read-only: further Measure/MeasurePlan calls fail with ErrReadOnly
+// (HTTP 503) while queries keep serving from the warm panel. A restart
+// recovers the clean log prefix. A commit the primary cannot frame at
+// all (a non-finite value) is never applied: its spend is recorded as a
+// budget-restore record, as a failed plan's is, and the request fails.
 
 // ErrReadOnly: the dataset degraded to read-only after a persistence
 // failure — writes are refused (503) so the durability gap cannot grow,
@@ -169,14 +189,186 @@ func (d *Dataset) checkIdentity(src, name string, domain int, epsTotal float64) 
 	return nil
 }
 
+// record is one log record ready for applyRecordLocked: its type, its
+// decoded payload (*walCreate, *walMeas, *walBudget, *walMarker,
+// *walAuditCkpt or *walAuditState), and the sealed frame the sink
+// publishes (nil on replay, where the record is already in the log).
+// A measurement record also carries its blocks in canonical form and the
+// hex SHA-256 commitment of their encoding.
+type record struct {
+	typ        wal.Type
+	payload    any
+	frame      []byte
+	blocks     []measBlock
+	commitment string
+}
+
+// decodeRecord strict-decodes and validates one record against a
+// dataset of the given domain: everything about a record that needs no
+// dataset state, so follower apply does it before taking d.mu.
+func decodeRecord(rec wal.Record, domain int) (record, error) {
+	r := record{typ: rec.Type}
+	switch rec.Type {
+	case wal.TypeDatasetCreate:
+		r.payload = new(walCreate)
+	case wal.TypeMeasurementBlock:
+		r.payload = new(walMeas)
+	case wal.TypeBudgetRestore:
+		r.payload = new(walBudget)
+	case wal.TypeCheckpointMarker:
+		r.payload = new(walMarker)
+	case wal.TypeAuditCheckpoint:
+		r.payload = new(walAuditCkpt)
+	case wal.TypeAuditState:
+		r.payload = new(walAuditState)
+	default:
+		return r, fmt.Errorf("unknown record type %d", rec.Type)
+	}
+	if err := decodeStrict(rec.Payload, r.payload); err != nil {
+		return r, err
+	}
+	// Budget values are validated where they are raised to
+	// (kernel.RestoreConsumed); a measurement's blocks land before its
+	// budget does, so all of it is validated here.
+	m, ok := r.payload.(*walMeas)
+	if !ok {
+		return r, nil
+	}
+	if m.Gen == 0 || !validConsumed(m.Consumed) {
+		return r, fmt.Errorf("generation %d, consumed %g", m.Gen, m.Consumed)
+	}
+	// Every block decodes before any state mutates, so a mid-record
+	// decode error cannot leave a partial append behind.
+	r.blocks = make([]measBlock, len(m.Blocks))
+	for i, sb := range m.Blocks {
+		var err error
+		if r.blocks[i], err = decodeBlock(i, sb, domain); err != nil {
+			return r, err
+		}
+	}
+	// The commitment hashes the blocks as every writer encodes them, so a
+	// replayed leaf binds the same bytes the primary's did.
+	enc, err := json.Marshal(m.Blocks)
+	sum := sha256.Sum256(enc)
+	r.commitment = hex.EncodeToString(sum[:])
+	return r, err
+}
+
+// applyRecordLocked is the dataset's one state transition (see the top
+// of this file): the primary commit, WAL replay and follower apply all
+// reach the log state through it. It reports whether the record changed
+// state — a measurement that landed, a budget it raised, a ledger it
+// extended — and the audit receipt of the leaf the record appended.
+// Caller holds d.mu (or owns the unpublished dataset).
+func (d *Dataset) applyRecordLocked(r record) (changed bool, rcpt AuditReceipt, err error) {
+	switch p := r.payload.(type) {
+	case *walCreate:
+		// Identity records open every log and stream epoch; they assert,
+		// never mutate.
+		return false, rcpt, d.checkIdentity("wal", p.Name, p.Domain, p.EpsTotal)
+	case *walMeas:
+		if p.Gen <= d.gen {
+			// Already covered: a compaction crash window or a re-shipped
+			// frame. Its budget is absolute, so raising to it is harmless.
+			return false, rcpt, d.kern.RestoreConsumed(p.Consumed)
+		}
+		rows := 0
+		for _, b := range r.blocks {
+			rows += len(b.y)
+		}
+		if p.Full {
+			// A collapsed full-history record (a bootstrap stream) replaces
+			// the log: it is content-equal on the prefix a correct follower
+			// holds, where appending would duplicate every block a resyncing
+			// follower had applied before its stream reset.
+			d.blocks, d.rows = r.blocks, rows
+			d.resetDerivedLocked()
+		} else {
+			d.blocks = append(d.blocks, r.blocks...)
+			d.rows += rows
+		}
+		d.gen = p.Gen
+		d.stale = true
+		d.cache.invalidate()
+		rcpt = d.auditMeasLeafLocked(p, r.commitment)
+		// Raising can fail (a consumed above this dataset's eps_total) after
+		// the blocks landed. The record is still sunk: dropping it would
+		// fork this log from the one it was applied from.
+		err = d.kern.RestoreConsumed(p.Consumed)
+		d.sinkLocked(r)
+		return true, rcpt, err
+	case *walBudget:
+		changed = p.Consumed > d.kern.Consumed()
+		if err := d.kern.RestoreConsumed(p.Consumed); err != nil {
+			return false, rcpt, err
+		}
+		rcpt = d.auditSpendLeafLocked(p)
+		d.sinkLocked(r)
+		return changed, rcpt, nil
+	case *walMarker:
+		if p.Gen > d.gen {
+			return false, rcpt, fmt.Errorf("marker generation %d ahead of checkpoint %d", p.Gen, d.gen)
+		}
+		return false, rcpt, d.kern.RestoreConsumed(p.Consumed)
+	case *walAuditCkpt:
+		// The recorded ledger head is the tamper-evidence anchor: the local
+		// tree must have held exactly this root at this size.
+		if err := d.checkAuditCheckpointLocked(*p); err != nil {
+			return false, rcpt, err
+		}
+		d.sinkLocked(r)
+		return false, rcpt, nil
+	case *walAuditState:
+		if changed, err = d.installAuditStateLocked(*p); err != nil {
+			return false, rcpt, err
+		}
+		d.sinkLocked(r)
+		return changed, rcpt, nil
+	}
+	return false, rcpt, fmt.Errorf("record type %d has no transition", r.typ)
+}
+
+// sinkLocked publishes a record applyRecordLocked applied: the frame
+// goes on the replication stream (always — replicas tail memory state,
+// not the disk) and, while the dataset persists and has not degraded,
+// into the local WAL. A state record (measurement or budget) counts
+// toward Config.CheckpointEvery and compacts the log when due, and a
+// measurement record first writes the panel sidecar; the audit records
+// are pins, not state, and do neither. A replayed record has no frame:
+// it is already in the log and is only counted. An append failure
+// degrades the dataset to read-only. Caller holds d.mu.
+func (d *Dataset) sinkLocked(r record) {
+	if r.frame != nil {
+		d.appendReplFrameLocked(r.frame)
+		if d.wlog == nil || d.readOnly {
+			return
+		}
+		//lint:ignore lockscope the commit-section append is the design: disk order must equal apply order (generation order on the primary, stream order on a follower), and the fsync policy bounds the hold
+		if err := d.wlog.AppendFramed(r.frame); err != nil {
+			d.degradeLocked(err)
+			return
+		}
+	}
+	if r.typ != wal.TypeMeasurementBlock && r.typ != wal.TypeBudgetRestore {
+		return
+	}
+	d.walRecs++
+	if r.frame == nil {
+		return
+	}
+	if r.typ == wal.TypeMeasurementBlock {
+		d.persistPanelLocked()
+	}
+	d.maybeCompactLocked()
+}
+
 // loadStateWAL restores the dataset from its checkpoint plus a log
-// replay, then leaves the log open for appends. Called once at create
-// time, before the dataset is published. Torn log tails are recovery
-// (the clean prefix loads); a checkpoint or CRC-valid record that fails
-// validation fails the create — silently dropping it could re-grant
-// spent budget.
+// replay through applyRecordLocked, then leaves the log open for
+// appends. Called once at create time, before the dataset is published.
+// Torn log tails are recovery (the clean prefix loads); a checkpoint or
+// CRC-valid record that fails validation fails the create — silently
+// dropping it could re-grant spent budget.
 func (d *Dataset) loadStateWAL() error {
-	var consumed float64
 	haveCkpt := false
 	data, err := d.fs.ReadFile(d.statePath)
 	switch {
@@ -193,7 +385,9 @@ func (d *Dataset) loadStateWAL() error {
 			d.rows += len(b.y)
 		}
 		d.gen = s.Generation
-		consumed = s.Consumed
+		if err := d.kern.RestoreConsumed(s.Consumed); err != nil {
+			return fmt.Errorf("checkpoint for %q: %w", d.name, err)
+		}
 		if s.Panel != nil {
 			d.panel = append([]float64(nil), s.Panel...)
 			d.k = s.PanelK
@@ -218,108 +412,20 @@ func (d *Dataset) loadStateWAL() error {
 	if err != nil {
 		return fmt.Errorf("%w: wal for %q: %v", ErrSnapshot, d.name, err)
 	}
-	fail := func(format string, args ...any) error {
-		l.Close()
-		return fmt.Errorf("%w: wal for %q: %s", ErrSnapshot, d.name, fmt.Sprintf(format, args...))
-	}
 	for i, rec := range recs {
-		switch rec.Type {
-		case wal.TypeDatasetCreate:
-			var c walCreate
-			if err := decodeStrict(rec.Payload, &c); err != nil {
-				return fail("record %d: %v", i, err)
-			}
-			if err := d.checkIdentity("wal", c.Name, c.Domain, c.EpsTotal); err != nil {
-				l.Close()
-				return err
-			}
-		case wal.TypeMeasurementBlock:
-			var m walMeas
-			if err := decodeStrict(rec.Payload, &m); err != nil {
-				return fail("record %d: %v", i, err)
-			}
-			// applyMeasLocked is the strict replay step shared with follower
-			// apply (repl.go): generation guard (a skip is the
-			// compaction-crash replay window), block decode, append. The
-			// dataset is unpublished, so holding no lock is fine.
-			ok, err := d.applyMeasLocked(m)
-			if err != nil {
-				return fail("record %d: %v", i, err)
-			}
-			// The audit leaf derives from the same record payload under the
-			// same watermark rule the primary commit used, so replay grows
-			// the identical tree (skipped records are leaf-neutral).
-			if err := d.replayMeasLeafLocked(m); err != nil {
-				return fail("record %d: %v", i, err)
-			}
-			d.walRecs++
-			if ok && m.Consumed > consumed {
-				consumed = m.Consumed
-			}
-		case wal.TypeBudgetRestore:
-			var b walBudget
-			if err := decodeStrict(rec.Payload, &b); err != nil {
-				return fail("record %d: %v", i, err)
-			}
-			if !validConsumed(b.Consumed) {
-				return fail("record %d: consumed %g", i, b.Consumed)
-			}
-			d.auditSpendLeafLocked(b)
-			d.walRecs++
-			if b.Consumed > consumed {
-				consumed = b.Consumed
-			}
-		case wal.TypeCheckpointMarker:
-			var mk walMarker
-			if err := decodeStrict(rec.Payload, &mk); err != nil {
-				return fail("record %d: %v", i, err)
-			}
-			if !validConsumed(mk.Consumed) {
-				return fail("record %d: consumed %g", i, mk.Consumed)
-			}
+		r, err := decodeRecord(rec, d.n)
+		if err == nil && rec.Type == wal.TypeCheckpointMarker && !haveCkpt {
 			// A marker names the checkpoint the log sits on; without that
 			// checkpoint the generations it covers are gone, and loading
 			// the remainder would silently drop measurements (and budget).
-			if !haveCkpt {
-				return fail("record %d: checkpoint marker without a checkpoint file", i)
-			}
-			if mk.Gen > d.gen {
-				return fail("record %d: marker generation %d ahead of checkpoint %d", i, mk.Gen, d.gen)
-			}
-			if mk.Consumed > consumed {
-				consumed = mk.Consumed
-			}
-		case wal.TypeAuditCheckpoint:
-			var c walAuditCkpt
-			if err := decodeStrict(rec.Payload, &c); err != nil {
-				return fail("record %d: %v", i, err)
-			}
-			// The persisted ledger head is the tamper-evidence anchor:
-			// replay must reproduce exactly the root that was committed (and
-			// possibly served to clients as a signed checkpoint). A mismatch
-			// is a tampered or corrupted history and fails the create.
-			if err := d.checkAuditCheckpointLocked(c); err != nil {
-				return fail("record %d: %v", i, err)
-			}
-		case wal.TypeAuditState:
-			// Follower local logs open with the shipped full-ledger state
-			// (the bootstrap frame a resync started from); replay reinstalls
-			// it with the same prefix-consistency checks apply used.
-			var st walAuditState
-			if err := decodeStrict(rec.Payload, &st); err != nil {
-				return fail("record %d: %v", i, err)
-			}
-			if _, err := d.installAuditStateLocked(st); err != nil {
-				return fail("record %d: %v", i, err)
-			}
-		default:
-			return fail("record %d: unknown type %d", i, rec.Type)
+			err = errors.New("checkpoint marker without a checkpoint file")
 		}
-	}
-	if consumed > 0 {
-		if err := d.kern.RestoreConsumed(consumed); err != nil {
+		if err == nil {
+			_, _, err = d.applyRecordLocked(r)
+		}
+		if err != nil {
 			l.Close()
-			return fmt.Errorf("wal for %q: %w", d.name, err)
+			return fmt.Errorf("%w: wal for %q: record %d: %v", ErrSnapshot, d.name, i, err)
 		}
 	}
 	if len(recs) == 0 {
@@ -410,8 +516,8 @@ type pendingCommit struct {
 	// frameCommitLocked builds the frame around it in place.
 	buf        []byte
 	commitment string
-	// err is an encode failure (a non-finite value): the blocks still
-	// commit in memory and the persist-failed path runs.
+	// err is an encode failure (a non-finite value): the commit cannot
+	// be framed, so commitBlocksLocked records only its spend.
 	err error
 }
 
@@ -457,24 +563,23 @@ func appendBlocksJSON(dst []byte, blocks []measBlock) ([]byte, error) {
 }
 
 // frameCommitLocked completes the measurement-block record of a commit
-// that just appended pc.blocks at the current generation and frames it
-// once, for the replication stream (which carries it even without
-// persistence) and the WAL alike; the envelope feeds the audit leaf.
-// The envelope is marshaled with no blocks and pc's encoding replaces
-// its "blocks":null — no earlier field is a string, so the first match
-// is that member. Caller holds d.mu.
-func (d *Dataset) frameCommitLocked(pc pendingCommit, meta commitMeta) (walMeas, []byte, error) {
-	rec := walMeas{
-		Gen:      d.gen,
+// of pc.blocks at the next generation and frames it once, for the
+// replication stream (which carries it even without persistence) and
+// the WAL alike. The envelope is marshaled with no blocks and pc's
+// encoding replaces its "blocks":null — no earlier field is a string,
+// so the first match is that member. Caller holds d.mu.
+func (d *Dataset) frameCommitLocked(pc pendingCommit, meta commitMeta) (*walMeas, []byte, error) {
+	rec := &walMeas{
+		Gen:      d.gen + 1,
 		Consumed: d.kern.Consumed(),
 		Op:       meta.Op,
 		Session:  meta.Session,
 		Charges:  meta.Charges,
 		Eps:      meta.Eps,
 	}
-	env, err := json.Marshal(&rec)
+	env, err := json.Marshal(rec)
 	if err = errors.Join(pc.err, err); err != nil {
-		return walMeas{}, nil, fmt.Errorf("serve: encode wal record for %q: %w", d.name, err)
+		return nil, nil, fmt.Errorf("serve: encode wal record for %q: %w", d.name, err)
 	}
 	null := bytes.Index(env, []byte(`"blocks":null`)) + len(`"blocks":`)
 	start := recordHeadroom - null - wal.FrameHeader
@@ -483,71 +588,29 @@ func (d *Dataset) frameCommitLocked(pc pendingCommit, meta commitMeta) (walMeas,
 	return rec, wal.SealFrame(buf[start:], wal.TypeMeasurementBlock), nil
 }
 
-// persistCommitLocked makes one commit durable: it appends the
-// already-framed measurement-block record (O(delta) bytes — the very
-// frame commitBlocksLocked put on the replication stream), then
-// updates the panel sidecar if a refresh ran since the last commit and
-// compacts the log when it is due. Caller holds d.mu and has already
-// appended blocks to the warm log (they are committed regardless — see
-// commitBlocksLocked).
-func (d *Dataset) persistCommitLocked(frame []byte) error {
-	if d.statePath == "" {
-		return nil
-	}
-	if d.readOnly {
-		return nil // already degraded and logged; nothing more to lose durably
-	}
-	//lint:ignore lockscope commit-section WAL append is the design: one O(delta) record per commit keeps disk order equal to generation order, and the fsync policy bounds the hold (PR 7)
-	if err := d.wlog.AppendFramed(frame); err != nil {
-		return err
-	}
-	d.walRecs++
-	d.persistPanelLocked()
-	d.maybeCompactLocked()
-	return nil
-}
-
-// commitSpendLocked records a budget charge without measurements (a
-// failed plan's partial spend) on the replication stream and in the
-// durability backend: one budget-restore record carrying the absolute
-// consumed value. The spend is also a ledger leaf — a failed plan's
-// partial charge is exactly the kind of budget mutation an auditor
-// must see — followed by a checkpoint record. Caller holds d.mu.
-func (d *Dataset) commitSpendLocked(meta commitMeta) error {
-	rec := walBudget{
+// commitSpendLocked records a budget charge without measurements — a
+// failed plan's partial spend, or a commit that could not be framed —
+// as one budget-restore record carrying the absolute consumed value,
+// applied like any record (a ledger leaf: a partial charge is exactly
+// the kind of budget mutation an auditor must see) and followed by the
+// audit checkpoint. Caller holds d.mu.
+func (d *Dataset) commitSpendLocked(meta commitMeta) {
+	rec := &walBudget{
 		Consumed: d.kern.Consumed(),
 		Op:       meta.Op,
 		Session:  meta.Session,
 		Charges:  meta.Charges,
 		Eps:      meta.Eps,
 	}
-	payload, err := json.Marshal(&rec)
+	payload, err := json.Marshal(rec)
 	if err != nil {
-		return fmt.Errorf("serve: encode wal record for %q: %w", d.name, err)
+		// The kernel and its sessions hold only finite budgets; unreachable.
+		d.degradeLocked(fmt.Errorf("serve: encode wal record for %q: %w", d.name, err))
+		return
 	}
-	frame := d.appendReplLocked(wal.TypeBudgetRestore, payload)
-	d.auditSpendLeafLocked(rec)
-	err = d.persistSpendLocked(frame)
+	frame := wal.AppendFrame(nil, wal.TypeBudgetRestore, payload)
+	d.applyRecordLocked(record{typ: wal.TypeBudgetRestore, payload: rec, frame: frame})
 	d.auditCheckpointLocked()
-	return err
-}
-
-// persistSpendLocked makes the framed budget-restore record durable.
-// Caller holds d.mu.
-func (d *Dataset) persistSpendLocked(frame []byte) error {
-	if d.statePath == "" {
-		return nil
-	}
-	if d.readOnly {
-		return nil
-	}
-	//lint:ignore lockscope commit-section WAL append is the design: a failed plan's spend must hit the log before the next commit can reorder past it
-	if err := d.wlog.AppendFramed(frame); err != nil {
-		return err
-	}
-	d.walRecs++
-	d.maybeCompactLocked()
-	return nil
 }
 
 // persistPanelLocked writes the panel sidecar if the panel changed
