@@ -168,13 +168,54 @@ func benchMatVecParallel(b *testing.B, m mat.Matrix) {
 	}
 }
 
-// BenchmarkMatVecEngine runs the engine benchmark shapes
-// (experiments.MatVecCases: 2^20-cell Kronecker, stacked H2 union, CSR
-// H2, 2^22-cell dense).
+// benchCase names one benchmark matrix; build constructs it on demand
+// (the 2^20-cell shapes take a moment, so callers build only what they
+// measure).
+type benchCase struct {
+	name  string
+	build func() mat.Matrix
+}
+
+// matVecCases are the mat-vec engine benchmark shapes: the ≥ 2^20-cell
+// matrix families that dominate every plan in the paper's evaluation
+// (Kronecker plans, stacked measurement unions, CSR strategies, dense
+// fallbacks).
+func matVecCases() []benchCase {
+	const n = 1 << 20
+	return []benchCase{
+		{"kron_prefix_wavelet_2^20", func() mat.Matrix {
+			return mat.Kron(mat.Prefix(1<<10), mat.Wavelet(1<<10))
+		}},
+		{"vstack_id_h2_prefix_2^20", func() mat.Matrix {
+			return mat.VStack(mat.Identity(n), mat.RangeQueries(n, mat.HierarchicalRanges(n, 2)), mat.Prefix(n))
+		}},
+		{"sparse_h2_csr_2^20", func() mat.Matrix {
+			h2 := mat.VStack(mat.Identity(n), mat.RangeQueries(n, mat.HierarchicalRanges(n, 2)))
+			sparse, ok := mat.ToSparse(h2, 0)
+			if !ok {
+				panic("bench: sparse conversion of H2 failed")
+			}
+			return sparse
+		}},
+		{"dense_2^11x2^11", func() mat.Matrix {
+			dn := 1 << 11
+			dense := mat.NewDense(dn, dn, nil)
+			for i := 0; i < dn; i++ {
+				for j := 0; j < dn; j++ {
+					dense.Set(i, j, float64((i+j)%5)-2)
+				}
+			}
+			return dense
+		}},
+	}
+}
+
+// BenchmarkMatVecEngine runs the engine benchmark shapes (matVecCases:
+// 2^20-cell Kronecker, stacked H2 union, CSR H2, 2^22-cell dense).
 func BenchmarkMatVecEngine(b *testing.B) {
-	for _, c := range experiments.MatVecCases() {
-		b.Run(c.Name, func(b *testing.B) {
-			benchMatVecParallel(b, c.Build())
+	for _, c := range matVecCases() {
+		b.Run(c.name, func(b *testing.B) {
+			benchMatVecParallel(b, c.build())
 		})
 	}
 }
@@ -210,18 +251,52 @@ func BenchmarkGramKronFast(b *testing.B) {
 
 // ---------------------------------------------------------------------
 // Blocked Gram and multi-RHS (MatMat) benchmarks. The Gram shapes are
-// experiments.GramCases; blocked-vs-column speedups are read off the
+// gramCases; blocked-vs-column speedups are read off the
 // sub-benchmark ratio. Allocations are reported and must be 0 on the
 // GramInto and MatMat steady states for Dense and CSR.
 // ---------------------------------------------------------------------
 
+// gramCases are the Gram benchmark shapes: the strategy shapes DirectLS
+// and the scoring layers hit — a large dense matrix, a RangeQueries CSR
+// strategy, a Kronecker product and the implicit RangeQueriesMat
+// product form.
+func gramCases() []benchCase {
+	return []benchCase{
+		{"dense_2048x2048", func() mat.Matrix {
+			n := 2048
+			d := mat.NewDense(n, n, nil)
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					d.Set(i, j, float64((i*31+j*17)%9)-4)
+				}
+			}
+			return d
+		}},
+		{"csr_rangequeries_2048", func() mat.Matrix {
+			n := 2048
+			h2 := mat.RangeQueries(n, mat.HierarchicalRanges(n, 2))
+			s, ok := mat.ToSparse(h2, 0)
+			if !ok {
+				panic("bench: sparse conversion of range strategy failed")
+			}
+			return s
+		}},
+		{"kron_prefix2_64", func() mat.Matrix {
+			return mat.Kron(mat.Prefix(64), mat.Prefix(64))
+		}},
+		{"rangequeries_implicit_1024", func() mat.Matrix {
+			return mat.RangeQueries(1024, mat.HierarchicalRanges(1024, 2))
+		}},
+	}
+}
+
 func benchGramCase(b *testing.B, name string) {
 	b.Helper()
-	for _, c := range experiments.GramCases() {
-		if c.Name != name {
+	for _, c := range gramCases() {
+		if c.name != name {
 			continue
 		}
-		m := c.Build()
+		m := c.build()
 		_, cols := m.Dims()
 		g := mat.NewDense(cols, cols, nil)
 		b.Run("blocked", func(b *testing.B) {

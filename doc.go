@@ -50,10 +50,11 @@
 // (workload, rounds, total, shape, dim, seed) — through a per-request
 // kernel session with exactly the same Algorithm 2 accounting, and
 // appends every measurement the plan took to the warm log. Repeated
-// query workloads are memoized by a per-dataset cache keyed by
-// (measurement-log generation, workload fingerprint, solver): a hit is
-// served with zero solver iterations and zero panel work, and any new
-// measurement bumps the generation, invalidating every cached answer.
+// query workloads are memoized by a per-dataset cache that owns its
+// validity epoch, (measurement-log generation, solver): a hit is served
+// on the request goroutine before the batcher, with no dataset lock,
+// zero solver iterations and zero panel work, and any new measurement
+// or solver switch moves the epoch, dropping every cached answer.
 // With Config.StateDir set, each measurement commit is made durable
 // before the request returns by a per-dataset write-ahead log
 // (internal/wal): one CRC32C-framed record per commit — O(delta)

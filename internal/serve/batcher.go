@@ -9,11 +9,12 @@ import (
 )
 
 // batcher coalesces concurrent clients' query workloads on one dataset
-// into panel batches. The first queued request opens a short window
+// into panel batches. The first queued request opens a window
 // (Config.BatchWindow); every request arriving inside it — up to
-// Config.MaxBatch — shares one MatMat panel pass. Under a single
-// client the window only adds latency after the queue is observed
-// empty, so sequential callers still see one solve + one pass each.
+// Config.MaxBatch — shares one MatMat panel pass. The window closes
+// only when it expires or the batch is full, so a lone request always
+// waits the full window. Cache hits never enter the batcher:
+// Dataset.Query answers them before submit, so only misses pay it.
 type batcher struct {
 	d    *Dataset
 	in   chan *queryReq
@@ -62,6 +63,16 @@ func (b *batcher) submit(ranges []mat.Range1D) (QueryResult, error) {
 		default:
 			return QueryResult{}, ErrBatcherStopped
 		}
+	}
+}
+
+// stopped reports whether stop has begun; queries fail from then on.
+func (b *batcher) stopped() bool {
+	select {
+	case <-b.quit:
+		return true
+	default:
+		return false
 	}
 }
 

@@ -9,16 +9,16 @@ import (
 )
 
 // This file implements the workload-aware panel cache: answered query
-// workloads are memoized per dataset, keyed by the triple
+// workloads are memoized per dataset, keyed by their fingerprint, so a
+// repeated workload is answered on the request goroutine — before the
+// batcher, without d.mu, zero solver iterations, zero MatMat passes.
 //
-//	(measurement-log generation, workload fingerprint, solver)
-//
-// so a repeated workload is answered from the cache without touching
-// the estimate panel at all — zero solver iterations, zero MatMat
-// passes. The generation is a per-dataset counter bumped every time new
-// measurements land (fixed-strategy or plan-mode), so a bump invalidates
-// every cached answer at once: stale estimates can never be served. The
-// solver name is part of the key because switching the dataset's block
+// The cache alone knows when an answer is valid. It holds the dataset's
+// current epoch, (measurement-log generation, solver): every transition
+// that changes the estimate moves the epoch forward (invalidate, under
+// d.mu) and drops every entry, and an answer computed from a panel of
+// an older epoch is refused on put, so stale estimates are never served.
+// The solver is part of the epoch because switching the dataset's block
 // solver changes the (bit-level) estimate without new measurements.
 //
 // Fingerprints are 64-bit hashes of the range workload; because a
@@ -61,19 +61,18 @@ func sameRanges(a, b []mat.Range1D) bool {
 	return true
 }
 
-// cacheKey identifies one cached workload answer.
-type cacheKey struct {
+// cacheEpoch is the dataset state a cached answer belongs to: the
+// measurement-log generation and the solver that produced the panel.
+type cacheEpoch struct {
 	gen    uint64
-	fp     uint64
 	solver string
 }
 
 // cacheEntry is one memoized workload answer. Answers/Stderr are stored
-// exactly as computed from the generation's estimate panel; batch
-// metadata is not cached (it describes the serving path, not the
-// answer).
+// exactly as computed from the epoch's estimate panel; batch metadata is
+// not cached (it describes the serving path, not the answer).
 type cacheEntry struct {
-	key    cacheKey
+	fp     uint64
 	ranges []mat.Range1D
 	res    QueryResult
 }
@@ -93,32 +92,32 @@ type CacheStats struct {
 type panelCache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[cacheKey]*list.Element // values are *cacheEntry
-	lru     *list.List                 // front = most recent
+	epoch   cacheEpoch
+	entries map[uint64]*list.Element // by fingerprint; values are *cacheEntry
+	lru     *list.List               // front = most recent
 	stats   CacheStats
 }
 
-// newPanelCache returns a cache bounded to size entries, or nil when
-// size <= 0 (disabled).
-func newPanelCache(size int) *panelCache {
+// newPanelCache returns a cache bounded to size entries that starts at
+// the given epoch, or nil when size <= 0 (disabled).
+func newPanelCache(size int, epoch cacheEpoch) *panelCache {
 	if size <= 0 {
 		return nil
 	}
-	return &panelCache{cap: size, entries: map[cacheKey]*list.Element{}, lru: list.New()}
+	return &panelCache{cap: size, epoch: epoch, entries: map[uint64]*list.Element{}, lru: list.New()}
 }
 
-// get returns the memoized answer for the workload under the key, if
-// present and an exact range match.
-func (c *panelCache) get(key cacheKey, ranges []mat.Range1D) (QueryResult, bool) {
+// get returns the memoized answer of the workload at the current epoch,
+// if present and an exact range match.
+func (c *panelCache) get(ranges []mat.Range1D) (QueryResult, bool) {
 	if c == nil {
 		return QueryResult{}, false
 	}
+	fp := fingerprintRanges(ranges)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if ok {
-		e := el.Value.(*cacheEntry)
-		if sameRanges(e.ranges, ranges) {
+	if el, ok := c.entries[fp]; ok {
+		if e := el.Value.(*cacheEntry); sameRanges(e.ranges, ranges) {
 			c.lru.MoveToFront(el)
 			c.stats.Hits++
 			return e.res, true
@@ -128,40 +127,43 @@ func (c *panelCache) get(key cacheKey, ranges []mat.Range1D) (QueryResult, bool)
 	return QueryResult{}, false
 }
 
-// put memoizes an answered workload, evicting the least recently used
-// entry when full. Entries from older generations are dead weight (their
-// keys can never match again after a bump) and are evicted first.
-func (c *panelCache) put(key cacheKey, ranges []mat.Range1D, res QueryResult) {
+// put memoizes a workload answered from a panel of the given epoch,
+// evicting the least recently used entry when full. An answer whose
+// epoch is no longer current (a commit or solver switch landed while it
+// was computed) is dropped.
+func (c *panelCache) put(epoch cacheEpoch, ranges []mat.Range1D, res QueryResult) {
 	if c == nil {
 		return
 	}
+	fp := fingerprintRanges(ranges)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).res = res
-		el.Value.(*cacheEntry).ranges = append([]mat.Range1D(nil), ranges...)
+	if epoch != c.epoch {
+		return
+	}
+	e := &cacheEntry{fp: fp, ranges: append([]mat.Range1D(nil), ranges...), res: res}
+	if el, ok := c.entries[fp]; ok {
+		el.Value = e
 		c.lru.MoveToFront(el)
 		return
 	}
-	for c.lru.Len() >= c.cap {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.entries, back.Value.(*cacheEntry).key)
+	if c.lru.Len() >= c.cap {
+		delete(c.entries, c.lru.Remove(c.lru.Back()).(*cacheEntry).fp)
 	}
-	e := &cacheEntry{key: key, ranges: append([]mat.Range1D(nil), ranges...), res: res}
-	c.entries[key] = c.lru.PushFront(e)
+	c.entries[fp] = c.lru.PushFront(e)
 }
 
-// invalidate drops every entry; called when new measurements land (the
-// generation bump already makes old keys unmatchable, this frees their
-// memory eagerly and counts the event).
-func (c *panelCache) invalidate() {
+// invalidate moves the cache to a new epoch and drops every entry; the
+// dataset calls it, under d.mu, whenever new measurements land or the
+// solver changes.
+func (c *panelCache) invalidate(epoch cacheEpoch) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = map[cacheKey]*list.Element{}
+	c.epoch = epoch
+	clear(c.entries)
 	c.lru.Init()
 	c.stats.Invalidations++
 }

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"math"
+	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -215,5 +217,138 @@ func TestCacheConcurrentClients(t *testing.T) {
 	// have run: at most one per (generation, solver) panel refresh.
 	if sum.PanelSolves > int(sum.Generation) {
 		t.Fatalf("%d panel solves for %d generations", sum.PanelSolves, sum.Generation)
+	}
+}
+
+// TestCacheHitSkipsBatcherAndLock pins where a hit is served: on the
+// request goroutine, before the batcher, without d.mu. A cached
+// workload must answer while another goroutine holds the dataset lock
+// (a refresh or commit in progress); a batcher-side lookup would wait
+// for the lock.
+func TestCacheHitSkipsBatcherAndLock(t *testing.T) {
+	// MaxBatch 1: the miss below fills its batch and does not wait out
+	// the window.
+	s := New(Config{MaxBatch: 1})
+	defer s.Close()
+	d, err := s.CreateDataset("hit", "piecewise", 64, 10000, 19, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Measure("hb", 2); err != nil {
+		t.Fatal(err)
+	}
+	wl := []mat.Range1D{{Lo: 2, Hi: 50}}
+	want, err := d.Query(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	got := make(chan QueryResult, 1)
+	go func() {
+		res, err := d.Query(wl)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- res
+	}()
+	select {
+	case res := <-got:
+		if !res.Cached || res.Answers[0] != want.Answers[0] {
+			t.Fatalf("hit under d.mu: %+v, want cached %v", res, want.Answers)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cached workload did not answer while d.mu was held")
+	}
+}
+
+// TestPanelCacheDropsStaleEpochPut pins the cache's ownership of answer
+// validity: an answer computed from a panel whose epoch is no longer
+// current (a commit or a solver switch landed mid-batch) is never
+// stored, and invalidate drops what was stored before it.
+func TestPanelCacheDropsStaleEpochPut(t *testing.T) {
+	g := cacheEpoch{gen: 3, solver: SolverLSMR}
+	c := newPanelCache(4, g)
+	wl := []mat.Range1D{{Lo: 0, Hi: 9}}
+	res := QueryResult{Answers: []float64{42}}
+
+	c.put(g, wl, res)
+	if got, ok := c.get(wl); !ok || got.Answers[0] != 42 {
+		t.Fatalf("put at the current epoch not served: %+v %v", got, ok)
+	}
+	next := cacheEpoch{gen: g.gen + 1, solver: g.solver}
+	c.invalidate(next)
+	if _, ok := c.get(wl); ok {
+		t.Fatal("invalidate kept an entry of the old epoch")
+	}
+	c.put(g, wl, res)
+	if _, ok := c.get(wl); ok {
+		t.Fatal("put at a superseded generation was served")
+	}
+	c.invalidate(cacheEpoch{gen: next.gen, solver: SolverCGLS})
+	c.put(next, wl, res)
+	if _, ok := c.get(wl); ok {
+		t.Fatal("put under a superseded solver was served")
+	}
+	if st := c.snapshot(); st.Hits != 1 || st.Misses != 3 || st.Invalidations != 2 {
+		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestCacheOneLookupPerQuery checks that every Query looks the cache up
+// exactly once — on the request goroutine, never again in the batcher —
+// across a seeded mix of hits, misses, interleaved measurements and
+// concurrent clients: Hits + Misses equals the number of Query calls.
+func TestCacheOneLookupPerQuery(t *testing.T) {
+	s := New(Config{BatchWindow: 200 * time.Microsecond})
+	defer s.Close()
+	d, err := s.CreateDataset("once", "piecewise", 128, 10000, 23, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Measure("hb", 2); err != nil {
+		t.Fatal(err)
+	}
+	const clients = 6
+	const perClient = 40
+	var queries atomic.Uint64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(31, uint64(c)))
+			for i := 0; i < perClient; i++ {
+				if c == 0 && i%10 == 9 {
+					if _, err := d.Measure("identity", 0.5); err != nil {
+						t.Error(err)
+						return
+					}
+					continue
+				}
+				// Half the draws repeat one of four workloads, half are
+				// fresh single ranges.
+				lo := rng.IntN(4)
+				hi := 127 - lo
+				if rng.IntN(2) == 0 {
+					lo = rng.IntN(128)
+					hi = lo + rng.IntN(128-lo)
+				}
+				queries.Add(1)
+				if _, err := d.Query([]mat.Range1D{{Lo: lo, Hi: hi}}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	st := d.Summary().Cache
+	if st.Hits == 0 || st.Misses == 0 {
+		t.Fatalf("mix produced no hits or no misses: %+v", st)
+	}
+	if got := st.Hits + st.Misses; got != queries.Load() {
+		t.Fatalf("%d cache lookups (%+v) for %d queries", got, st, queries.Load())
 	}
 }

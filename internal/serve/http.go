@@ -29,8 +29,9 @@ import (
 //	POST /v1/datasets/{name}/query     — answer a range workload
 //
 // Concurrent clients are first-class: measurement and plan execution
-// run in per-request kernel sessions, and query workloads are coalesced
-// into shared panel products by the per-dataset batcher. In a cluster,
+// run in per-request kernel sessions, and query workloads the cache
+// cannot answer are coalesced into shared panel products by the
+// per-dataset batcher. In a cluster,
 // writes against a read replica fail with 421 Misdirected Request and
 // the primary's address in the X-Ektelo-Primary header.
 

@@ -10,13 +10,14 @@
 // fixed named strategies (Measure) or full Fig. 2 registry plans
 // executed by name (MeasurePlan / the /plan endpoint), whose
 // measurements — combinator plans included — land in the same warm log.
-// Query answering is pure post-processing: a per-dataset batcher
-// coalesces concurrent clients' range workloads into one panel and
-// answers them with a single mat.MatMat pass over the dataset's
-// estimate panel, and repeated workloads are memoized by a cache keyed
-// by (measurement-log generation, workload fingerprint, solver) — see
-// cache.go. With Config.StateDir set, every measurement commit is made
-// durable before the request returns (under the default fsync policy,
+// Query answering is pure post-processing: a workload answered before
+// at the current (measurement-log generation, solver) epoch is served
+// from a per-dataset cache on the request goroutine (cache.go), and
+// only misses reach the per-dataset batcher, which coalesces concurrent
+// clients' range workloads into one panel and answers them with a
+// single mat.MatMat pass over the dataset's estimate panel. With
+// Config.StateDir set, every measurement commit is made durable before
+// the request returns (under the default fsync policy,
 // wal.PolicyAlways) and is restored (spent budget included) when the
 // dataset is re-created: each commit appends one
 // CRC-framed record to a per-dataset write-ahead log that is
@@ -156,8 +157,8 @@ type Config struct {
 	// Datasets may override it at create time.
 	Solver string
 	// CacheSize bounds the per-dataset workload-answer cache (entries
-	// keyed by measurement-log generation, workload fingerprint and
-	// solver); 0 means 256, negative disables caching.
+	// keyed by workload fingerprint, valid for one measurement-log
+	// generation and solver); 0 means 256, negative disables caching.
 	CacheSize int
 	// StateDir, when non-empty, enables measurement-log persistence
 	// under this directory: creating a dataset with a previously used
@@ -354,7 +355,7 @@ func (s *Server) AuditPublicKey() ed25519.PublicKey {
 }
 
 // Close stops every dataset's batcher. Pending queries are answered
-// before shutdown; new queries fail.
+// before shutdown; new queries fail, cache hits included.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -432,7 +433,7 @@ type Dataset struct {
 	solver string  // estimate-panel solver (one of Solvers())
 	damp   float64 // Tikhonov λ for lsmr/normal solves (0: none)
 	// gen is the measurement-log generation: bumped every time new
-	// measurements land, it keys the workload cache and stamps snapshots.
+	// measurements land, it is half the cache epoch and stamps snapshots.
 	gen uint64
 	// panelSolves counts actual block solves (refreshes that ran a
 	// solver), so tests can assert a cache hit performed zero of them.
@@ -465,8 +466,8 @@ type Dataset struct {
 	savedIterations int
 	baselineIters   int // iterations of the last cold iterative refresh
 
-	// cache memoizes answered workloads per (generation, fingerprint,
-	// solver); nil when disabled.
+	// cache memoizes answered workloads at the current (generation,
+	// solver) epoch; nil when disabled.
 	cache *panelCache
 	// statePath is the checkpoint file for persistence ("" disables);
 	// walPath and panelPath are the log and the advisory warm-start
@@ -603,9 +604,9 @@ func (s *Server) addDataset(name string, x []float64, seed uint64, epsTotal floa
 			return nil, err
 		}
 	}
-	// The answer cache starts with the restored log, so the replay's
+	// The answer cache starts at the restored epoch, so the replay's
 	// transitions had none to invalidate.
-	d.cache = newPanelCache(s.cfg.CacheSize)
+	d.cache = newPanelCache(s.cfg.CacheSize, cacheEpoch{gen: d.gen, solver: d.solver})
 	// Seed the replication stream from the (possibly restored) state
 	// before the dataset is visible: followers that connect immediately
 	// see a complete history from offset zero.
@@ -679,9 +680,10 @@ func strategyByName(name string, n int) (mat.Matrix, error) {
 }
 
 // SetSolver switches the dataset's estimate-panel solver (one of
-// Solvers()) and marks the panel stale so the next query re-solves with
-// it. A switch into or out of "normal" drops the fold, because only the
-// current family's system is kept; the next refresh refolds the log.
+// Solvers()), drops the cached answers and marks the panel stale so the
+// next query re-solves with it. A switch into or out of "normal" drops
+// the fold, because only the current family's system is kept; the next
+// refresh refolds the log.
 // Switching away from a damped solver while damping is set is
 // rejected, since the target solver could not honor the dataset's λ.
 func (d *Dataset) SetSolver(name string) error {
@@ -703,6 +705,7 @@ func (d *Dataset) SetSolver(name string) error {
 		}
 		d.solver = name
 		d.stale = true
+		d.cache.invalidate(cacheEpoch{gen: d.gen, solver: name})
 	}
 	return nil
 }
@@ -1275,13 +1278,16 @@ type QueryResult struct {
 	SolveConverged  bool `json:"solve_converged"`
 	// Cached marks an answer served from the workload cache: the same
 	// workload was answered earlier at the same measurement-log
-	// generation with the same solver, so no panel work ran at all.
+	// generation with the same solver, so no batcher or panel work ran.
 	Cached bool `json:"cached,omitempty"`
 }
 
 // Query answers a workload of 1-D ranges against the dataset's current
-// estimate. Concurrent calls are coalesced by the dataset's batcher
-// into one panel product; the call blocks until its batch is answered.
+// estimate. A workload cached at the current epoch is answered on the
+// calling goroutine; otherwise concurrent calls are coalesced by the
+// dataset's batcher into one panel product and the call blocks until
+// its batch is answered. Once the batcher is stopped (Server.Close),
+// every query fails with ErrBatcherStopped, cached or not.
 func (d *Dataset) Query(ranges []mat.Range1D) (QueryResult, error) {
 	if len(ranges) == 0 {
 		return QueryResult{}, fmt.Errorf("serve: empty workload")
@@ -1291,66 +1297,40 @@ func (d *Dataset) Query(ranges []mat.Range1D) (QueryResult, error) {
 			return QueryResult{}, fmt.Errorf("serve: range [%d,%d] outside domain %d", r.Lo, r.Hi, d.n)
 		}
 	}
+	if d.batch.stopped() {
+		return QueryResult{}, ErrBatcherStopped
+	}
+	if res, ok := d.cache.get(ranges); ok {
+		res.Cached = true
+		return res, nil
+	}
 	return d.batch.submit(ranges)
 }
 
 // refreshedPanel refreshes the estimate panel if stale and returns it
-// with its solve state plus the (generation, solver) pair the panel
-// belongs to, so cached answers are keyed to exactly the log state that
-// produced them. The lock is released by defer so that a panic inside
-// the refresh (assembly or block solve) unwinds with d.mu free — the
-// batcher's recover keeps serving instead of deadlocking every later
-// lock attempt on the dataset.
-func (d *Dataset) refreshedPanel() (panel []float64, k, solveIters int, solveConv bool, gen uint64, solverName string, err error) {
+// with its solve state plus the cache epoch the panel belongs to, so an
+// answer computed from it is cached only while that epoch is current.
+// The lock is released by defer so that a panic inside the refresh
+// (assembly or block solve) unwinds with d.mu free — the batcher's
+// recover keeps serving instead of deadlocking every later lock attempt
+// on the dataset.
+func (d *Dataset) refreshedPanel() (panel []float64, k, solveIters int, solveConv bool, epoch cacheEpoch, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.refreshLocked(); err != nil {
-		return nil, 0, 0, false, 0, "", err
+		return nil, 0, 0, false, epoch, err
 	}
-	return d.panel, d.k, d.solveIterations, d.solveConverged, d.gen, d.solver, nil
-}
-
-// answerCachedRequests answers every request whose workload is cached
-// at the given (generation, solver) and returns the remaining misses.
-func (d *Dataset) answerCachedRequests(reqs []*queryReq, gen uint64, solverName string) []*queryReq {
-	if d.cache == nil {
-		return reqs
-	}
-	misses := reqs[:0]
-	for _, r := range reqs {
-		key := cacheKey{gen: gen, fp: fingerprintRanges(r.ranges), solver: solverName}
-		if res, ok := d.cache.get(key, r.ranges); ok {
-			res.Cached = true
-			r.resp <- queryResp{result: res}
-			continue
-		}
-		misses = append(misses, r)
-	}
-	return misses
+	return d.panel, d.k, d.solveIterations, d.solveConverged, cacheEpoch{gen: d.gen, solver: d.solver}, nil
 }
 
 // answerBatch answers a coalesced batch of client workloads with one
 // MatMat panel pass: the stacked ranges form one RangeQueries matrix,
 // the estimate panel supplies 1+R columns, and each client's slice of
 // the product yields its answers (column 0) and bootstrap standard
-// errors (columns 1..R).
+// errors (columns 1..R). Every request here already missed the cache in
+// Query.
 func (d *Dataset) answerBatch(reqs []*queryReq) {
-	// Cache pass first: a workload answered earlier at the current
-	// (generation, solver) is served verbatim, without refreshing the
-	// panel — a hit costs zero solver iterations and zero MatMat work
-	// even when the panel is stale for other reasons. The generation is
-	// read before the refresh; if a measurement lands in between, the
-	// cached responses are still exact answers of the generation they
-	// were computed at (the same linearization any earlier query had).
-	d.mu.Lock()
-	gen, solverName := d.gen, d.solver
-	d.mu.Unlock()
-	reqs = d.answerCachedRequests(reqs, gen, solverName)
-	if len(reqs) == 0 {
-		return
-	}
-
-	panel, k, solveIters, solveConv, panelGen, panelSolver, err := d.refreshedPanel()
+	panel, k, solveIters, solveConv, epoch, err := d.refreshedPanel()
 	if err != nil {
 		for _, r := range reqs {
 			r.resp <- queryResp{err: err}
@@ -1396,17 +1376,12 @@ func (d *Dataset) answerBatch(reqs []*queryReq) {
 			}
 		}
 		// Memoize without the batch metadata: the cached value is the
-		// answer of this (generation, solver) panel, not of this batch.
-		// Entries keyed to a generation that moved on mid-batch are
-		// unreachable (lookups always use the current generation) and are
-		// evicted by the LRU.
-		if d.cache != nil {
-			stored := res
-			stored.BatchQueries = m
-			stored.BatchClients = 1
-			key := cacheKey{gen: panelGen, fp: fingerprintRanges(r.ranges), solver: panelSolver}
-			d.cache.put(key, r.ranges, stored)
-		}
+		// answer of this epoch's panel, not of this batch. put drops it
+		// if the epoch moved on mid-batch.
+		stored := res
+		stored.BatchQueries = m
+		stored.BatchClients = 1
+		d.cache.put(epoch, r.ranges, stored)
 		r.resp <- queryResp{result: res}
 		off += m
 	}

@@ -474,7 +474,8 @@ func TestBatcherRecoversFromPanickedBatch(t *testing.T) {
 }
 
 // TestServeStatusServiceUnavailable pins the 503 mappings: creating on
-// a closed server, and querying a dataset whose batcher is stopped.
+// a closed server, and querying a dataset whose batcher is stopped —
+// even a workload the cache answered before Close.
 func TestServeStatusServiceUnavailable(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -486,9 +487,13 @@ func TestServeStatusServiceUnavailable(t *testing.T) {
 	if _, err := d.Measure("identity", 5); err != nil {
 		t.Fatal(err)
 	}
+	wl := queryRequest{Ranges: [][2]int{{0, 10}}}
+	status, body := postJSON(t, ts.URL+"/v1/datasets/gone/query", wl, nil)
+	if status != http.StatusOK {
+		t.Fatalf("query before close: %d %s", status, body)
+	}
 	s.Close() // stops every dataset batcher
-	status, body := postJSON(t, ts.URL+"/v1/datasets/gone/query",
-		queryRequest{Ranges: [][2]int{{0, 10}}}, nil)
+	status, body = postJSON(t, ts.URL+"/v1/datasets/gone/query", wl, nil)
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("query on stopped batcher: %d %s", status, body)
 	}

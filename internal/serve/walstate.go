@@ -289,7 +289,7 @@ func (d *Dataset) applyRecordLocked(r record) (changed bool, rcpt AuditReceipt, 
 		}
 		d.gen = p.Gen
 		d.stale = true
-		d.cache.invalidate()
+		d.cache.invalidate(cacheEpoch{gen: d.gen, solver: d.solver})
 		rcpt = d.auditMeasLeafLocked(p, r.commitment)
 		// Raising can fail (a consumed above this dataset's eps_total) after
 		// the blocks landed. The record is still sunk: dropping it would
