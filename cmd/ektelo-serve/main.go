@@ -31,19 +31,20 @@
 // the log and its spent budget, so a restarted server answers
 // bit-identically. Each commit appends one CRC-framed record to a
 // per-dataset write-ahead log (O(delta) bytes per commit) that is
-// periodically compacted into a checkpoint (-checkpoint-every records);
-// a torn log tail from a crash is truncated at the first bad frame on
-// restart, never refused. -fsync picks the log durability policy:
+// periodically compacted (-checkpoint-every records) into a fresh log
+// holding only the records that rebuild the current state; a torn log
+// tail from a crash is truncated at the first bad frame on restart,
+// never refused. -fsync picks the log durability policy:
 // always per record (the default), interval batched by
 // -fsync-interval, or never. Only always makes a commit durable before
 // it is acknowledged, so only always guarantees a restart never
 // re-grants spent budget: under interval or never, a commit that was
 // acknowledged, answered and replicated can be lost on power failure,
-// and its ε is then re-granted. State directories written by the
-// retired snapshot-per-commit backend load as-is: the snapshot file is
-// the checkpoint. On an unrecoverable disk error a dataset degrades to
-// read-only — writes return 503 while queries keep serving from the
-// warm panel.
+// and its ε is then re-granted. State directories holding a
+// <name>.snapshot.json (written by older versions) load as-is, and the
+// first compaction folds the snapshot into the log and removes it. On
+// an unrecoverable disk error a dataset degrades to read-only — writes
+// return 503 while queries keep serving from the warm panel.
 // -plan-cache bounds the per-dataset workload-answer cache (repeated
 // workloads at one log generation are answered with zero solver and
 // panel work); -1 disables it.

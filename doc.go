@@ -59,9 +59,10 @@
 // before the request returns by a per-dataset write-ahead log
 // (internal/wal): one CRC32C-framed record per commit — O(delta)
 // bytes — with configurable fsync policy, periodic compaction
-// into a snapshot-format checkpoint, and torn-tail recovery (a crash
-// mid-append truncates at the first bad frame on restart; the clean
-// prefix always loads). Blocks are stored in the snapshot codec
+// into a fresh log whose head is the dataset's bootstrap record stream
+// (the records a resyncing follower receives), and torn-tail recovery
+// (a crash mid-append truncates at the first bad frame on restart; the
+// clean prefix always loads). Blocks are stored in one block codec
 // (matrices canonicalized to Dense/CSR — also the warm in-memory form,
 // so a replayed log is byte-identical solver input). A commit costs
 // O(nnz of its block): the strategy's entries come from a walk over
@@ -74,10 +75,10 @@
 // absolute consumed budget, audit leaf — for the primary's commit, the
 // restart's replay and a follower's apply, which differ only in the
 // gates around it (the primary checks writability and budget first,
-// replay alone accepts checkpoint markers, a follower latches a
-// replication error on an audit mismatch). A commit the primary cannot
-// frame is never applied; its spend is logged as a budget-restore
-// record. Re-creating the dataset restores the log *and its spent
+// replay alone accepts the checkpoint markers of legacy logs, a
+// follower latches a replication error on an audit mismatch). A commit
+// the primary cannot frame is never applied; its spend is logged as a
+// budget-restore record. Re-creating the dataset restores the log *and its spent
 // budget* (kernel.RestoreConsumed raises to each record's absolute
 // value; replay never re-grants), making restarts bit-identical and,
 // under the default fsync policy "always",

@@ -34,7 +34,7 @@ func Default(module string) []*Analyzer {
 				{Func: mod("internal/wal") + ".Log.Append", Why: "WAL append does file I/O and possibly fsync"},
 				{Func: mod("internal/wal") + ".Log.AppendFramed", Why: "WAL append does file I/O and possibly fsync"},
 				{Func: mod("internal/wal") + ".Log.Sync", Why: "fsync under a lock stalls all sessions behind disk latency"},
-				{Func: mod("internal/wal") + ".Compact", Why: "compaction rewrites the whole checkpoint file"},
+				{Func: mod("internal/wal") + ".Replace", Why: "compaction rewrites the whole log file"},
 				{Func: mod("internal/wal") + ".Open", Why: "log open scans the file from disk"},
 				{Func: mod("internal/wal") + ".Log.Close", Why: "close syncs (fsync) before releasing the file"},
 				{Func: mod("internal/wal") + ".WriteFileAtomic", Why: "atomic file rewrite does full-file I/O plus fsync"},

@@ -28,7 +28,8 @@ import (
 //     when its absolute consumed is beyond auditConsumed. So the
 //     collapsed bootstrap frames of a re-seeded stream are leaf-neutral
 //     (their generation is already covered by the audit-state frame
-//     that precedes them), and so are the records a checkpoint covers.
+//     that precedes them), and so are the records a compacted head or
+//     a legacy snapshot covers.
 //
 //   - AUDIT CHECKPOINTS: after every commit the primary sinks a
 //     wal.TypeAuditCheckpoint record (tree size + root) to the
@@ -82,7 +83,7 @@ type commitMeta struct {
 
 // auditMeasLeafLocked appends the ledger leaf for a measurement record
 // under the watermark rule. commitment is the hex SHA-256 of the
-// record's canonical measurement-block encoding (the snapshot codec's
+// record's canonical measurement-block encoding (the block codec's
 // "blocks" array) — taken by prepareCommit on the primary and by
 // decodeRecord elsewhere — so the leaf binds the charge to the exact
 // bytes every replica replays. Caller holds d.mu.

@@ -107,8 +107,8 @@ func writeErr(w http.ResponseWriter, err error) {
 // clientErr classifies a service-layer error for the HTTP surface:
 // sentinel conditions keep their dedicated status in writeErr (a
 // recovered batch or plan panic stays a 500 — the request was
-// well-formed — and so does a bad persisted snapshot, which is
-// server-side state trouble, not client input), anything else from
+// well-formed — and so does persisted state that fails to load, which
+// is server-side state trouble, not client input), anything else from
 // request handling is a client-input problem (400).
 func clientErr(err error) error {
 	switch {

@@ -7,32 +7,28 @@ import (
 	"fmt"
 	"math"
 	"net/url"
+	"os"
 	"path/filepath"
 	"strconv"
 
 	"repro/internal/audit"
 	"repro/internal/core/inference"
 	"repro/internal/mat"
+	"repro/internal/wal"
 )
 
-// This file is the snapshot codec: the versioned JSON form of one
-// dataset's full state. It is the WAL backend's checkpoint format
-// (walstate.go: compaction writes it, a restart loads it and replays the
-// log on top), its block encoding is the measurement-block record
-// payload, and a *.snapshot.json written by the retired
-// snapshot-per-commit backend is the same file at the same path, so old
-// state directories load unchanged.
+// This file is the block codec and the legacy snapshot loader. The
+// block codec is the JSON form of one measurement block — the query
+// matrix over the root domain (dense row-major when ≥⅓ of the entries
+// are nonzero, coordinate triplets otherwise), the noisy answers and
+// the per-row noise scale — in every measurement record (walstate.go).
 //
-// Snapshot format: one JSON object per dataset with the dataset identity
-// (name, domain, eps_total), the spent budget, the log generation and
-// the measurement blocks. Each block stores the query matrix over the
-// root domain — dense row-major when ≥⅓ of the entries are nonzero,
-// coordinate triplets otherwise — plus the noisy answers and the
-// per-row noise scale. Version 2 adds the estimate panel as it stood
-// when the snapshot was taken, a warm-start seed for the first solve
-// after a restart; version 3 adds the audit ledger. The loader
-// validates everything before committing: a corrupted, truncated or
-// version-skewed snapshot returns an error, never a partial log.
+// A snapshot (<name>.snapshot.json) is the full state of a dataset as
+// older versions wrote it: identity, spent budget, generation and
+// blocks; version 2 adds the estimate panel, version 3 the audit
+// ledger. Nothing writes one now, but one still loads, fully validated
+// (never a partial log), as the bootstrap records it stands for, and the
+// first compaction removes it.
 
 // snapshotVersion is the current on-disk format version. Loaders accept
 // the current version and versions 1–2 (1 lacks the optional warm-start
@@ -46,7 +42,7 @@ const snapshotVersion = 3
 // absurd allocations before validation finishes.
 const maxSnapshotDomain = 1 << 24
 
-// ErrSnapshot wraps every snapshot-loading failure.
+// ErrSnapshot wraps every failure to load persisted state.
 var ErrSnapshot = errors.New("serve: invalid snapshot")
 
 // snapshotTriplet is one sparse matrix entry.
@@ -67,7 +63,7 @@ type snapshotBlock struct {
 }
 
 // appendJSON appends the block's JSON encoding to dst. It is the only
-// block encoder — checkpoints, bootstrap frames and replay-side
+// block encoder — bootstrap frames (and so compacted logs) and replay-side
 // commitments reach it through MarshalJSON, a commit through
 // appendBlocksJSON — and writes byte for byte what encoding/json does
 // for the same struct without methods (omitempty and non-finite errors
@@ -145,22 +141,17 @@ type snapshot struct {
 	Consumed   float64         `json:"consumed"`
 	Generation uint64          `json:"generation"`
 	Blocks     []snapshotBlock `json:"blocks"`
-	// Panel is the domain×PanelK row-major estimate panel at snapshot
-	// time (version ≥ 2, omitted when no solve had run yet). It is a
-	// warm-start seed, not authoritative state: a loader may ignore it,
-	// and the first refresh after restore recomputes the answers from
-	// the measurement log regardless.
+	// Panel is the domain×PanelK row-major estimate panel (version ≥ 2,
+	// omitted before the first solve): a warm-start seed only.
 	Panel  []float64 `json:"panel,omitempty"`
 	PanelK int       `json:"panel_k,omitempty"`
-	// Audit is the audit ledger at snapshot time (version ≥ 3, omitted
-	// while the ledger is empty). Unlike the panel it IS authoritative:
-	// a checkpoint that compacted leaf-bearing log records away must
-	// carry their leaves, or replay could not reproduce later persisted
-	// checkpoint roots.
+	// Audit is the audit ledger (version ≥ 3, omitted while empty):
+	// authoritative, since the leaves of the records the snapshot covers
+	// live nowhere else.
 	Audit *snapshotAudit `json:"audit,omitempty"`
 }
 
-// snapshotAudit is the persisted audit ledger: every leaf hash (oldest
+// snapshotAudit is a snapshot's audit ledger: every leaf hash (oldest
 // first) plus the root they must recompute to.
 type snapshotAudit struct {
 	Size   uint64   `json:"size"`
@@ -172,8 +163,8 @@ type snapshotAudit struct {
 // codec's canonical form: explicit *mat.Dense when at least a third of
 // the entries are nonzero, CSR otherwise; matrices already in one of
 // those forms pass through untouched. Committing warm-log blocks in
-// canonical form makes the in-memory log and a log reloaded from a
-// snapshot feed the solver *byte-identical* operands — the
+// canonical form makes the in-memory log and a replayed one feed the
+// solver *byte-identical* operands — the
 // restart-bit-identity guarantee would otherwise break on
 // accumulation-order differences between implicit (Product, Kron,
 // VStack) and rebuilt representations. It also strips plan-mode lineage
@@ -351,37 +342,14 @@ func loadSnapshot(data []byte) (*snapshot, []measBlock, error) {
 		return nil, nil, fmt.Errorf("%w: consumed %g outside [0, %g]", ErrSnapshot, s.Consumed, s.EpsTotal)
 	}
 	if s.Panel != nil {
-		if s.PanelK < 1 || s.Domain > maxSnapshotDomain/s.PanelK || len(s.Panel) != s.Domain*s.PanelK {
-			return nil, nil, fmt.Errorf("%w: panel length %d against domain %d × k %d",
-				ErrSnapshot, len(s.Panel), s.Domain, s.PanelK)
-		}
-		for _, v := range s.Panel {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, nil, fmt.Errorf("%w: non-finite panel entry %g", ErrSnapshot, v)
-			}
+		if err := checkPanel(s.Domain, s.PanelK, s.Panel); err != nil {
+			return nil, nil, fmt.Errorf("%w: %v", ErrSnapshot, err)
 		}
 	} else if s.PanelK != 0 {
 		return nil, nil, fmt.Errorf("%w: panel_k %d without a panel", ErrSnapshot, s.PanelK)
 	}
-	if s.Audit != nil {
-		// The persisted root is the tamper-evidence anchor: the leaves must
-		// recompute exactly to it, or the snapshot's ledger was edited.
-		leaves, err := audit.ParseHashes(s.Audit.Leaves)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: audit section: %v", ErrSnapshot, err)
-		}
-		if uint64(len(leaves)) != s.Audit.Size {
-			return nil, nil, fmt.Errorf("%w: audit section carries %d leaves for size %d",
-				ErrSnapshot, len(leaves), s.Audit.Size)
-		}
-		root, err := audit.ParseHash(s.Audit.Root)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: audit section: %v", ErrSnapshot, err)
-		}
-		if got := audit.NewTreeFromLeaves(leaves).Root(); got != root {
-			return nil, nil, fmt.Errorf("%w: audit leaves recompute to root %s, snapshot claims %s",
-				ErrSnapshot, audit.FormatHash(got), s.Audit.Root)
-		}
+	if s.Generation == 0 && len(s.Blocks) > 0 {
+		return nil, nil, fmt.Errorf("%w: %d blocks at generation 0", ErrSnapshot, len(s.Blocks))
 	}
 	blocks := make([]measBlock, len(s.Blocks))
 	for i, b := range s.Blocks {
@@ -394,6 +362,19 @@ func loadSnapshot(data []byte) (*snapshot, []measBlock, error) {
 	return &s, blocks, nil
 }
 
+// checkPanel validates a persisted domain×k estimate panel.
+func checkPanel(domain, k int, panel []float64) error {
+	if k < 1 || domain > maxSnapshotDomain/k || len(panel) != domain*k {
+		return fmt.Errorf("panel length %d against domain %d × k %d", len(panel), domain, k)
+	}
+	for _, v := range panel {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("non-finite panel entry %g", v)
+		}
+	}
+	return nil
+}
+
 // snapshotPath is the snapshot file for a dataset name under a state
 // directory. The name is path-escaped so client-chosen names cannot
 // traverse outside the directory.
@@ -401,58 +382,49 @@ func snapshotPath(stateDir, name string) string {
 	return filepath.Join(stateDir, url.PathEscape(name)+".snapshot.json")
 }
 
-// encodeSnapshotLocked marshals the dataset's full current state in
-// the snapshot format, the WAL's checkpoint. Caller holds d.mu.
-func (d *Dataset) encodeSnapshotLocked() ([]byte, error) {
-	s := snapshot{
-		Version:    snapshotVersion,
-		Name:       d.name,
-		Domain:     d.n,
-		EpsTotal:   d.kern.EpsTotal(),
-		Consumed:   d.kern.Consumed(),
-		Generation: d.gen,
-		Blocks:     make([]snapshotBlock, len(d.blocks)),
+// loadLegacySnapshot loads the dataset's legacy snapshot, if any: a
+// version 2 panel seeds the estimate panel, and the state comes back
+// as bootstrap records for replay. Runs during create.
+func (d *Dataset) loadLegacySnapshot() ([]record, error) {
+	data, err := d.fs.ReadFile(d.legacyPath)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		d.legacyPath = ""
+		return nil, nil
+	case err != nil:
+		return nil, fmt.Errorf("%w: %v", ErrSnapshot, err)
 	}
-	for i, b := range d.blocks {
-		s.Blocks[i] = encodeBlock(b)
-	}
-	if d.panel != nil {
-		s.Panel, s.PanelK = d.panel, d.k
-	}
-	if size := d.audit.Size(); size > 0 {
-		s.Audit = &snapshotAudit{
-			Size:   size,
-			Root:   audit.FormatHash(d.audit.Root()),
-			Leaves: audit.FormatHashes(d.audit.LeafHashes()),
-		}
-	}
-	data, err := json.Marshal(&s)
+	s, blocks, err := loadSnapshot(data)
 	if err != nil {
-		return nil, fmt.Errorf("serve: encode snapshot %q: %w", d.name, err)
+		return nil, err
 	}
-	return data, nil
+	if s.Panel != nil {
+		d.panel, d.k = s.Panel, s.PanelK
+	}
+	return legacySnapshotRecords(s, blocks), nil
 }
 
-// restoreAuditFromSnapshot installs a validated snapshot's audit
-// ledger and raises the leaf-derivation watermarks to the snapshot
-// state: every budget mutation at or below (Generation, Consumed) is
-// accounted for — by the restored leaves, or, for a legacy snapshot
-// without an audit section, by history that predates the ledger — so
-// replaying records the snapshot already covers stays leaf-neutral.
-// Runs during create, before the dataset is published.
-func (d *Dataset) restoreAuditFromSnapshot(s *snapshot) error {
+// legacySnapshotRecords is bootstrapRecordsLocked for a snapshot. The
+// audit state's watermarks keep records the snapshot covers
+// leaf-neutral (a snapshot without a ledger predates it), and the
+// closing audit checkpoint checks the leaves against the snapshot's
+// root.
+func legacySnapshotRecords(s *snapshot, blocks []measBlock) []record {
+	st := &walAuditState{Gen: s.Generation, Consumed: s.Consumed}
+	ckpt := &walAuditCkpt{Root: audit.FormatHash(audit.NewTree().Root())}
 	if s.Audit != nil {
-		leaves, err := audit.ParseHashes(s.Audit.Leaves)
-		if err != nil {
-			return err // unreachable after loadSnapshot validation
-		}
-		d.audit = audit.NewTreeFromLeaves(leaves)
+		st.Size, st.Leaves = s.Audit.Size, s.Audit.Leaves
+		ckpt.Size, ckpt.Root = s.Audit.Size, s.Audit.Root
 	}
-	if s.Generation > d.auditGen {
-		d.auditGen = s.Generation
+	recs := []record{
+		{typ: wal.TypeDatasetCreate, payload: &walCreate{Name: s.Name, Domain: s.Domain, EpsTotal: s.EpsTotal}},
+		{typ: wal.TypeAuditState, payload: st},
 	}
-	if s.Consumed > d.auditConsumed {
-		d.auditConsumed = s.Consumed
+	if s.Generation > 0 {
+		m := &walMeas{Gen: s.Generation, Consumed: s.Consumed, Full: true}
+		recs = append(recs, record{typ: wal.TypeMeasurementBlock, payload: m, blocks: blocks})
+	} else if s.Consumed > 0 {
+		recs = append(recs, record{typ: wal.TypeBudgetRestore, payload: &walBudget{Consumed: s.Consumed}})
 	}
-	return nil
+	return append(recs, record{typ: wal.TypeAuditCheckpoint, payload: ckpt})
 }

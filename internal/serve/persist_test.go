@@ -16,8 +16,7 @@ import (
 
 // newPersistentServer returns a server persisting under dir.
 // CheckpointEvery: 1 compacts the WAL after every commit, so the
-// checkpoint file these tests inspect and corrupt always exists (and
-// the compaction path gets constant exercise).
+// compaction path gets constant exercise.
 func newPersistentServer(t *testing.T, dir string) *Server {
 	t.Helper()
 	s := New(Config{BatchWindow: 100 * time.Microsecond, StateDir: dir, CheckpointEvery: 1})
@@ -27,7 +26,7 @@ func newPersistentServer(t *testing.T, dir string) *Server {
 
 // TestPersistRestartWarm is the restart acceptance check: a dataset
 // measured through both the fixed-strategy and the plan path, killed,
-// and re-created from its snapshot must answer the same workload
+// and re-created from its compacted log must answer the same workload
 // bit-identically and refuse to re-grant the spent budget.
 func TestPersistRestartWarm(t *testing.T) {
 	dir := t.TempDir()
@@ -197,32 +196,26 @@ func TestPersistRejectsMismatchedIdentity(t *testing.T) {
 	}
 }
 
-// TestPersistRejectsCorruptSnapshot covers the loader's validation
-// paths on real files: truncation, version skew, and budget
-// inconsistency all fail the create.
+// TestPersistRejectsCorruptSnapshot covers the legacy loader's
+// validation paths on real files: truncation, version skew, budget
+// inconsistency and a tampered audit ledger all fail the create. The file is the frozen version 3
+// fixture (legacyFixture), since nothing writes snapshots any more.
 func TestPersistRejectsCorruptSnapshot(t *testing.T) {
+	legacy, err := os.ReadFile(legacyFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
 	corrupt := func(t *testing.T, mutate func([]byte) []byte) error {
 		dir := t.TempDir()
-		s1 := newPersistentServer(t, dir)
-		d, err := s1.CreateDataset("x", "piecewise", 32, 1000, 3, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.Measure("identity", 1); err != nil {
-			t.Fatal(err)
-		}
-		s1.Close()
-		path := snapshotPath(dir, "x")
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, mutate(data), 0o644); err != nil {
+		if err := os.WriteFile(snapshotPath(dir, "mig"), mutate(legacy), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		s2 := newPersistentServer(t, dir)
-		_, err = s2.CreateDataset("x", "piecewise", 32, 1000, 3, 5)
+		_, err := s2.CreateDataset("mig", "piecewise", 32, 5000, 3, 10)
 		return err
+	}
+	if err := corrupt(t, func(b []byte) []byte { return b }); err != nil {
+		t.Fatalf("intact fixture refused: %v", err)
 	}
 	if err := corrupt(t, func(b []byte) []byte { return b[:len(b)/2] }); err == nil {
 		t.Fatal("truncated snapshot accepted")
@@ -233,9 +226,16 @@ func TestPersistRejectsCorruptSnapshot(t *testing.T) {
 		t.Fatal("version-skewed snapshot accepted")
 	}
 	if err := corrupt(t, func(b []byte) []byte {
-		return []byte(strings.Replace(string(b), `"consumed":1`, `"consumed":99`, 1))
+		return []byte(strings.Replace(string(b), `"consumed":2`, `"consumed":99`, 1))
 	}); err == nil {
 		t.Fatal("over-budget snapshot accepted")
+	}
+	// An edited ledger leaf no longer recomputes the snapshot's root,
+	// which the translated audit checkpoint checks on replay.
+	if err := corrupt(t, func(b []byte) []byte {
+		return []byte(strings.Replace(string(b), `"leaves":["16c4`, `"leaves":["26c4`, 1))
+	}); err == nil {
+		t.Fatal("snapshot with a tampered audit leaf accepted")
 	}
 }
 
@@ -244,28 +244,18 @@ func TestPersistRejectsCorruptSnapshot(t *testing.T) {
 // trouble (500), never a 400 blaming the well-formed client request.
 func TestCorruptSnapshotIsServerErrorOverHTTP(t *testing.T) {
 	dir := t.TempDir()
-	s1 := newPersistentServer(t, dir)
-	d, err := s1.CreateDataset("h", "piecewise", 32, 1000, 3, 5)
+	data, err := os.ReadFile(legacyFixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Measure("identity", 1); err != nil {
-		t.Fatal(err)
-	}
-	s1.Close()
-	path := snapshotPath(dir, "h")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+	if err := os.WriteFile(snapshotPath(dir, "mig"), data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s2 := newPersistentServer(t, dir)
 	ts := httptest.NewServer(s2.Handler())
 	defer ts.Close()
 	status, body := postJSON(t, ts.URL+"/v1/datasets", createRequest{
-		Name: "h", Kind: "piecewise", N: 32, Scale: 1000, Seed: 3, EpsTotal: 5,
+		Name: "mig", Kind: "piecewise", N: 32, Scale: 5000, Seed: 3, EpsTotal: 10,
 	}, nil)
 	if status != http.StatusInternalServerError {
 		t.Fatalf("corrupt-snapshot create: status %d (%s), want 500", status, body)
@@ -318,29 +308,16 @@ func seq(n int) []float64 {
 // must either load a fully valid snapshot or return an error — never
 // panic, never hand back a partially validated log.
 func FuzzLoadSnapshot(f *testing.F) {
-	// Seed with a real snapshot, a truncation, a version skew, and a few
-	// structurally interesting corruptions.
-	dir := f.TempDir()
-	s := New(Config{StateDir: dir, CheckpointEvery: 1})
-	d, err := s.CreateDataset("seed", "piecewise", 16, 100, 1, 5)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if _, err := d.Measure("identity", 1); err != nil {
-		f.Fatal(err)
-	}
-	if _, err := d.Measure("h2", 1); err != nil {
-		f.Fatal(err)
-	}
-	s.Close()
-	valid, err := os.ReadFile(snapshotPath(dir, "seed"))
+	// Seed with the frozen version 3 snapshot, a truncation, a version
+	// skew, and a few structurally interesting corruptions.
+	valid, err := os.ReadFile(legacyFixture)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)/3])
-	f.Add([]byte(strings.Replace(string(valid), `"version":1`, `"version":7`, 1)))
-	f.Add([]byte(strings.Replace(string(valid), `"rows":16`, `"rows":-1`, 1)))
+	f.Add([]byte(strings.Replace(string(valid), `"version":3`, `"version":7`, 1)))
+	f.Add([]byte(strings.Replace(string(valid), `"rows":33`, `"rows":-1`, 1)))
 	f.Add([]byte(strings.Replace(string(valid), `"scale":`, `"scale":-`, 1)))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"version":1,"name":"a","domain":4,"eps_total":1,"consumed":0,` +

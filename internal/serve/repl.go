@@ -165,8 +165,9 @@ func (d *Dataset) appendReplFrameLocked(frame []byte) {
 // rather than appends, so a resyncing follower cannot duplicate
 // blocks) or a budget-restore frame when budget was spent without
 // measurements surviving, and the closing audit checkpoint the
-// follower must reproduce. Shared by the restart seed (seedReplStream)
-// and the trimmed-stream bootstrap (WALTail at offset zero). Caller
+// follower must reproduce. Shared by the restart seed (seedReplStream),
+// the trimmed-stream bootstrap (WALTail at offset zero) and compaction
+// (maybeCompactLocked), which makes it the head of a fresh log. Caller
 // holds d.mu (or owns the unpublished dataset).
 func (d *Dataset) bootstrapRecordsLocked() ([]wal.Record, error) {
 	fail := func(err error) ([]wal.Record, error) {
@@ -316,7 +317,7 @@ func (s *Server) CreateFollower(name string, domain int, epsTotal float64, seed 
 // it onto the follower's own stream and local WAL. Measurement records
 // are generation-guarded and budget values absolute, so applying the
 // same stream twice is a no-op. Only the gates are the follower's own:
-// checkpoint markers, which belong to physical log files, are refused,
+// checkpoint markers, which belong to legacy log files, are refused,
 // and a shipped audit record the rebuilt ledger disagrees with latches
 // the sticky replication error. It returns the number of records that
 // changed state. Partial streams fail after applying the clean prefix;

@@ -21,8 +21,9 @@
 // wal.PolicyAlways) and is restored (spent budget included) when the
 // dataset is re-created: each commit appends one
 // CRC-framed record to a per-dataset write-ahead log that is
-// periodically compacted into a snapshot-format checkpoint; torn log
-// tails truncate cleanly on restart, and an unrecoverable disk error
+// periodically compacted into a fresh log holding only the records that
+// rebuild the current state (the stream a follower resyncs from); torn
+// log tails truncate cleanly on restart, and an unrecoverable disk error
 // degrades the dataset to explicit read-only (ErrReadOnly, HTTP 503)
 // while queries keep serving — see walstate.go. A commit costs O(nnz
 // of its block) and does that work (canonicalise, encode, hash) before
@@ -73,8 +74,8 @@
 // them directly, so its answers are a function of the log bit for bit
 // under any refresh schedule. Summary reports the warm/cold refresh
 // counters, saved iterations, and the covered versus pending log rows;
-// snapshots carry the estimate panel so restarted datasets warm-start
-// too.
+// the estimate panel persists to a sidecar file at commit time so
+// restarted datasets warm-start too.
 package serve
 
 import (
@@ -178,7 +179,7 @@ type Config struct {
 	CheckpointEvery int
 	// FS is the persistence filesystem; nil means the real one
 	// (wal.OSFS). Tests inject wal.FaultFS to drive the crash-recovery
-	// matrix and count durable bytes.
+	// matrix.
 	FS wal.FS
 	// ReplRetain bounds the in-memory replication stream to this many
 	// most-recent frames; older frames are trimmed and a follower
@@ -433,7 +434,7 @@ type Dataset struct {
 	solver string  // estimate-panel solver (one of Solvers())
 	damp   float64 // Tikhonov λ for lsmr/normal solves (0: none)
 	// gen is the measurement-log generation: bumped every time new
-	// measurements land, it is half the cache epoch and stamps snapshots.
+	// measurements land, it is half the cache epoch and stamps records.
 	gen uint64
 	// panelSolves counts actual block solves (refreshes that ran a
 	// solver), so tests can assert a cache hit performed zero of them.
@@ -469,17 +470,17 @@ type Dataset struct {
 	// cache memoizes answered workloads at the current (generation,
 	// solver) epoch; nil when disabled.
 	cache *panelCache
-	// statePath is the checkpoint file for persistence ("" disables);
 	// walPath and panelPath are the log and the advisory warm-start
-	// sidecar (walstate.go). All persistence I/O goes through fs so
-	// tests can inject faults and count bytes.
-	statePath string
-	walPath   string
-	panelPath string
-	fs        wal.FS
+	// sidecar (walstate.go), legacyPath a legacy snapshot the next
+	// compaction removes ("" when none). All persistence I/O goes
+	// through fs so tests can inject faults.
+	walPath    string
+	panelPath  string
+	legacyPath string
+	fs         wal.FS
 	// wlog is the open write-ahead log (nil: no persistence); walRecs
-	// counts records since the last checkpoint, triggering compaction
-	// at Config.CheckpointEvery.
+	// counts state records since the last compaction, triggering the
+	// next at Config.CheckpointEvery.
 	wlog    *wal.Log
 	walRecs int
 	// panelDirty marks the estimate panel as changed since its last
@@ -536,7 +537,7 @@ func (s *Server) CreateDataset(name, kind string, n int, scale float64, seed uin
 // solver, and the per-dataset Tikhonov damping λ (the HTTP "damping"
 // field): the estimate solve minimizes ‖Ax − y‖² + λ²·‖x − x₀‖², which
 // steadies ill-conditioned or rank-deficient measurement logs (restored
-// snapshots included) at the cost of a small bias. Damping requires a
+// ones included) at the cost of a small bias. Damping requires a
 // solver with a damped form ("lsmr" or "normal").
 func (s *Server) CreateDatasetWithOptions(name, kind string, n int, scale float64, seed uint64, epsTotal float64, solverName string, damping float64) (*Dataset, error) {
 	// !(x > 0) rather than x <= 0: NaN budgets must not reach the
@@ -593,9 +594,9 @@ func (s *Server) addDataset(name string, x []float64, seed uint64, epsTotal floa
 		audit:    audit.NewTree(),
 	}
 	if s.cfg.StateDir != "" {
-		d.statePath = snapshotPath(s.cfg.StateDir, name)
 		d.walPath = walFilePath(s.cfg.StateDir, name)
 		d.panelPath = panelFilePath(s.cfg.StateDir, name)
+		d.legacyPath = snapshotPath(s.cfg.StateDir, name)
 		// Restore the persisted measurement log (and its spent budget)
 		// before the dataset becomes visible; persisted state that exists
 		// but does not validate fails the create rather than silently
@@ -985,9 +986,9 @@ func (d *Dataset) MeasurePlan(name string, eps float64, params plans.Params) (Pl
 	if execErr != nil {
 		// The operators that completed before the failure have already
 		// charged the kernel, and that spend is permanent. Persist it even
-		// though no measurements land: a snapshot frozen at the
-		// pre-failure consumption would let a restarted server re-grant
-		// the spent budget — the exact violation persistence exists to
+		// though no measurements land: a log stopped at the pre-failure
+		// consumption would let a restarted server re-grant the spent
+		// budget — the exact violation persistence exists to
 		// prevent. The log carries it as one budget-restore record.
 		meta := commitMeta{Op: "plan-failed:" + name, Session: sess.ID(), Charges: sess.Charges(), Eps: sess.Consumed()}
 		d.mu.Lock()
@@ -1085,7 +1086,7 @@ func (d *Dataset) solveConsolidatedLocked(c *inference.Consolidated, k int) (sol
 	a, panelY, w := c.System()
 	opts := solver.Options{MaxIter: d.cfg.MaxIter, Work: d.work, Damp: d.damp}
 	// Warm start: the previous generation's estimate panel (possibly
-	// restored from a snapshot) seeds the solve whenever its shape still
+	// restored from the panel sidecar) seeds the solve whenever its shape still
 	// matches; a converged panel plus a small row delta then costs a few
 	// iterations instead of a full re-solve. Warm and cold answers agree
 	// to solver tolerance, not bitwise — the "normal" solver is the

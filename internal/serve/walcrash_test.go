@@ -267,9 +267,9 @@ func TestWALReadOnlyDegradation(t *testing.T) {
 	}
 }
 
-// TestWALCompactionRestart runs enough commits to trigger checkpoint
-// compaction mid-stream, then restarts: the recovered state (checkpoint
-// + log tail) must answer bitwise-identically with the exact budget.
+// TestWALCompactionRestart runs enough commits to trigger compaction
+// mid-stream, then restarts: the recovered state (compacted head + log
+// tail) must answer bitwise-identically with the exact budget.
 func TestWALCompactionRestart(t *testing.T) {
 	dir := t.TempDir()
 	s1 := New(Config{BatchWindow: 100 * time.Microsecond, StateDir: dir, CheckpointEvery: 2})
@@ -289,18 +289,29 @@ func TestWALCompactionRestart(t *testing.T) {
 	sumBefore := d1.Summary()
 	s1.Close()
 
-	// Compaction ran at the second commit: the checkpoint exists and the
-	// live log holds a marker plus the third commit.
-	if _, err := os.Stat(snapshotPath(dir, "ck")); err != nil {
-		t.Fatalf("no checkpoint after CheckpointEvery=2: %v", err)
+	// Compaction ran at the second commit: no snapshot file, and the
+	// live log opens with the bootstrap head — create, audit state, one
+	// Full measurement, audit checkpoint — before the third commit.
+	if _, err := os.Stat(snapshotPath(dir, "ck")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("compaction wrote a snapshot file: %v", err)
 	}
 	data, err := os.ReadFile(walFilePath(dir, "ck"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	recs, _ := wal.Scan(data)
-	if len(recs) == 0 || recs[0].Type != wal.TypeCheckpointMarker {
-		t.Fatalf("compacted log does not start at a checkpoint marker: %+v", recs)
+	head := []wal.Type{wal.TypeDatasetCreate, wal.TypeAuditState, wal.TypeMeasurementBlock, wal.TypeAuditCheckpoint}
+	if len(recs) < len(head) {
+		t.Fatalf("compacted log holds %d records: %+v", len(recs), recs)
+	}
+	for i, typ := range head {
+		if recs[i].Type != typ {
+			t.Fatalf("compacted log record %d has type %d, want %d", i, recs[i].Type, typ)
+		}
+	}
+	var full walMeas
+	if err := json.Unmarshal(recs[2].Payload, &full); err != nil || !full.Full || full.Gen != 2 {
+		t.Fatalf("compacted head's measurement is not the Full record at generation 2: %+v (%v)", full, err)
 	}
 
 	s2 := New(Config{BatchWindow: 100 * time.Microsecond, StateDir: dir, CheckpointEvery: 2})

@@ -33,8 +33,8 @@ import (
 //     built — canonical blocks, commitment and sealed frame from
 //     prepareCommit — so it never decodes what it just encoded.
 //   - WAL replay (loadStateWAL) decodes each record with decodeRecord,
-//     alone accepts checkpoint markers, and turns any error into a
-//     failed create.
+//     alone accepts checkpoint markers (and only over a legacy
+//     snapshot), and turns any error into a failed create.
 //   - Follower apply (ApplyWALStream, repl.go) decodes each shipped
 //     record with the same decodeRecord, before the lock, and latches a
 //     replication error when the shipped audit ledger disagrees.
@@ -44,21 +44,29 @@ import (
 // Config.CheckpointEvery and compacts the log when due, and a
 // measurement record also writes the panel sidecar; the audit records
 // do neither. Replay sinks nothing, since the record is already in the
-// log, and only counts it.
+// log.
+//
+// Compaction replaces the log with the bootstrap records of the current
+// state, the stream a follower resyncs from (bootstrapRecordsLocked), so
+// a compacted log is an ordinary log with that head. On a primary the
+// head loads whole or not at all (compactedHead), even when the damage
+// is in the magic or the first frame; a follower reads a cut-short head
+// as a torn tail and resyncs the rest from its primary.
 //
 // Record payloads (JSON, strict-decoded):
 //
 //	dataset-create    — dataset identity (name, domain, eps_total);
-//	                    first record of a fresh log
+//	                    first record of every log and stream
 //	measurement-block — one commit: the log generation it produced, the
 //	                    absolute budget consumed at commit time, and the
-//	                    appended blocks in the snapshot codec (which is
+//	                    appended blocks in the block codec (which is
 //	                    what keeps a replayed log byte-identical solver
-//	                    input)
+//	                    input); Full: a collapsed bootstrap record
 //	budget-restore    — absolute consumed without measurements (a failed
 //	                    plan's partial spend)
-//	checkpoint-marker — generation + consumed of the checkpoint a
-//	                    compacted log sits on
+//	audit-*           — the ledger's head and full state (audit.go)
+//	checkpoint-marker — legacy only, never written: the generation +
+//	                    consumed of the snapshot an old log sits on
 //
 // The transition is idempotent, so compaction's crash windows and
 // re-shipped frames are harmless: a measurement record whose generation
@@ -127,7 +135,7 @@ type walBudget struct {
 	Eps      float64 `json:"eps,omitempty"`
 }
 
-// walMarker is the checkpoint-marker record payload.
+// walMarker is the legacy checkpoint-marker record payload.
 type walMarker struct {
 	Gen      uint64  `json:"gen"`
 	Consumed float64 `json:"consumed"`
@@ -175,16 +183,16 @@ func (d *Dataset) walOpts() wal.Options {
 	return wal.Options{Policy: d.cfg.Fsync, Interval: d.cfg.FsyncInterval, FS: d.fs}
 }
 
-// checkIdentity validates a persisted identity (checkpoint or wal
-// create record) against the dataset being created.
-func (d *Dataset) checkIdentity(src, name string, domain int, epsTotal float64) error {
-	if name != d.name || domain != d.n {
-		return fmt.Errorf("%w: %s identity %q/%d does not match dataset %q/%d",
-			ErrSnapshot, src, name, domain, d.name, d.n)
+// checkIdentity validates a dataset-create record's identity against
+// the dataset being created.
+func (d *Dataset) checkIdentity(c *walCreate) error {
+	if c.Name != d.name || c.Domain != d.n {
+		return fmt.Errorf("%w: wal identity %q/%d does not match dataset %q/%d",
+			ErrSnapshot, c.Name, c.Domain, d.name, d.n)
 	}
-	if epsTotal != d.kern.EpsTotal() {
-		return fmt.Errorf("%w: %s eps_total %g does not match dataset %g",
-			ErrSnapshot, src, epsTotal, d.kern.EpsTotal())
+	if c.EpsTotal != d.kern.EpsTotal() {
+		return fmt.Errorf("%w: wal eps_total %g does not match dataset %g",
+			ErrSnapshot, c.EpsTotal, d.kern.EpsTotal())
 	}
 	return nil
 }
@@ -265,7 +273,7 @@ func (d *Dataset) applyRecordLocked(r record) (changed bool, rcpt AuditReceipt, 
 	case *walCreate:
 		// Identity records open every log and stream epoch; they assert,
 		// never mutate.
-		return false, rcpt, d.checkIdentity("wal", p.Name, p.Domain, p.EpsTotal)
+		return false, rcpt, d.checkIdentity(p)
 	case *walMeas:
 		if p.Gen <= d.gen {
 			// Already covered: a compaction crash window or a re-shipped
@@ -307,7 +315,7 @@ func (d *Dataset) applyRecordLocked(r record) (changed bool, rcpt AuditReceipt, 
 		return changed, rcpt, nil
 	case *walMarker:
 		if p.Gen > d.gen {
-			return false, rcpt, fmt.Errorf("marker generation %d ahead of checkpoint %d", p.Gen, d.gen)
+			return false, rcpt, fmt.Errorf("marker generation %d ahead of legacy snapshot %d", p.Gen, d.gen)
 		}
 		return false, rcpt, d.kern.RestoreConsumed(p.Consumed)
 	case *walAuditCkpt:
@@ -335,90 +343,75 @@ func (d *Dataset) applyRecordLocked(r record) (changed bool, rcpt AuditReceipt, 
 // toward Config.CheckpointEvery and compacts the log when due, and a
 // measurement record first writes the panel sidecar; the audit records
 // are pins, not state, and do neither. A replayed record has no frame:
-// it is already in the log and is only counted. An append failure
-// degrades the dataset to read-only. Caller holds d.mu.
+// it is already in the log, and loadStateWAL counts it. An append
+// failure degrades the dataset to read-only. Caller holds d.mu.
 func (d *Dataset) sinkLocked(r record) {
-	if r.frame != nil {
-		d.appendReplFrameLocked(r.frame)
-		if d.wlog == nil || d.readOnly {
-			return
-		}
-		//lint:ignore lockscope the commit-section append is the design: disk order must equal apply order (generation order on the primary, stream order on a follower), and the fsync policy bounds the hold
-		if err := d.wlog.AppendFramed(r.frame); err != nil {
-			d.degradeLocked(err)
-			return
-		}
+	if r.frame == nil {
+		return
+	}
+	d.appendReplFrameLocked(r.frame)
+	if d.wlog == nil || d.readOnly {
+		return
+	}
+	//lint:ignore lockscope the commit-section append is the design: disk order must equal apply order (generation order on the primary, stream order on a follower), and the fsync policy bounds the hold
+	if err := d.wlog.AppendFramed(r.frame); err != nil {
+		d.degradeLocked(err)
+		return
 	}
 	if r.typ != wal.TypeMeasurementBlock && r.typ != wal.TypeBudgetRestore {
 		return
 	}
 	d.walRecs++
-	if r.frame == nil {
-		return
-	}
 	if r.typ == wal.TypeMeasurementBlock {
 		d.persistPanelLocked()
 	}
 	d.maybeCompactLocked()
 }
 
-// loadStateWAL restores the dataset from its checkpoint plus a log
-// replay through applyRecordLocked, then leaves the log open for
-// appends. Called once at create time, before the dataset is published.
-// Torn log tails are recovery (the clean prefix loads); a checkpoint or
-// CRC-valid record that fails validation fails the create — silently
-// dropping it could re-grant spent budget.
+// loadStateWAL restores the dataset from a legacy snapshot, if any,
+// plus a log replay through applyRecordLocked, then leaves the log open
+// for appends. Called once at create time, before the dataset is
+// published. Torn log tails are recovery (the clean prefix loads); a
+// compacted head cut short or a CRC-valid record that fails validation
+// fails the create — silently dropping either could re-grant budget.
 func (d *Dataset) loadStateWAL() error {
-	haveCkpt := false
-	data, err := d.fs.ReadFile(d.statePath)
-	switch {
-	case err == nil:
-		s, blocks, lerr := loadSnapshot(data)
-		if lerr != nil {
-			return fmt.Errorf("checkpoint for %q: %w", d.name, lerr)
-		}
-		if err := d.checkIdentity("checkpoint", s.Name, s.Domain, s.EpsTotal); err != nil {
-			return err
-		}
-		d.blocks = blocks
-		for _, b := range blocks {
-			d.rows += len(b.y)
-		}
-		d.gen = s.Generation
-		if err := d.kern.RestoreConsumed(s.Consumed); err != nil {
-			return fmt.Errorf("checkpoint for %q: %w", d.name, err)
-		}
-		if s.Panel != nil {
-			d.panel = append([]float64(nil), s.Panel...)
-			d.k = s.PanelK
-		}
-		// Install the checkpoint's audit ledger and raise the leaf-
-		// derivation watermarks to the checkpoint state: records at or
-		// below it (compaction crash windows) must stay leaf-neutral on
-		// replay, exactly as they were in the pre-crash tree. A legacy
-		// checkpoint without an audit section restores an empty tree with
-		// the same watermarks — its history predates the ledger.
-		if err := d.restoreAuditFromSnapshot(s); err != nil {
-			return fmt.Errorf("checkpoint for %q: %w", d.name, err)
-		}
-		haveCkpt = true
-	case errors.Is(err, os.ErrNotExist):
-		// No checkpoint yet: the wal (possibly empty) is the whole story.
-	default:
-		return fmt.Errorf("%w: read checkpoint for %q: %v", ErrSnapshot, d.name, err)
+	legacy, err := d.loadLegacySnapshot()
+	if err != nil {
+		return fmt.Errorf("legacy snapshot for %q: %w", d.name, err)
 	}
-
-	l, recs, err := wal.Open(d.walPath, d.walOpts())
+	for i, r := range legacy {
+		if _, _, err := d.applyRecordLocked(r); err != nil {
+			return fmt.Errorf("%w: legacy snapshot for %q: record %d: %v", ErrSnapshot, d.name, i, err)
+		}
+	}
+	create, err := json.Marshal(&walCreate{Name: d.name, Domain: d.n, EpsTotal: d.kern.EpsTotal()})
+	if err != nil {
+		return fmt.Errorf("%w: wal for %q: %v", ErrSnapshot, d.name, err)
+	}
+	// A compacted head cut short is refused before wal.Open truncates it
+	// as a torn tail; a follower takes it as one, since it resyncs
+	// whatever its log lacks from the primary.
+	var head int
+	opts := d.walOpts()
+	opts.Check = func(data []byte, recs []wal.Record) error {
+		var whole bool
+		head, whole = compactedHead(data, recs, len(wal.AppendFrame(nil, wal.TypeDatasetCreate, create)))
+		if !whole && !d.follower {
+			return errors.New("compacted head does not reach its audit checkpoint")
+		}
+		return nil
+	}
+	l, recs, err := wal.Open(d.walPath, opts)
 	if err != nil {
 		return fmt.Errorf("%w: wal for %q: %v", ErrSnapshot, d.name, err)
 	}
 	for i, rec := range recs {
 		r, err := decodeRecord(rec, d.n)
-		if err == nil && rec.Type == wal.TypeCheckpointMarker && !haveCkpt {
-			// A marker names the checkpoint the log sits on; without that
-			// checkpoint the generations it covers are gone, and loading
-			// the remainder would silently drop measurements (and budget).
-			err = errors.New("checkpoint marker without a checkpoint file")
+		if err == nil && rec.Type == wal.TypeCheckpointMarker && legacy == nil {
+			// A marker names the legacy snapshot the log sits on; without
+			// it the generations it covers are gone, and loading the
+			// remainder would silently drop measurements (and budget).
+			err = errors.New("checkpoint marker without a legacy snapshot")
 		}
 		if err == nil {
 			_, _, err = d.applyRecordLocked(r)
@@ -427,14 +420,15 @@ func (d *Dataset) loadStateWAL() error {
 			l.Close()
 			return fmt.Errorf("%w: wal for %q: record %d: %v", ErrSnapshot, d.name, i, err)
 		}
+		// The state records after the compacted head count toward
+		// Config.CheckpointEvery; the head is the checkpoint.
+		if i >= head && (rec.Type == wal.TypeMeasurementBlock || rec.Type == wal.TypeBudgetRestore) {
+			d.walRecs++
+		}
 	}
 	if len(recs) == 0 {
 		// Fresh (or fully torn) log: pin the dataset identity first.
-		payload, err := json.Marshal(&walCreate{Name: d.name, Domain: d.n, EpsTotal: d.kern.EpsTotal()})
-		if err == nil {
-			err = l.Append(wal.TypeDatasetCreate, payload)
-		}
-		if err != nil {
+		if err := l.Append(wal.TypeDatasetCreate, create); err != nil {
 			l.Close()
 			return fmt.Errorf("%w: wal for %q: %v", ErrSnapshot, d.name, err)
 		}
@@ -445,10 +439,34 @@ func (d *Dataset) loadStateWAL() error {
 	return nil
 }
 
+// compactedHead returns how many records the head of a compacted log
+// image spans — create, audit state, through the closing audit
+// checkpoint — or 0 for a log without one (no other log's second record
+// is an audit state); recs is the image's clean prefix. whole is false
+// for a head cut short: the second frame is an audit state but no audit
+// checkpoint follows in the clean prefix. The second frame is found
+// past the createLen-byte create frame the dataset writes, so damage to
+// the magic or the first frame does not hide the head, and it is an
+// audit state if its type byte says so (whatever else is damaged) or
+// its checksum verifies as one (the type byte is the damage).
+func compactedHead(data []byte, recs []wal.Record, createLen int) (n int, whole bool) {
+	at := len(wal.Magic) + createLen
+	if len(recs) > 0 && recs[0].Type != wal.TypeDatasetCreate || len(data) < at+wal.FrameHeader ||
+		wal.Type(data[at+wal.FrameHeader-1]) != wal.TypeAuditState && !wal.FrameVerifiesAs(data[at:], wal.TypeAuditState) {
+		return 0, true
+	}
+	for i := 2; i < len(recs); i++ {
+		if recs[i].Type == wal.TypeAuditCheckpoint {
+			return i + 1, true
+		}
+	}
+	return 0, false
+}
+
 // loadPanelSidecar restores the advisory warm-start panel. Purely
 // best-effort: anything invalid is logged and ignored — the panel is a
-// solve seed, never authoritative state. A sidecar overrides a
-// checkpoint's embedded panel (both are written at commit time; the
+// solve seed, never authoritative state. A sidecar overrides a legacy
+// snapshot's embedded panel (both were written at commit time; the
 // sidecar is at least as fresh).
 func (d *Dataset) loadPanelSidecar() {
 	data, err := d.fs.ReadFile(d.panelPath)
@@ -459,19 +477,15 @@ func (d *Dataset) loadPanelSidecar() {
 		return
 	}
 	var pc panelSidecar
-	if err := decodeStrict(data, &pc); err != nil {
-		log.Printf("serve: dataset %q: panel sidecar decode (ignored): %v", d.name, err)
-		return
+	if err = decodeStrict(data, &pc); err == nil {
+		err = checkPanel(pc.Domain, pc.K, pc.Panel)
 	}
-	if pc.Domain != d.n || pc.K < 1 || pc.Domain > maxSnapshotDomain/pc.K || len(pc.Panel) != d.n*pc.K {
-		log.Printf("serve: dataset %q: panel sidecar shape %d×%d (ignored)", d.name, pc.Domain, pc.K)
-		return
+	if err == nil && pc.Domain != d.n {
+		err = fmt.Errorf("domain %d", pc.Domain)
 	}
-	for _, v := range pc.Panel {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			log.Printf("serve: dataset %q: non-finite panel sidecar entry (ignored)", d.name)
-			return
-		}
+	if err != nil {
+		log.Printf("serve: dataset %q: panel sidecar (ignored): %v", d.name, err)
+		return
 	}
 	d.panel, d.k = pc.Panel, pc.K
 }
@@ -541,7 +555,7 @@ func prepareCommit(blocks []measBlock) pendingCommit {
 	return pc
 }
 
-// appendBlocksJSON appends the JSON array of the blocks' snapshot forms:
+// appendBlocksJSON appends the JSON array of the blocks' codec forms:
 // the "blocks" value of a measurement record and the bytes its audit
 // commitment hashes.
 func appendBlocksJSON(dst []byte, blocks []measBlock) ([]byte, error) {
@@ -637,56 +651,52 @@ func (d *Dataset) persistPanelLocked() {
 	d.panelDirty = false
 }
 
-// maybeCompactLocked folds the log into a checkpoint once
-// Config.CheckpointEvery records have accumulated: the full state is
-// written as a snapshot-format checkpoint and the log atomically
-// restarts at a checkpoint marker. A compaction failure is not a
-// durability failure — the pre-compaction log still holds everything —
-// so the dataset keeps serving on the old log when it can reopen it,
-// and degrades only when it cannot. Caller holds d.mu.
+// maybeCompactLocked compacts the log once Config.CheckpointEvery state
+// records have accumulated: the panel goes to its sidecar, and the log
+// is atomically replaced by the bootstrap records. A compaction failure
+// is not a durability failure — the old log still holds everything — so
+// the dataset keeps serving on the old log when it can reopen it, and
+// degrades only when it cannot. Caller holds d.mu.
 func (d *Dataset) maybeCompactLocked() {
 	if d.cfg.CheckpointEvery <= 0 || d.walRecs < d.cfg.CheckpointEvery {
 		return
 	}
-	data, err := d.encodeSnapshotLocked()
+	d.persistPanelLocked()
+	recs, err := d.bootstrapRecordsLocked()
 	if err != nil {
-		//lint:ignore lockscope error path: compaction giving up must be visible; the pre-compaction log still holds everything
-		log.Printf("serve: dataset %q: checkpoint encode failed, keeping log: %v", d.name, err)
+		//lint:ignore lockscope error path: compaction giving up must be visible; the log still holds everything
+		log.Printf("serve: dataset %q: compaction skipped, keeping log: %v", d.name, err)
 		return
 	}
-	marker, err := json.Marshal(&walMarker{Gen: d.gen, Consumed: d.kern.Consumed()})
-	if err != nil {
-		//lint:ignore lockscope error path: compaction giving up must be visible; the pre-compaction log still holds everything
-		log.Printf("serve: dataset %q: checkpoint marker encode failed, keeping log: %v", d.name, err)
-		return
-	}
+	// A failed final sync loses nothing the new log does not hold.
 	//lint:ignore lockscope compaction must swap the log against a quiesced commit path, which only the dataset mutex guarantees; it runs every CheckpointEvery commits, not per request
-	if err := d.wlog.Close(); err != nil {
-		// The records being folded into the checkpoint are already read
-		// back from memory; a failed final sync cannot lose them. Proceed —
-		// Compact replaces the file wholesale.
-		//lint:ignore lockscope error path: a failed pre-compaction sync is logged once and compaction proceeds
-		log.Printf("serve: dataset %q: wal close before compaction: %v", d.name, err)
-	}
+	d.wlog.Close()
 	//lint:ignore lockscope compaction must swap the log against a quiesced commit path, which only the dataset mutex guarantees; it runs every CheckpointEvery commits, not per request
-	nl, err := wal.Compact(d.walPath, d.statePath, data, marker, d.walOpts())
+	nl, err := wal.Replace(d.walPath, recs, d.walOpts())
+	// A failure retries after another CheckpointEvery records, not on
+	// every commit (a state over wal.MaxPayload never compacts).
+	d.walRecs = 0
 	if err != nil {
 		//lint:ignore lockscope error path: compaction failure is logged once, then the old log is reopened
-		log.Printf("serve: dataset %q: compaction failed: %v", d.name, err)
+		log.Printf("serve: dataset %q: compaction failed, keeping log: %v", d.name, err)
 		//lint:ignore lockscope reopening the surviving log is the compaction-failure recovery; it must finish before the commit path resumes
 		ol, _, oerr := wal.Open(d.walPath, d.walOpts())
 		if oerr != nil {
 			d.degradeLocked(fmt.Errorf("compaction failed (%v) and log reopen failed: %w", err, oerr))
 			return
 		}
-		// Replay-idempotence makes every crash window here safe: whatever
-		// Compact managed to write, checkpoint + surviving log still load
-		// to this exact state.
 		d.wlog = ol
 		return
 	}
 	d.wlog = nl
-	d.walRecs = 0
+	if d.legacyPath != "" {
+		// The head covers the snapshot; a crash before this removal
+		// reloads it under the head, which replay idempotence makes
+		// harmless, and a failed removal retries at the next compaction.
+		if err := d.fs.Remove(d.legacyPath); err == nil || errors.Is(err, os.ErrNotExist) {
+			d.legacyPath = ""
+		}
+	}
 }
 
 // closePersistence syncs and closes the dataset's log (no-op without

@@ -13,24 +13,23 @@ var (
 	ErrCrashed  = errors.New("wal: injected crash")
 )
 
-// FaultFS wraps an FS with byte accounting and injectable failures. It
-// drives the crash-recovery matrix: CrashAfterBytes cuts the write
-// stream at an exact byte (everything before reaches the underlying
-// file, nothing after does — the on-disk image is precisely what a
-// kill at that instant would leave under prefix-durable appends),
-// FailWrites/FailSync simulate a dying disk for the read-only
-// degradation path, and ShortWriteOnce models a partial write that
-// reports failure. All methods are safe for concurrent use.
+// FaultFS wraps an FS with injectable failures. It drives the
+// crash-recovery matrix: CrashAfterBytes cuts the write stream at an
+// exact byte (everything before reaches the underlying file, nothing
+// after does — the on-disk image is precisely what a kill at that
+// instant would leave under prefix-durable appends), FailWrites and
+// FailSync (file and directory syncs alike) simulate a dying disk for
+// the read-only degradation path, and ShortWriteOnce models a partial
+// write that reports failure. All methods are safe for concurrent use.
 type FaultFS struct {
 	base FS
 
-	mu           sync.Mutex
-	bytesWritten int64
-	failWrites   error
-	failSync     error
-	crashBudget  int64 // remaining write bytes before the crash; -1 disarmed
-	crashed      bool
-	shortOnce    bool
+	mu          sync.Mutex
+	failWrites  error
+	failSync    error
+	crashBudget int64 // remaining write bytes before the crash; -1 disarmed
+	crashed     bool
+	shortOnce   bool
 }
 
 // NewFaultFS returns a FaultFS over base (OSFS when nil) with no faults
@@ -40,14 +39,6 @@ func NewFaultFS(base FS) *FaultFS {
 		base = OSFS{}
 	}
 	return &FaultFS{base: base, crashBudget: -1}
-}
-
-// BytesWritten reports the total bytes successfully handed to the
-// underlying filesystem — the write-amplification meter of the bench.
-func (f *FaultFS) BytesWritten() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.bytesWritten
 }
 
 // FailWrites makes every subsequent write fail with err (nil disarms).
@@ -150,11 +141,22 @@ func (f *FaultFS) Remove(name string) error {
 	return f.base.Remove(name)
 }
 
-func (f *FaultFS) Stat(name string) (int64, error) {
-	if err := f.opErr(); err != nil {
-		return 0, err
+// SyncDir forwards to the base FS unless crashed or FailSync is armed.
+func (f *FaultFS) SyncDir(dir string) error {
+	if err := f.syncErr(); err != nil {
+		return err
 	}
-	return f.base.Stat(name)
+	return f.base.SyncDir(dir)
+}
+
+// syncErr is the gate shared by file and directory syncs.
+func (f *FaultFS) syncErr() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.crashed {
+		return ErrCrashed
+	}
+	return f.failSync
 }
 
 // faultFile interposes the write-path faults on one file handle.
@@ -201,9 +203,6 @@ func (w *faultFile) Write(p []byte) (int, error) {
 			ferr = err
 		}
 	}
-	w.fs.mu.Lock()
-	w.fs.bytesWritten += int64(n)
-	w.fs.mu.Unlock()
 	if ferr == nil && n < len(p) {
 		ferr = ErrInjected
 	}
@@ -211,14 +210,8 @@ func (w *faultFile) Write(p []byte) (int, error) {
 }
 
 func (w *faultFile) Sync() error {
-	w.fs.mu.Lock()
-	crashed, failSync := w.fs.crashed, w.fs.failSync
-	w.fs.mu.Unlock()
-	if crashed {
-		return ErrCrashed
-	}
-	if failSync != nil {
-		return failSync
+	if err := w.fs.syncErr(); err != nil {
+		return err
 	}
 	return w.f.Sync()
 }

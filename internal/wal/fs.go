@@ -32,8 +32,9 @@ type FS interface {
 	Truncate(name string, size int64) error
 	// Remove deletes name.
 	Remove(name string) error
-	// Stat reports whether name exists (os.ErrNotExist when not).
-	Stat(name string) (int64, error)
+	// SyncDir flushes the directory dir itself, so a file created in it
+	// or renamed into it survives a power loss.
+	SyncDir(dir string) error
 }
 
 // OSFS is the real filesystem.
@@ -55,10 +56,11 @@ func (OSFS) Truncate(name string, size int64) error { return os.Truncate(name, s
 
 func (OSFS) Remove(name string) error { return os.Remove(name) }
 
-func (OSFS) Stat(name string) (int64, error) {
-	fi, err := os.Stat(name)
+func (OSFS) SyncDir(dir string) error {
+	d, err := os.Open(dir)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	return fi.Size(), nil
+	defer d.Close()
+	return d.Sync()
 }

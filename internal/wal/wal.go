@@ -3,7 +3,7 @@
 // append-only, CRC32C-framed record log in which one record is one
 // durable commit — a budget charge plus the measurement block it paid
 // for — so that durability costs O(delta) bytes per measurement instead
-// of a full-snapshot rewrite, and a restart replays the log to the
+// of a full-state rewrite, and a restart replays the log to the
 // exact pre-crash state.
 //
 // # File format
@@ -15,9 +15,9 @@
 // The checksum (Castagnoli polynomial) covers the type byte and the
 // payload, so a flipped bit anywhere in a frame — length, type, body or
 // trailer — fails verification. Payloads are opaque bytes to this
-// package; the serve tier stores JSON there (the same block codec as
-// its snapshots, which is what keeps a replayed log byte-identical
-// solver input).
+// package; the serve tier stores JSON there (one block codec for every
+// record, which is what keeps a replayed log byte-identical solver
+// input).
 //
 // # Torn-tail recovery
 //
@@ -41,23 +41,21 @@
 //
 // # Checkpoint compaction
 //
-// Compact folds the log into a checkpoint: it durably writes the
-// caller's checkpoint bytes (atomic temp-file + rename), then atomically
-// swaps in a fresh log holding only a checkpoint-marker record. Replay
-// after a crash anywhere in that window is safe because the serve
-// tier's records are idempotent — measurement records carry the log
-// generation (replay skips generations the checkpoint already covers)
-// and budget records carry the absolute consumed value (replay takes
-// the max) — so applying an old log tail on top of a new checkpoint
-// changes nothing.
+// Replace folds a log into its writer's state: it durably writes a
+// fresh log image holding only the given records (atomic temp file +
+// rename + directory sync) over the old log and reopens it for appends.
+// The serve tier writes the records that rebuild a dataset from nothing
+// (its replication bootstrap stream), so a compacted log is an ordinary
+// log whose head is that stream and replays like any other. A crash
+// before the rename leaves the old log, a crash after it the new one;
+// either replays to the same state.
 //
 // # Fault injection
 //
 // All file I/O goes through the FS interface. OSFS is the real
-// filesystem; FaultFS wraps any FS with byte-accounting plus injectable
-// failures (fail-writes, fail-sync, short-write, crash-after-N-bytes)
-// and drives the crash-recovery test matrix in this package and in
-// internal/serve.
+// filesystem; FaultFS wraps any FS with injectable failures
+// (fail-writes, fail-sync, short-write, crash-after-N-bytes) and drives
+// the crash-recovery test matrix in this package and in internal/serve.
 package wal
 
 import (
@@ -66,6 +64,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"slices"
 	"time"
 )
@@ -89,8 +88,10 @@ const (
 	// landing (a failed plan's partial spend), as an absolute consumed
 	// value.
 	TypeBudgetRestore Type = 3
-	// TypeCheckpointMarker opens a post-compaction log, recording the
-	// generation and consumed value of the checkpoint it sits on.
+	// TypeCheckpointMarker opened a log compacted into a separate
+	// checkpoint file, recording the generation and consumed value of
+	// that checkpoint. Nothing writes it any more; it stays a valid type
+	// so such legacy logs still scan.
 	TypeCheckpointMarker Type = 4
 	// TypeAuditCheckpoint pins the audit ledger head (leaf count and
 	// Merkle root) after a commit; replay must reproduce the root or
@@ -169,27 +170,34 @@ func Scan(data []byte) (recs []Record, cleanLen int) {
 	}
 }
 
+// FrameVerifiesAs reports whether b opens with a whole frame whose
+// checksum verifies for type t, whatever its type byte holds: a frame
+// damaged only in its type byte still shows what it was written as.
+func FrameVerifiesAs(b []byte, t Type) bool {
+	if len(b) < frameOverhead {
+		return false
+	}
+	plen := binary.LittleEndian.Uint32(b[:4])
+	if plen > MaxPayload || int(plen) > len(b)-frameOverhead {
+		return false
+	}
+	end := FrameHeader + int(plen)
+	summed := b[FrameHeader-1 : end] // the type byte and the payload
+	if Type(summed[0]) != t {
+		summed = append([]byte{byte(t)}, summed[1:]...)
+	}
+	return binary.LittleEndian.Uint32(b[end:end+4]) == crc32.Checksum(summed, castagnoli)
+}
+
 // scanFrame decodes one frame from the head of b, reporting its total
 // length; ok is false on a truncated, oversized, type-invalid or
 // checksum-mismatched frame.
 func scanFrame(b []byte) (rec Record, n int, ok bool) {
-	if len(b) < frameOverhead {
+	if len(b) < FrameHeader || !Type(b[4]).valid() || !FrameVerifiesAs(b, Type(b[4])) {
 		return Record{}, 0, false
 	}
-	plen := binary.LittleEndian.Uint32(b[:4])
-	if plen > MaxPayload || int(plen) > len(b)-frameOverhead {
-		return Record{}, 0, false
-	}
-	t := Type(b[4])
-	if !t.valid() {
-		return Record{}, 0, false
-	}
-	end := 5 + int(plen)
-	crc := crc32.Update(0, castagnoli, b[4:end])
-	if binary.LittleEndian.Uint32(b[end:end+4]) != crc {
-		return Record{}, 0, false
-	}
-	return Record{Type: t, Payload: b[5:end]}, end + 4, true
+	end := FrameHeader + int(binary.LittleEndian.Uint32(b[:4]))
+	return Record{Type: Type(b[4]), Payload: b[FrameHeader:end]}, end + 4, true
 }
 
 // Fsync policies for Options.Policy.
@@ -214,6 +222,11 @@ type Options struct {
 	Interval time.Duration
 	// FS is the filesystem; nil means OSFS.
 	FS FS
+	// Check, when set, vets the image Open read — its bytes and the
+	// records of its clean prefix — before Open changes anything on
+	// disk: an error fails Open with the file untouched. Replace ignores
+	// it.
+	Check func(data []byte, recs []Record) error
 }
 
 func (o Options) fill() Options {
@@ -231,7 +244,6 @@ func (o Options) fill() Options {
 
 // Log is an open write-ahead log positioned for appends.
 type Log struct {
-	fs       FS
 	path     string
 	f        File
 	policy   string
@@ -253,33 +265,21 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 	fs := opts.FS
 
 	data, err := fs.ReadFile(path)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		// Fresh log: write the header durably before any record.
-		f, err := fs.Create(path)
-		if err != nil {
-			return nil, nil, fmt.Errorf("wal: create %s: %w", path, err)
-		}
-		if _, err := f.Write([]byte(Magic)); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("wal: write header %s: %w", path, err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("wal: sync header %s: %w", path, err)
-		}
-		return &Log{fs: fs, path: path, f: f, policy: opts.Policy,
-			interval: opts.Interval, lastSync: time.Now(), size: int64(len(Magic))}, nil, nil
-	case err != nil:
+	fresh := errors.Is(err, os.ErrNotExist)
+	if err != nil && !fresh {
 		return nil, nil, fmt.Errorf("wal: read %s: %w", path, err)
 	}
-
 	recs, clean := Scan(data)
+	if opts.Check != nil {
+		if err := opts.Check(data, recs); err != nil {
+			return nil, nil, err
+		}
+	}
 	if clean < len(data) {
 		// Torn or corrupt tail: cut back to the clean prefix so appends
 		// continue from a verifiable state. clean == 0 (a destroyed
 		// header) degenerates to an empty log, which Truncate + the
-		// header rewrite below repair.
+		// header rewrite in newLog repair.
 		if err := fs.Truncate(path, int64(clean)); err != nil {
 			return nil, nil, fmt.Errorf("wal: truncate torn tail of %s at %d: %w", path, clean, err)
 		}
@@ -288,24 +288,39 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	l := &Log{fs: fs, path: path, f: f, policy: opts.Policy,
-		interval: opts.Interval, lastSync: time.Now(), size: int64(clean)}
-	if clean < len(Magic) {
-		if _, err := f.Write([]byte(Magic)); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("wal: rewrite header %s: %w", path, err)
+	l, err := newLog(f, path, opts, clean)
+	if err == nil && fresh {
+		// A new file survives a power loss only once its directory is
+		// synced.
+		if err = fs.SyncDir(filepath.Dir(path)); err != nil {
+			err = fmt.Errorf("wal: sync directory of %s: %w", path, err)
 		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("wal: sync header %s: %w", path, err)
-		}
-		l.size = int64(len(Magic))
+	}
+	if err != nil {
+		f.Close()
+		return nil, nil, err
 	}
 	// Deep-copy payloads out of the file image before returning them.
 	for i := range recs {
 		recs[i].Payload = append([]byte(nil), recs[i].Payload...)
 	}
 	return l, recs, nil
+}
+
+// newLog positions a log for appends on f, which holds size clean
+// bytes; a file without a whole header first gets one, durably.
+func newLog(f File, path string, opts Options, size int) (*Log, error) {
+	if size < len(Magic) {
+		if _, err := f.Write([]byte(Magic)); err != nil {
+			return nil, fmt.Errorf("wal: write header %s: %w", path, err)
+		}
+		if err := f.Sync(); err != nil {
+			return nil, fmt.Errorf("wal: sync header %s: %w", path, err)
+		}
+		size = len(Magic)
+	}
+	return &Log{path: path, f: f, policy: opts.Policy,
+		interval: opts.Interval, lastSync: time.Now(), size: int64(size)}, nil
 }
 
 // Append frames and writes one record, syncing per the log's policy.
@@ -382,8 +397,9 @@ func (l *Log) Size() int64 { return l.size }
 func (l *Log) Path() string { return l.path }
 
 // WriteFileAtomic durably writes data at path via a temp file: write,
-// sync, rename. Readers of path see the old bytes or the new bytes,
-// never a torn mix.
+// sync, rename, then sync the parent directory, without which the
+// rename itself is not durable. Readers of path see the old bytes or the
+// new bytes, never a torn mix.
 func WriteFileAtomic(fs FS, path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := fs.Create(tmp)
@@ -408,32 +424,30 @@ func WriteFileAtomic(fs FS, path string, data []byte) error {
 		fs.Remove(tmp)
 		return err
 	}
-	return nil
+	return fs.SyncDir(filepath.Dir(path))
 }
 
-// Compact folds a log into a checkpoint: it durably writes ckptData at
-// ckptPath, atomically swaps the log at logPath for a fresh one holding
-// only a checkpoint-marker record with the given payload, and returns
-// the fresh log opened for appends. The caller must have closed the old
-// log handle first.
-//
-// Crash safety rests on record idempotence, not ordering alone: if the
-// process dies after the checkpoint lands but before the log swap, the
-// next Open replays the old log's records on top of the new checkpoint
-// — harmless, because measurement records are generation-guarded and
-// budget records are absolute (see the package comment).
-func Compact(logPath, ckptPath string, ckptData, marker []byte, opts Options) (*Log, error) {
-	if !ValidPolicy(opts.Policy) {
-		return nil, fmt.Errorf("wal: unknown fsync policy %q", opts.Policy)
-	}
+// Replace compacts the log at path: it atomically swaps it for a fresh
+// log holding only recs and returns that log opened for appends (opts
+// as the old log was opened with). The caller must have closed its
+// handle on the old log. A record over
+// MaxPayload, which Scan could not read back, fails before anything is
+// written; any failure before the rename leaves the old log in place.
+func Replace(path string, recs []Record, opts Options) (*Log, error) {
 	opts = opts.fill()
-	if err := WriteFileAtomic(opts.FS, ckptPath, ckptData); err != nil {
-		return nil, fmt.Errorf("wal: write checkpoint %s: %w", ckptPath, err)
+	img := []byte(Magic)
+	for _, r := range recs {
+		if len(r.Payload) > MaxPayload {
+			return nil, fmt.Errorf("wal: compact %s: record payload %d exceeds limit %d", path, len(r.Payload), MaxPayload)
+		}
+		img = AppendFrame(img, r.Type, r.Payload)
 	}
-	fresh := AppendFrame([]byte(Magic), TypeCheckpointMarker, marker)
-	if err := WriteFileAtomic(opts.FS, logPath, fresh); err != nil {
-		return nil, fmt.Errorf("wal: swap compacted log %s: %w", logPath, err)
+	if err := WriteFileAtomic(opts.FS, path, img); err != nil {
+		return nil, fmt.Errorf("wal: compact %s: %w", path, err)
 	}
-	l, _, err := Open(logPath, opts)
-	return l, err
+	f, err := opts.FS.OpenAppend(path)
+	if err != nil {
+		return nil, fmt.Errorf("wal: open %s: %w", path, err)
+	}
+	return newLog(f, path, opts, len(img))
 }

@@ -222,10 +222,46 @@ func TestZeroHoleTruncates(t *testing.T) {
 	}
 }
 
-func TestCompactIdempotentReplayWindow(t *testing.T) {
+// TestOpenCheckRefusesBeforeTruncating: a Check that refuses the image
+// fails Open with the torn file exactly as it was.
+func TestOpenCheckRefusesBeforeTruncating(t *testing.T) {
+	dir := t.TempDir()
+	path, _ := logRecords(t, dir, Options{}, 3)
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := img[:len(img)-2]
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refuse := errors.New("refused")
+	var saw int
+	check := func(data []byte, recs []Record) error {
+		if !bytes.Equal(data, torn) {
+			t.Fatal("check did not see the log image")
+		}
+		saw = len(recs)
+		return refuse
+	}
+	if _, _, err := Open(path, Options{Check: check}); !errors.Is(err, refuse) {
+		t.Fatalf("open with a refusing check: %v", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, torn) {
+		t.Fatalf("refused open changed the log (err %v)", err)
+	}
+	if want, _ := Scan(torn); saw != len(want) {
+		t.Fatalf("check saw %d records, want %d", saw, len(want))
+	}
+}
+
+// TestReplaceSwapsLogAtomically pins compaction's file swap: the
+// replaced log holds exactly the given records and takes appends, and a
+// crash while the new image is being written leaves the old log byte
+// for byte.
+func TestReplaceSwapsLogAtomically(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "d.wal")
-	ckptPath := filepath.Join(dir, "d.ckpt")
 	l, _, err := Open(logPath, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -235,46 +271,128 @@ func TestCompactIdempotentReplayWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
 	oldImg, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
+	head := []Record{{Type: TypeDatasetCreate, Payload: []byte("create")}, {Type: TypeMeasurementBlock, Payload: []byte("full")}}
+
+	// A crash anywhere in the temp write: Replace fails, the log is the
+	// old one.
+	img := []byte(Magic)
+	for _, r := range head {
+		img = AppendFrame(img, r.Type, r.Payload)
 	}
-	nl, err := Compact(logPath, ckptPath, []byte("CKPT"), []byte("marker"), Options{})
+	for _, cut := range []int64{0, 1, int64(len(img)) / 2, int64(len(img)) - 1} {
+		ffs := NewFaultFS(nil)
+		ffs.CrashAfterBytes(cut)
+		if _, err := Replace(logPath, head, Options{FS: ffs}); !errors.Is(err, ErrCrashed) {
+			t.Fatalf("cut %d: replace across the crash point: %v", cut, err)
+		}
+		if got, err := os.ReadFile(logPath); err != nil || !bytes.Equal(got, oldImg) {
+			t.Fatalf("cut %d: crashed replace changed the log (err %v)", cut, err)
+		}
+	}
+
+	nl, err := Replace(logPath, head, Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if nl.Size() != int64(len(img)) {
+		t.Fatalf("replaced log size %d, want %d", nl.Size(), len(img))
 	}
 	if err := nl.Append(TypeMeasurementBlock, []byte("post")); err != nil {
 		t.Fatal(err)
 	}
 	nl.Close()
-	ck, err := os.ReadFile(ckptPath)
-	if err != nil || string(ck) != "CKPT" {
-		t.Fatalf("checkpoint bytes %q err %v", ck, err)
-	}
 	_, recs, err := Open(logPath, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || recs[0].Type != TypeCheckpointMarker || string(recs[1].Payload) != "post" {
-		t.Fatalf("compacted log contents wrong: %+v", recs)
+	if len(recs) != 3 || string(recs[0].Payload) != "create" || string(recs[1].Payload) != "full" || string(recs[2].Payload) != "post" {
+		t.Fatalf("replaced log contents wrong: %+v", recs)
 	}
-	// The crash window: checkpoint landed, log swap did not. The old log
-	// must still be fully readable so the generation/consumed guards can
-	// no-op its records.
-	if err := os.WriteFile(logPath, oldImg, 0o644); err != nil {
+}
+
+// recordingFS logs the mutating operations that reach the filesystem.
+type recordingFS struct {
+	FS
+	ops []string
+}
+
+func (r *recordingFS) Create(name string) (File, error) {
+	r.ops = append(r.ops, "create "+filepath.Base(name))
+	return r.FS.Create(name)
+}
+
+func (r *recordingFS) OpenAppend(name string) (File, error) {
+	r.ops = append(r.ops, "open "+filepath.Base(name))
+	return r.FS.OpenAppend(name)
+}
+
+func (r *recordingFS) Rename(oldname, newname string) error {
+	r.ops = append(r.ops, "rename "+filepath.Base(oldname)+" "+filepath.Base(newname))
+	return r.FS.Rename(oldname, newname)
+}
+
+func (r *recordingFS) SyncDir(dir string) error {
+	r.ops = append(r.ops, "syncdir "+dir)
+	return r.FS.SyncDir(dir)
+}
+
+// TestRenamesAndCreatesSyncTheDirectory pins durable renames: without a
+// sync of the parent directory a rename (or a new file) can be undone
+// by a power loss, bringing back a log that lacks acknowledged commits.
+// Whether the sync reaches the platter cannot be observed here; the
+// order of operations and the error path can.
+func TestRenamesAndCreatesSyncTheDirectory(t *testing.T) {
+	dir := t.TempDir()
+	rec := &recordingFS{FS: OSFS{}}
+	if err := WriteFileAtomic(rec, filepath.Join(dir, "a.json"), []byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	_, recs, err = Open(logPath, Options{})
+	want := []string{"create a.json.tmp", "rename a.json.tmp a.json", "syncdir " + dir}
+	if fmt.Sprint(rec.ops) != fmt.Sprint(want) {
+		t.Fatalf("atomic write ops %q, want %q", rec.ops, want)
+	}
+
+	rec.ops = nil
+	l, _, err := Open(filepath.Join(dir, "n.wal"), Options{FS: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 3 {
-		t.Fatalf("pre-swap log lost records: %d", len(recs))
+	l.Close()
+	want = []string{"open n.wal", "syncdir " + dir}
+	if fmt.Sprint(rec.ops) != fmt.Sprint(want) {
+		t.Fatalf("fresh log ops %q, want %q", rec.ops, want)
+	}
+
+	boom := errors.New("directory sync failed")
+	bad := dirSyncFails{OSFS{}, boom}
+	if err := WriteFileAtomic(bad, filepath.Join(dir, "b.json"), []byte("two")); !errors.Is(err, boom) {
+		t.Fatalf("atomic write ignored a failed directory sync: %v", err)
+	}
+	if _, _, err := Open(filepath.Join(dir, "m.wal"), Options{FS: bad}); !errors.Is(err, boom) {
+		t.Fatalf("fresh log ignored a failed directory sync: %v", err)
+	}
+	ffs := NewFaultFS(nil)
+	ffs.FailSync(boom)
+	if err := ffs.SyncDir(dir); !errors.Is(err, boom) {
+		t.Fatalf("FaultFS.FailSync does not reach directory syncs: %v", err)
 	}
 }
+
+// dirSyncFails is a filesystem whose directory syncs fail while file
+// syncs succeed.
+type dirSyncFails struct {
+	FS
+	err error
+}
+
+func (f dirSyncFails) SyncDir(string) error { return f.err }
 
 func TestFaultFSCrashAfterBytesLeavesTornFrame(t *testing.T) {
 	dir := t.TempDir()
@@ -408,5 +526,25 @@ func TestWriteFileAtomicReplaces(t *testing.T) {
 	}
 	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("temp file left behind")
+	}
+}
+
+// TestFrameVerifiesAs: a frame whose type byte is damaged still
+// verifies as the type it was written with, and as no other; damage
+// anywhere else verifies as nothing.
+func TestFrameVerifiesAs(t *testing.T) {
+	frame := AppendFrame(nil, TypeAuditState, []byte(`{"leaves":[]}`))
+	if !FrameVerifiesAs(frame, TypeAuditState) || FrameVerifiesAs(frame, TypeMeasurementBlock) {
+		t.Fatal("intact frame does not verify as exactly its own type")
+	}
+	for p := range frame {
+		bad := append([]byte(nil), frame...)
+		bad[p] ^= 0xa5
+		if got, want := FrameVerifiesAs(bad, TypeAuditState), p == FrameHeader-1; got != want {
+			t.Fatalf("flip @%d: verifies as audit state %v, want %v", p, got, want)
+		}
+	}
+	if FrameVerifiesAs(frame[:len(frame)-1], TypeAuditState) {
+		t.Fatal("cut-short frame verifies")
 	}
 }
