@@ -417,7 +417,7 @@ func BenchmarkTreeLS(b *testing.B) {
 	noise.LaplaceVec(rng, y, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		solver.TreeLS(benchN, 2, y)
+		solver.TreeLS(benchN, 2, y, nil)
 	}
 }
 
@@ -484,13 +484,14 @@ func BenchmarkAblationInference(b *testing.B) {
 		vec.Fill(sInit, 10)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			solver.MultWeights(small, sy, sInit, 1)
+			solver.MultWeights(small, sy, sInit, 1, nil)
 		}
 	})
 }
 
 // BenchmarkAblationSolvers compares the two Krylov least-squares
-// engines (the paper names LSMR; CGLS was the development stand-in).
+// engines (the paper names LSMR; CGLS was the development stand-in) and
+// FISTA NNLS, each a single-vector solve, against a small direct solve.
 func BenchmarkAblationSolvers(b *testing.B) {
 	n := 4096
 	m := solver.TreeMatrix(n, 2)
@@ -508,6 +509,11 @@ func BenchmarkAblationSolvers(b *testing.B) {
 			solver.CGLS(m, y, solver.Options{MaxIter: 80, Tol: 1e-8})
 		}
 	})
+	b.Run("NNLS", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			solver.NNLS(m, y, nil, solver.Options{MaxIter: 80, Tol: 1e-8})
+		}
+	})
 	b.Run("Direct-small", func(b *testing.B) {
 		small := solver.TreeMatrix(256, 2)
 		sr, _ := small.Dims()
@@ -515,7 +521,7 @@ func BenchmarkAblationSolvers(b *testing.B) {
 		noise.LaplaceVec(rng, sy, 1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			solver.DirectLS(mat.Materialize(small), sy)
+			solver.DirectLS(mat.Materialize(small), sy, nil)
 		}
 	})
 }

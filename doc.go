@@ -138,11 +138,12 @@
 // axis passes and an engine-parallel Kronecker expansion, block Krylov
 // solvers — solver.CGLSMulti and solver.LSMRMulti, the paper's §7.6
 // solver run k columns at a time with per-column convergence latches,
-// each column bit-identical to its scalar solve on Dense/CSR operands —
-// batched projected-gradient NNLS (solver.NNLSMulti, pricing a whole
-// epsilon grid in one panel solve), HDMM
-// strategy scoring (selection.HDMMScore), subspace power iteration
-// (solver.PowerIterLW), and two-column workload answering (mat.Mul2) in
+// each column bit-identical to the k = 1 solve of its right-hand side
+// on Dense/CSR operands (solver.CGLS and solver.LSMR are that k = 1
+// call) — batched projected-gradient NNLS (solver.NNLSMulti, pricing a
+// whole epsilon grid in one panel solve), HDMM strategy scoring
+// (selection.HDMMScore), subspace power iteration
+// (solver.PowerIterL), and two-column workload answering (mat.Mul2) in
 // MWEM selection and the error metrics — each one pass of memory
 // traffic over the matrix per k right-hand sides instead of k passes.
 package repro

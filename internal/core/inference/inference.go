@@ -194,7 +194,7 @@ func (ms *Measurements) NNLS(opts solver.Options) []float64 {
 func (ms *Measurements) MultWeights(xInit []float64, iters int) []float64 {
 	ws := wsPool.Get().(*mat.Workspace)
 	defer wsPool.Put(ws)
-	return solver.MultWeightsW(ms.Matrix(), ms.Answers(), xInit, iters, ws)
+	return solver.MultWeights(ms.Matrix(), ms.Answers(), xInit, iters, ws)
 }
 
 // defaultSolverOptions is the shared default for convenience wrappers.

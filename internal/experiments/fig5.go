@@ -83,7 +83,7 @@ func Fig5(cfg Fig5Config) []Fig5Row {
 				if dense == nil || n > cfg.MaxDirect {
 					row.Skipped = "dense too large"
 				} else {
-					run = func() { solver.DirectLS(dense, y) }
+					run = func() { solver.DirectLS(dense, y, nil) }
 				}
 			case "LS Dense+Iterative":
 				if dense == nil {
@@ -114,7 +114,7 @@ func Fig5(cfg Fig5Config) []Fig5Row {
 			case "NNLS Implicit+Iterative":
 				run = func() { solver.NNLS(implicit, y, nil, cfg.Solver) }
 			case "LS Tree-based":
-				run = func() { solver.TreeLS(n, 2, y) }
+				run = func() { solver.TreeLS(n, 2, y, nil) }
 			}
 			if run != nil {
 				row.Seconds = timeIt(run).Seconds()

@@ -1043,7 +1043,7 @@ func (d *Dataset) refreshLocked() error {
 	}
 	k := 1 + d.cfg.Replicates
 	extended := d.foldLocked(k)
-	var res solver.MultiResult
+	var res solver.Result
 	var warm bool
 	if ne, ok := d.fold.(*inference.NormalEquations); ok {
 		// The direct solve's answer depends only on the bits of G and B,
@@ -1082,7 +1082,7 @@ func (d *Dataset) refreshLocked() error {
 // panel when one with the same shape exists — the solver then works off
 // only the delta the new measurement rows introduced. It reports whether
 // the solve was warm-started. Caller holds d.mu.
-func (d *Dataset) solveConsolidatedLocked(c *inference.Consolidated, k int) (solver.MultiResult, bool) {
+func (d *Dataset) solveConsolidatedLocked(c *inference.Consolidated, k int) (solver.Result, bool) {
 	a, panelY, w := c.System()
 	opts := solver.Options{MaxIter: d.cfg.MaxIter, Work: d.work, Damp: d.damp}
 	// Warm start: the previous generation's estimate panel (possibly
@@ -1096,7 +1096,7 @@ func (d *Dataset) solveConsolidatedLocked(c *inference.Consolidated, k int) (sol
 	// momentum reset, needs more iterations than the cold solve it was
 	// meant to shorten.
 	warm := d.solver != SolverNNLS && d.panel != nil && d.k == k && len(d.panel) == d.n*k
-	var res solver.MultiResult
+	var res solver.Result
 	if d.solver == SolverNNLS {
 		// NNLSMulti applies the row weights itself and projects every
 		// FISTA iterate non-negative.

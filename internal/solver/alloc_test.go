@@ -87,9 +87,9 @@ func TestCGLSMultiIterationLoopAllocFree(t *testing.T) {
 	}
 }
 
-// TestCGLSMultiMatchesScalar pins each block-solve column to the scalar
-// CGLS result on the same right-hand side: the batched recurrences are
-// arithmetically identical per column.
+// TestCGLSMultiMatchesScalar pins each column of a k-column CGLS solve
+// to the k = 1 solve (CGLS) of the same right-hand side: the columns run
+// the same recurrence in lockstep.
 func TestCGLSMultiMatchesScalar(t *testing.T) {
 	m := TreeMatrix(256, 2)
 	r, cols := m.Dims()
@@ -125,14 +125,14 @@ func TestPowerIterLAllocFree(t *testing.T) {
 	ws := mat.NewWorkspace()
 	run := func(iters int) float64 {
 		return testing.AllocsPerRun(10, func() {
-			PowerIterLW(m, iters, ws)
+			PowerIterL(m, iters, ws)
 		})
 	}
 	run(2)
 	short := run(2)
 	long := run(30)
 	if long > short {
-		t.Errorf("PowerIterLW allocations grow with iterations: %v at 2 iters vs %v at 30", short, long)
+		t.Errorf("PowerIterL allocations grow with iterations: %v at 2 iters vs %v at 30", short, long)
 	}
 }
 
@@ -145,15 +145,15 @@ func TestPowerIterLEstimatesLambdaMax(t *testing.T) {
 	for i := range d {
 		d[i] = float64(i + 1)
 	}
-	got := PowerIterL(mat.Diag(d), 60)
+	got := PowerIterL(mat.Diag(d), 60, nil)
 	want := float64(n) * float64(n)
 	if got < 0.99*want || got > 1.01*want {
 		t.Fatalf("PowerIterL = %v, want ~%v", got, want)
 	}
 }
 
-// TestTreeLSWorkspaceAllocFree asserts TreeLSW allocates only the
-// returned leaves once the workspace is warm.
+// TestTreeLSWorkspaceAllocFree asserts TreeLS with a workspace
+// allocates only the returned leaves once the workspace is warm.
 func TestTreeLSWorkspaceAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool bypasses its cache under the race detector")
@@ -165,16 +165,16 @@ func TestTreeLSWorkspaceAllocFree(t *testing.T) {
 	y := make([]float64, r)
 	noise.LaplaceVec(rng, y, 1)
 	ws := mat.NewWorkspace()
-	TreeLSW(n, 2, y, ws) // warm
-	if a := testing.AllocsPerRun(10, func() { TreeLSW(n, 2, y, ws) }); a > 1 {
-		t.Errorf("TreeLSW allocates %.1f/op, want <= 1 (the returned leaves)", a)
+	TreeLS(n, 2, y, ws) // warm
+	if a := testing.AllocsPerRun(10, func() { TreeLS(n, 2, y, ws) }); a > 1 {
+		t.Errorf("TreeLS allocates %.1f/op, want <= 1 (the returned leaves)", a)
 	}
 	// Workspace-backed result must match the plain path bit for bit.
-	plain := TreeLS(n, 2, y)
-	reused := TreeLSW(n, 2, y, ws)
+	plain := TreeLS(n, 2, y, nil)
+	reused := TreeLS(n, 2, y, ws)
 	for i := range plain {
 		if plain[i] != reused[i] {
-			t.Fatalf("TreeLSW diverges at %d", i)
+			t.Fatalf("TreeLS diverges at %d", i)
 		}
 	}
 }
@@ -193,12 +193,12 @@ func TestMultWeightsWorkspaceMatches(t *testing.T) {
 		xInit[i] = 10
 	}
 	ws := mat.NewWorkspace()
-	plain := MultWeights(m, y, xInit, 5)
-	reused := MultWeightsW(m, y, xInit, 5, ws)
-	reused2 := MultWeightsW(m, y, xInit, 5, ws)
+	plain := MultWeights(m, y, xInit, 5, nil)
+	reused := MultWeights(m, y, xInit, 5, ws)
+	reused2 := MultWeights(m, y, xInit, 5, ws)
 	for i := range plain {
 		if plain[i] != reused[i] || plain[i] != reused2[i] {
-			t.Fatalf("MultWeightsW diverges at %d", i)
+			t.Fatalf("MultWeights diverges at %d", i)
 		}
 	}
 	if raceEnabled {
@@ -206,14 +206,14 @@ func TestMultWeightsWorkspaceMatches(t *testing.T) {
 	}
 	run := func(iters int) float64 {
 		return testing.AllocsPerRun(10, func() {
-			MultWeightsW(m, y, xInit, iters, ws)
+			MultWeights(m, y, xInit, iters, ws)
 		})
 	}
 	run(1)
 	short := run(1)
 	long := run(8)
 	if long > short {
-		t.Errorf("MultWeightsW allocations grow with passes: %v at 1 vs %v at 8", short, long)
+		t.Errorf("MultWeights allocations grow with passes: %v at 1 vs %v at 8", short, long)
 	}
 }
 

@@ -13,14 +13,9 @@ import (
 // only for small n. The Gram matrix is built through mat.Gram's
 // structure-aware fast paths (Kronecker factoring, direct CSR), so for
 // the paper's strategies the normal-equation assembly is no longer the
-// O(cols·matvec) bottleneck.
-func DirectLS(a mat.Matrix, y []float64) []float64 {
-	return DirectLSW(a, y, nil)
-}
-
-// DirectLSW is DirectLS with an optional workspace reused across solves
-// for everything except the returned solution.
-func DirectLSW(a mat.Matrix, y []float64, ws *mat.Workspace) []float64 {
+// O(cols·matvec) bottleneck. The optional workspace (nil allocates)
+// supplies everything except the returned solution.
+func DirectLS(a mat.Matrix, y []float64, ws *mat.Workspace) []float64 {
 	_, cols := a.Dims()
 	g := mat.Gram(a) // cols × cols dense
 	rhs := ws.Get(cols)

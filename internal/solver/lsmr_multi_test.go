@@ -29,11 +29,12 @@ func extractCol(panel []float64, k, c int) []float64 {
 	return out
 }
 
-// TestLSMRMultiMatchesScalarBitIdentical is the acceptance pin: on the
-// serial Dense and CSR kernels (whose panel accumulation order equals
-// the MatVec order), every block-solve column must equal the scalar LSMR
-// solve of the same right-hand side to the last bit, even though the
-// columns converge at different iterations.
+// TestLSMRMultiMatchesScalarBitIdentical pins a k-column panel to k
+// separate k = 1 solves: on the serial Dense and CSR kernels (whose
+// panel accumulation order equals the MatVec order), every column of
+// the panel solve must equal LSMR on the same right-hand side to the
+// last bit, even though the columns converge at different iterations
+// and latch one by one.
 func TestLSMRMultiMatchesScalarBitIdentical(t *testing.T) {
 	defer mat.SetParallelism(0)
 	mat.SetParallelism(1)
@@ -72,8 +73,8 @@ func TestLSMRMultiMatchesScalarBitIdentical(t *testing.T) {
 	}
 }
 
-// TestLSMRMultiMatchesScalarAllTypes cross-checks the block solve
-// against per-column scalar solves on every structured matrix shape the
+// TestLSMRMultiMatchesScalarAllTypes cross-checks the panel solve
+// against per-column k = 1 solves on every structured matrix shape the
 // serve and experiments layers feed it (randomized right-hand sides).
 // Combinator kernels may reassociate across the panel, so the comparison
 // is to solver tolerance rather than bitwise.
@@ -163,9 +164,10 @@ func TestLSMRMultiIterationLoopAllocFree(t *testing.T) {
 	}
 }
 
-// TestNNLSMultiMatchesScalarBitIdentical pins each batched NNLS column
-// to the scalar FISTA solve on the serial Dense and CSR kernels —
-// bitwise, like the LSMR pin, including the weighted path.
+// TestNNLSMultiMatchesScalarBitIdentical pins each column of a k-column
+// NNLS solve to the k = 1 solve (NNLS) of its right-hand side on the
+// serial Dense and CSR kernels — bitwise, like the LSMR pin, including
+// the weighted path.
 func TestNNLSMultiMatchesScalarBitIdentical(t *testing.T) {
 	defer mat.SetParallelism(0)
 	mat.SetParallelism(1)
@@ -201,9 +203,9 @@ func TestNNLSMultiMatchesScalarBitIdentical(t *testing.T) {
 	}
 }
 
-// TestNNLSMultiMatchesScalarAllTypes cross-checks batched NNLS against
-// per-column scalar NNLS on structured matrices to solver tolerance, and
-// asserts nonnegativity of every column.
+// TestNNLSMultiMatchesScalarAllTypes cross-checks a k-column NNLS solve
+// against per-column k = 1 solves on structured matrices to solver
+// tolerance, and asserts nonnegativity of every column.
 func TestNNLSMultiMatchesScalarAllTypes(t *testing.T) {
 	cases := map[string]mat.Matrix{
 		"tree":   TreeMatrix(64, 2),

@@ -87,7 +87,7 @@ func TestLSMRHierarchicalMeasurements(t *testing.T) {
 		y[i] = rng.Float64() * 10
 	}
 	xl := LSMR(m, y, Options{Tol: 1e-12}).X
-	xt := TreeLS(n, 2, y)
+	xt := TreeLS(n, 2, y, nil)
 	if !vec.AllClose(xl, xt, 1e-6, 1e-6) {
 		t.Fatalf("LSMR disagrees with TreeLS:\n%v\n%v", xl[:4], xt[:4])
 	}

@@ -29,7 +29,7 @@ import (
 // stabilized factorization still fails (G badly non-PSD — corrupted
 // state, not a runtime condition). Iterations is reported as 1 (one
 // factorization) and Converged is always true.
-func NormalMulti(g *mat.Dense, b []float64, k int, damp float64, ws *mat.Workspace) MultiResult {
+func NormalMulti(g *mat.Dense, b []float64, k int, damp float64, ws *mat.Workspace) Result {
 	n, c := g.Dims()
 	if n != c {
 		panic(fmt.Sprintf("solver: NormalMulti needs a square Gram matrix, got %dx%d", n, c))
@@ -96,5 +96,5 @@ func NormalMulti(g *mat.Dense, b []float64, k int, damp float64, ws *mat.Workspa
 		}
 	}
 	ws.Put(z)
-	return MultiResult{X: x, K: k, Iterations: 1, Converged: true}
+	return Result{X: x, K: k, Iterations: 1, Converged: true}
 }

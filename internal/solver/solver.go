@@ -6,22 +6,26 @@
 // direct dense normal-equations solver and the tree-based least-squares
 // method of Hay et al. used as baselines in the paper's Figure 5.
 //
-// Each Krylov/gradient solver also has a batched multi-right-hand-side
-// form (CGLSMulti, LSMRMulti, NNLSMulti) that runs k independent
-// per-column recurrences in lockstep over the mat package's
-// MatMat/TMatMat panel tier: one pass over the matrix per iteration for
-// all k columns, per-column convergence latches, zero allocations per
-// iteration with a warm Options.Work, and per-column results that match
-// the scalar solver bit for bit on Dense/CSR-ordered kernels.
+// Each Krylov/gradient algorithm has one body, written for k right-hand
+// sides (CGLSMulti, LSMRMulti, NNLSMulti): k independent per-column
+// recurrences run in lockstep over the mat package's MatMat/TMatMat
+// panel tier, with one pass over the matrix per iteration for all k
+// columns, per-column convergence latches, and zero allocations per
+// iteration with a warm Options.Work. The single-vector calls CGLS, LSMR
+// and NNLS are that body at k = 1, where MatMat and TMatMat are MatVec
+// and TMatVec and each panel helper is a flat loop. On matrices whose
+// panel kernels accumulate in MatVec order (Dense, CSR and the
+// combinators built from them) a column of a k-wide solve is therefore
+// bit-identical to the k = 1 solve of its right-hand side.
 //
 // # Warm starts
 //
-// Every solver — scalar and batched — honors Options.X0: the solve
-// starts from the given point (a cols×k row-major panel for the Multi
-// forms) and iterates only on the residual the start point leaves. A
-// converged X0 therefore costs zero iterations, and an X0 from a
-// nearby system (the previous generation of an incrementally grown
-// measurement log) costs only the delta. Two caveats define the
+// Every iterative solver honors Options.X0: the solve starts from the
+// given point (a cols×k row-major panel; a plain vector at k = 1) and
+// iterates only on the residual the start point leaves. A converged X0
+// therefore costs zero iterations, and an X0 from a nearby system (the
+// previous generation of an incrementally grown measurement log) costs
+// only the delta. Two caveats define the
 // contract: (1) warm-started Krylov iterates follow a different
 // trajectory than a cold solve of the same system, so warm and cold
 // answers agree to solver tolerance, not bitwise — callers that need
@@ -41,11 +45,11 @@
 //
 // # Damping
 //
-// Options.Damp adds Tikhonov regularization to LSMR and LSMRMulti:
-// they minimize ‖Ax − y‖² + Damp²·‖x − x₀‖² (x₀ = 0 when X0 is nil),
-// which keeps ill-conditioned systems — rank-deficient logs restored
-// from snapshots, near-collinear measurement sets — from amplifying
-// noise along tiny singular values. NormalMulti applies the same λ² as
+// Options.Damp adds Tikhonov regularization to LSMR: it minimizes
+// ‖Ax − y‖² + Damp²·‖x − x₀‖² (x₀ = 0 when X0 is nil), which keeps
+// ill-conditioned systems — rank-deficient logs restored from
+// snapshots, near-collinear measurement sets — from amplifying noise
+// along tiny singular values. NormalMulti applies the same λ² as
 // a diagonal ridge. The other solvers ignore Damp.
 package solver
 
@@ -63,14 +67,14 @@ type Options struct {
 	MaxIter int
 	// Tol is the relative residual tolerance; 0 means 1e-10.
 	Tol float64
-	// X0 optionally warm-starts the solve; it is not modified. The Multi
-	// solvers take a cols×k row-major panel (column c seeds right-hand
-	// side c); see the package docs for the warm-start contract.
+	// X0 optionally warm-starts the solve; it is not modified. It is a
+	// cols×k row-major panel (column c seeds right-hand side c); see the
+	// package docs for the warm-start contract.
 	X0 []float64
-	// Damp, when positive, is the Tikhonov parameter λ of LSMR and
-	// LSMRMulti: they minimize ‖Ax − y‖² + λ²·‖x − x₀‖². Zero (the
-	// default) keeps the plain least-squares problem bit-identical to
-	// the undamped code path. Solvers without damping support ignore it.
+	// Damp, when positive, is the Tikhonov parameter λ of LSMR: it
+	// minimizes ‖Ax − y‖² + λ²·‖x − x₀‖². Zero (the default) keeps the
+	// plain least-squares problem bit-identical to the undamped code
+	// path. Solvers without damping support ignore it.
 	Damp float64
 	// TolFloor, when non-empty, gives per-right-hand-side absolute
 	// floors on the convergence target: column c stops once its
@@ -79,10 +83,9 @@ type Options struct {
 	// is already inside the floor costs zero iterations. Warm-started
 	// solves use it to stop at the absolute quality a cold solve would
 	// reach (Tol·‖Aᵀy_c‖) instead of chasing Tol relative to an
-	// already-small warm residual. The Multi solvers require length k;
-	// the scalar solvers read TolFloor[0]; the NNLS family ignores it
-	// (its stopping rule tracks the projected step, not the gradient).
-	// A nil TolFloor leaves the pure relative rule untouched.
+	// already-small warm residual. CGLS and LSMR require length k; NNLS
+	// ignores it (its stopping rule tracks the projected step, not the
+	// gradient). A nil TolFloor leaves the pure relative rule untouched.
 	TolFloor []float64
 	// Work, when non-nil, supplies the solver's internal vectors so that
 	// repeated solves (MWEM rounds, HDMM scoring, per-epsilon trials)
@@ -110,84 +113,14 @@ func (o Options) tol() float64 {
 	return DefaultTol
 }
 
-// Result reports how a solve terminated.
+// Result reports how a solve terminated. X is the cols×K row-major
+// solution panel (column c solves the c-th right-hand side); for the
+// single-vector calls K is 1 and X is the estimate itself.
 type Result struct {
 	X          []float64
+	K          int
 	Iterations int
-	Residual   float64 // final ‖Aᵀ(Ax−y)‖₂ (CGLS) or ‖Ax−y‖₂ gradient proxy
-	Converged  bool
-}
-
-// CGLS solves min_x ‖Ax − y‖₂ by conjugate gradients on the normal
-// equations, touching A only through MatVec and TMatVec. It belongs to
-// the same Krylov family as LSMR used in the paper and has the identical
-// O(k·Time(A)) cost model.
-func CGLS(a mat.Matrix, y []float64, opts Options) Result {
-	rows, cols := a.Dims()
-	if len(y) != rows {
-		panic("solver: CGLS rhs length mismatch")
-	}
-	ws := opts.Work
-	x := make([]float64, cols)
-	if opts.X0 != nil {
-		copy(x, opts.X0)
-	}
-	r := ws.Get(rows) // r = y - A x
-	a.MatVec(r, x)
-	for i := range r {
-		r[i] = y[i] - r[i]
-	}
-	s := ws.Get(cols) // s = Aᵀ r
-	a.TMatVec(s, r)
-	p := ws.Get(cols)
-	copy(p, s)
-	q := ws.Get(rows)
-	defer func() {
-		ws.Put(r)
-		ws.Put(s)
-		ws.Put(p)
-		ws.Put(q)
-	}()
-	gamma := vec.Dot(s, s)
-	norm0 := math.Sqrt(gamma)
-	tol := opts.tol()
-	maxIter := opts.maxIter(cols)
-	target := tol * norm0
-	if len(opts.TolFloor) > 0 && opts.TolFloor[0] > target {
-		target = opts.TolFloor[0]
-	}
-
-	res := Result{X: x}
-	if norm0 == 0 || (len(opts.TolFloor) > 0 && norm0 <= target) {
-		// Zero gradient, or the start point already meets the absolute
-		// floor: x (zero or X0) stands.
-		res.Converged = true
-		return res
-	}
-	for k := 0; k < maxIter; k++ {
-		a.MatVec(q, p)
-		qq := vec.Dot(q, q)
-		if qq == 0 {
-			break
-		}
-		alpha := gamma / qq
-		vec.Axpy(alpha, p, x)
-		vec.Axpy(-alpha, q, r)
-		a.TMatVec(s, r)
-		gammaNew := vec.Dot(s, s)
-		res.Iterations = k + 1
-		res.Residual = math.Sqrt(gammaNew)
-		if res.Residual <= target {
-			res.Converged = true
-			break
-		}
-		beta := gammaNew / gamma
-		for i := range p {
-			p[i] = s[i] + beta*p[i]
-		}
-		gamma = gammaNew
-	}
-	return res
+	Converged  bool // every column converged
 }
 
 // LeastSquares solves min_x ‖Ax − y‖₂ and returns the estimate
@@ -207,27 +140,23 @@ func LeastSquares(a mat.Matrix, y []float64, weights []float64, opts Options) []
 	return LSMR(a, y, opts).X
 }
 
-// PowerIterL estimates the largest eigenvalue of AᵀA (the Lipschitz
-// constant of the least-squares gradient) by blocked subspace iteration.
-func PowerIterL(a mat.Matrix, iters int) float64 {
-	return PowerIterLW(a, iters, nil)
-}
-
 // powerIterBlock is the subspace width of PowerIterL: wide enough that a
 // start vector orthogonal-ish to the top eigenvector cannot stall the
 // estimate, narrow enough that the panels stay cache-resident.
 const powerIterBlock = 4
 
-// PowerIterLW is PowerIterL with an optional workspace reused across
-// calls. It iterates a cols×4 panel V ← AᵀA·V through the batched
-// MatMat tier (one matrix pass per application instead of four), with a
-// modified Gram–Schmidt re-orthonormalization per iteration; the
-// returned estimate is the largest Ritz value max_c ‖AᵀA·v_c‖ over the
+// PowerIterL estimates the largest eigenvalue of AᵀA (the Lipschitz
+// constant of the least-squares gradient) by blocked subspace iteration,
+// with an optional workspace (nil allocates) reused across calls. It
+// iterates a cols×4 panel V ← AᵀA·V through the batched MatMat tier
+// (one matrix pass per application instead of four), with a modified
+// Gram–Schmidt re-orthonormalization per iteration; the returned
+// estimate is the largest Ritz value max_c ‖AᵀA·v_c‖ over the
 // orthonormal subspace, so a leading start vector that is deficient in
 // the top eigenvector cannot stall the estimate — another column's
 // value takes over. The iteration is deterministic and allocation-free
 // with a warm workspace.
-func PowerIterLW(a mat.Matrix, iters int, ws *mat.Workspace) float64 {
+func PowerIterL(a mat.Matrix, iters int, ws *mat.Workspace) float64 {
 	rows, cols := a.Dims()
 	if cols == 0 || rows == 0 {
 		return 0
@@ -254,11 +183,12 @@ func PowerIterLW(a mat.Matrix, iters int, ws *mat.Workspace) float64 {
 		}
 	}
 	orthonormalizeCols(v, cols, k)
+	var live [powerIterBlock]bool // no column is latched
 	lambda := 0.0
 	for it := 0; it < iters; it++ {
 		mat.MatMat(a, tmp, v, k)
 		mat.TMatMat(a, next, tmp, k)
-		colNorms2(next, k, norms)
+		colDots(next, next, k, live[:k], norms)
 		// Every column is a unit vector (or zero, if the subspace shrank),
 		// so each ‖AᵀA·v_c‖ is a lower bound on λmax; keep the largest.
 		best := 0.0
@@ -308,92 +238,6 @@ func orthonormalizeCols(v []float64, n, k int) {
 	}
 }
 
-// NNLS solves min_{x≥0} ‖Ax − y‖₂ (paper Definition 5.2) by FISTA
-// projected gradient with step 1/L, touching A only through mat-vec
-// products. It substitutes for the paper's L-BFGS-B (see DESIGN.md §5).
-func NNLS(a mat.Matrix, y []float64, weights []float64, opts Options) []float64 {
-	ws := opts.Work
-	if weights != nil {
-		a = mat.RowScaled(weights, a)
-		wy := ws.Get(len(y))
-		for i := range y {
-			wy[i] = weights[i] * y[i]
-		}
-		defer ws.Put(wy)
-		y = wy
-	}
-	rows, cols := a.Dims()
-	if len(y) != rows {
-		panic("solver: NNLS rhs length mismatch")
-	}
-	lip := PowerIterLW(a, 30, ws)
-	if lip == 0 {
-		return make([]float64, cols)
-	}
-	step := 1 / lip
-	x := make([]float64, cols)
-	if opts.X0 != nil {
-		copy(x, opts.X0)
-		vec.ClampNonNeg(x)
-	}
-	z := ws.Get(cols) // momentum iterate
-	copy(z, x)
-	xPrev := ws.Get(cols)
-	copy(xPrev, x)
-	grad := ws.Get(cols)
-	resid := ws.Get(rows)
-	defer func() {
-		ws.Put(z)
-		ws.Put(xPrev)
-		ws.Put(grad)
-		ws.Put(resid)
-	}()
-	t := 1.0
-	maxIter := opts.maxIter(cols)
-	tol := opts.tol()
-	var gradNorm0 float64
-	for k := 0; k < maxIter; k++ {
-		// grad = Aᵀ(Az − y)
-		a.MatVec(resid, z)
-		for i := range resid {
-			resid[i] -= y[i]
-		}
-		a.TMatVec(grad, resid)
-		gn := vec.Norm2(grad)
-		if k == 0 {
-			gradNorm0 = gn
-			if gradNorm0 == 0 {
-				return x
-			}
-		}
-		copy(xPrev, x)
-		for i := range x {
-			v := z[i] - step*grad[i]
-			if v < 0 {
-				v = 0
-			}
-			x[i] = v
-		}
-		tNext := (1 + math.Sqrt(1+4*t*t)) / 2
-		mom := (t - 1) / tNext
-		for i := range z {
-			z[i] = x[i] + mom*(x[i]-xPrev[i])
-		}
-		t = tNext
-		// Converged when the projected step is tiny relative to the initial
-		// gradient scale.
-		var diff float64
-		for i := range x {
-			d := x[i] - xPrev[i]
-			diff += d * d
-		}
-		if math.Sqrt(diff) <= tol*step*gradNorm0 {
-			break
-		}
-	}
-	return x
-}
-
 // MultWeights applies the multiplicative-weights update rule of MWEM
 // (paper §5.5, Table 1 row MW): starting from estimate xHat with total
 // mass preserved, for each of iters passes and each measurement row, the
@@ -401,16 +245,10 @@ func NNLS(a mat.Matrix, y []float64, weights []float64, opts Options) []float64 
 // renormalized.
 //
 // The measurement matrix is touched only through row extraction
-// (Mᵀeᵢ), matching the primitive-method contract; the basis and row
-// buffers are reused across the row loop.
-func MultWeights(a mat.Matrix, y []float64, xHat []float64, iters int) []float64 {
-	return MultWeightsW(a, y, xHat, iters, nil)
-}
-
-// MultWeightsW is MultWeights with an optional workspace supplying the
-// basis and row buffers, so per-round plan loops (MWEM) reuse them
-// across rounds instead of allocating.
-func MultWeightsW(a mat.Matrix, y []float64, xHat []float64, iters int, ws *mat.Workspace) []float64 {
+// (Mᵀeᵢ), matching the primitive-method contract. The basis and row
+// buffers come from ws (nil allocates), so per-round plan loops (MWEM)
+// reuse them across rounds.
+func MultWeights(a mat.Matrix, y []float64, xHat []float64, iters int, ws *mat.Workspace) []float64 {
 	rows, cols := a.Dims()
 	if len(y) != rows || len(xHat) != cols {
 		panic("solver: MultWeights dimension mismatch")

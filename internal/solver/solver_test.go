@@ -54,7 +54,7 @@ func TestCGLSMatchesDirect(t *testing.T) {
 			y[i] = rng.Float64()*4 - 2
 		}
 		iter := CGLS(a, y, Options{}).X
-		direct := DirectLS(a, y)
+		direct := DirectLS(a, y, nil)
 		if !vec.AllClose(iter, direct, 1e-6, 1e-6) {
 			t.Fatalf("trial %d: CGLS %v vs direct %v", trial, iter, direct)
 		}
@@ -175,7 +175,7 @@ func TestNNLSOptimalityKKT(t *testing.T) {
 func TestPowerIterL(t *testing.T) {
 	// Diagonal matrix: λmax(AᵀA) = max diag².
 	a := mat.Diag([]float64{1, -3, 2})
-	l := PowerIterL(a, 100)
+	l := PowerIterL(a, 100, nil)
 	if math.Abs(l-9) > 1e-6 {
 		t.Fatalf("PowerIterL = %v, want 9", l)
 	}
@@ -189,7 +189,7 @@ func TestMultWeightsImprovesFit(t *testing.T) {
 	a := mat.Identity(n)
 	xInit := make([]float64, n)
 	vec.Fill(xInit, 10.0/8)
-	x := MultWeights(a, truth, xInit, 30)
+	x := MultWeights(a, truth, xInit, 30, nil)
 	before := dist2(xInit, truth)
 	after := dist2(x, truth)
 	if after >= before {
@@ -207,7 +207,7 @@ func TestMultWeightsKeepsNonNegativity(t *testing.T) {
 	y := []float64{1, 2, 3, 4, 5, 6}
 	xInit := make([]float64, n)
 	vec.Fill(xInit, 1)
-	x := MultWeights(a, y, xInit, 10)
+	x := MultWeights(a, y, xInit, 10, nil)
 	for i, v := range x {
 		if v < 0 {
 			t.Fatalf("MW produced negative x[%d] = %v", i, v)
@@ -219,7 +219,7 @@ func TestDirectLSSolvesKnownSystem(t *testing.T) {
 	a := mat.DenseFromRows([][]float64{{1, 0}, {0, 2}, {1, 1}})
 	xTrue := []float64{3, -1}
 	y := mat.Mul(a, xTrue)
-	x := DirectLS(a, y)
+	x := DirectLS(a, y, nil)
 	if !vec.AllClose(x, xTrue, 1e-8, 1e-8) {
 		t.Fatalf("DirectLS = %v, want %v", x, xTrue)
 	}

@@ -59,17 +59,12 @@ func treeDepth(n, b int) int {
 // TreeLS runs the two-pass weighted-averaging algorithm of Hay et al. on
 // noisy hierarchy answers y (BFS order, as produced by TreeMatrix) and
 // returns the consistent leaf estimates. All measurements are assumed to
-// carry equal noise.
-func TreeLS(n, b int, y []float64) []float64 {
-	return TreeLSW(n, b, y, nil)
-}
-
-// TreeLSW is TreeLS with an optional workspace supplying the two
-// node-array passes, so repeated solves (per-epsilon trials, benchmark
-// loops) allocate nothing but the returned leaves. The level bookkeeping
-// lives in fixed stack arrays (a b-ary tree over an int domain has at
-// most 63 levels).
-func TreeLSW(n, b int, y []float64, ws *mat.Workspace) []float64 {
+// carry equal noise. The optional workspace (nil allocates) supplies the
+// two node-array passes, so repeated solves (per-epsilon trials,
+// benchmark loops) allocate nothing but the returned leaves. The level
+// bookkeeping lives in fixed stack arrays (a b-ary tree over an int
+// domain has at most 63 levels).
+func TreeLS(n, b int, y []float64, ws *mat.Workspace) []float64 {
 	k := treeDepth(n, b)
 	if want := TreeNodes(b, k+1); len(y) != want {
 		panic(fmt.Sprintf("solver: TreeLS expects %d measurements, got %d", want, len(y)))

@@ -45,7 +45,7 @@ func TestTreeLSNoiselessRecovers(t *testing.T) {
 	}
 	m := TreeMatrix(n, 2)
 	y := mat.Mul(m, x)
-	got := TreeLS(n, 2, y)
+	got := TreeLS(n, 2, y, nil)
 	if !vec.AllClose(got, x, 1e-9, 1e-9) {
 		t.Fatalf("noiseless TreeLS = %v, want %v", got, x)
 	}
@@ -68,7 +68,7 @@ func TestTreeLSMatchesGenericLS(t *testing.T) {
 	for i := range y {
 		y[i] = base[i] + rng.Float64()*2 - 1
 	}
-	fast := TreeLS(n, 2, y)
+	fast := TreeLS(n, 2, y, nil)
 	generic := CGLS(m, y, Options{Tol: 1e-12}).X
 	if !vec.AllClose(fast, generic, 1e-6, 1e-6) {
 		t.Fatalf("TreeLS %v\n!= CGLS %v", fast, generic)
@@ -84,7 +84,7 @@ func TestTreeLSQuaternary(t *testing.T) {
 	for i := range y {
 		y[i] = rng.Float64() * 10
 	}
-	fast := TreeLS(n, 4, y)
+	fast := TreeLS(n, 4, y, nil)
 	generic := CGLS(m, y, Options{Tol: 1e-12}).X
 	if !vec.AllClose(fast, generic, 1e-6, 1e-6) {
 		t.Fatalf("b=4 TreeLS mismatch:\n%v\n%v", fast, generic)
@@ -93,9 +93,9 @@ func TestTreeLSQuaternary(t *testing.T) {
 
 func TestTreeLSRejectsBadInput(t *testing.T) {
 	for _, fn := range []func(){
-		func() { TreeLS(6, 2, make([]float64, 11)) }, // non-power leaves
-		func() { TreeLS(8, 2, make([]float64, 10)) }, // wrong length
-		func() { TreeMatrix(12, 4) },                 // 12 not a power of 4
+		func() { TreeLS(6, 2, make([]float64, 11), nil) }, // non-power leaves
+		func() { TreeLS(8, 2, make([]float64, 10), nil) }, // wrong length
+		func() { TreeMatrix(12, 4) },                      // 12 not a power of 4
 	} {
 		func() {
 			defer func() {

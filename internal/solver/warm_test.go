@@ -22,8 +22,8 @@ func randX0Panel(rng *rand.Rand, cols, k int) []float64 {
 // TestMultiWarmStartMatchesScalarBitIdentical pins the warm-start
 // contract on the serial Dense and CSR kernels: a panel solve seeded
 // with an X0 panel must equal, column for column and bit for bit, the
-// scalar solver seeded with that column of X0 — for all three Multi
-// solvers (NNLS exercising the non-negative clamp on a mixed-sign X0).
+// k = 1 solve seeded with that column of X0 — for all three solvers
+// (NNLS exercising the non-negative clamp on a mixed-sign X0).
 func TestMultiWarmStartMatchesScalarBitIdentical(t *testing.T) {
 	defer mat.SetParallelism(0)
 	mat.SetParallelism(1)
@@ -41,11 +41,11 @@ func TestMultiWarmStartMatchesScalarBitIdentical(t *testing.T) {
 		ws := mat.NewWorkspace()
 		opts := Options{MaxIter: 400, Tol: 1e-10, Work: ws, X0: x0}
 		solves := map[string]struct {
-			multi  func() MultiResult
+			multi  func() Result
 			scalar func(c int) []float64
 		}{
 			"cgls": {
-				func() MultiResult { return CGLSMulti(m, y, k, opts) },
+				func() Result { return CGLSMulti(m, y, k, opts) },
 				func(c int) []float64 {
 					o := opts
 					o.X0 = extractCol(x0, k, c)
@@ -53,7 +53,7 @@ func TestMultiWarmStartMatchesScalarBitIdentical(t *testing.T) {
 				},
 			},
 			"lsmr": {
-				func() MultiResult { return LSMRMulti(m, y, k, opts) },
+				func() Result { return LSMRMulti(m, y, k, opts) },
 				func(c int) []float64 {
 					o := opts
 					o.X0 = extractCol(x0, k, c)
@@ -61,7 +61,7 @@ func TestMultiWarmStartMatchesScalarBitIdentical(t *testing.T) {
 				},
 			},
 			"nnls": {
-				func() MultiResult { return NNLSMulti(m, y, k, nil, opts) },
+				func() Result { return NNLSMulti(m, y, k, nil, opts) },
 				func(c int) []float64 {
 					o := opts
 					o.X0 = extractCol(x0, k, c)
@@ -85,7 +85,7 @@ func TestMultiWarmStartMatchesScalarBitIdentical(t *testing.T) {
 }
 
 // TestMultiWarmStartAtOptimumZeroIterations pins the best case of the
-// warm-start contract (mirroring the scalar LSMR pin): when X0 already
+// warm-start contract (mirroring the k = 1 LSMR pin): when X0 already
 // solves the system exactly, every Multi solver must detect the zero
 // residual, run zero iterations, and return X0 unchanged bit for bit.
 func TestMultiWarmStartAtOptimumZeroIterations(t *testing.T) {
@@ -109,10 +109,10 @@ func TestMultiWarmStartAtOptimumZeroIterations(t *testing.T) {
 		mat.MatMat(m, y, xTrue, k)
 		ws := mat.NewWorkspace()
 		opts := Options{MaxIter: 200, Tol: 1e-10, Work: ws, X0: xTrue}
-		solves := map[string]func() MultiResult{
-			"cgls": func() MultiResult { return CGLSMulti(m, y, k, opts) },
-			"lsmr": func() MultiResult { return LSMRMulti(m, y, k, opts) },
-			"nnls": func() MultiResult { return NNLSMulti(m, y, k, nil, opts) },
+		solves := map[string]func() Result{
+			"cgls": func() Result { return CGLSMulti(m, y, k, opts) },
+			"lsmr": func() Result { return LSMRMulti(m, y, k, opts) },
+			"nnls": func() Result { return NNLSMulti(m, y, k, nil, opts) },
 		}
 		for sname, solve := range solves {
 			res := solve()
@@ -132,8 +132,8 @@ func TestMultiWarmStartAtOptimumZeroIterations(t *testing.T) {
 }
 
 // TestLSMRMultiDampedMatchesScalarBitIdentical extends the bitwise
-// multi-vs-scalar pin to the damped path: with the same λ, every block
-// column must equal the damped scalar LSMR solve to the last bit.
+// panel-vs-k = 1 pin to the damped path: with the same λ, every panel
+// column must equal the damped k = 1 LSMR solve to the last bit.
 func TestLSMRMultiDampedMatchesScalarBitIdentical(t *testing.T) {
 	defer mat.SetParallelism(0)
 	mat.SetParallelism(1)
@@ -167,8 +167,8 @@ func TestLSMRMultiDampedMatchesScalarBitIdentical(t *testing.T) {
 // start point's gradient norm converges in zero iterations with the
 // start returned unchanged, (2) a mid-range floor stops strictly
 // earlier than the pure relative rule while still converging, and
-// (3) per-column floors keep the Multi solvers bit-identical to the
-// scalar solvers given the matching TolFloor[0].
+// (3) per-column floors keep each panel column bit-identical to the
+// k = 1 solve given that column's floor.
 func TestTolFloorStopsAtAbsoluteTarget(t *testing.T) {
 	defer mat.SetParallelism(0)
 	mat.SetParallelism(1)
@@ -193,9 +193,9 @@ func TestTolFloorStopsAtAbsoluteTarget(t *testing.T) {
 		grad0[c] = math.Sqrt(sum)
 	}
 
-	for sname, solve := range map[string]func(o Options) MultiResult{
-		"cgls": func(o Options) MultiResult { return CGLSMulti(m, y, k, o) },
-		"lsmr": func(o Options) MultiResult { return LSMRMulti(m, y, k, o) },
+	for sname, solve := range map[string]func(o Options) Result{
+		"cgls": func(o Options) Result { return CGLSMulti(m, y, k, o) },
+		"lsmr": func(o Options) Result { return LSMRMulti(m, y, k, o) },
 	} {
 		base := Options{MaxIter: 400, Work: ws}
 		tight := solve(base)
@@ -298,7 +298,7 @@ func TestNormalMultiMatchesDirectLSBitIdentical(t *testing.T) {
 		y := make([]float64, rows)
 		noise.LaplaceVec(noise.NewRand(157), y, 1)
 		ws := mat.NewWorkspace()
-		want := DirectLSW(a, y, ws)
+		want := DirectLS(a, y, ws)
 		g := mat.Gram(a)
 		rhs := make([]float64, cols)
 		a.TMatVec(rhs, y)
