@@ -40,9 +40,11 @@
 // it is acknowledged, so only always guarantees a restart never
 // re-grants spent budget: under interval or never, a commit that was
 // acknowledged, answered and replicated can be lost on power failure,
-// and its ε is then re-granted. State directories holding a
-// <name>.snapshot.json (written by older versions) load as-is, and the
-// first compaction folds the snapshot into the log and removes it. On
+// and its ε is then re-granted. A state directory still holding a
+// <name>.snapshot.json written by an older version is refused at
+// create (preload exits non-zero naming the file); run the older
+// version on it with -checkpoint-every 1 and make one commit to fold
+// the file into the log (see the README's upgrade note). On
 // an unrecoverable disk error a dataset degrades to read-only — writes
 // return 503 while queries keep serving from the warm panel.
 // -plan-cache bounds the per-dataset workload-answer cache (repeated

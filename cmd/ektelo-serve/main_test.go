@@ -1,8 +1,11 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -48,34 +51,21 @@ func TestPersistFlagIsGone(t *testing.T) {
 	}
 }
 
-// TestLegacyStateDirStartAndShutdown starts the real binary on a state
-// directory holding only a snapshot file written by the retired
-// snapshot backend (the fixture internal/serve's migration test uses):
-// it must come up, answer /healthz and a query with the answers and
-// budget that file was frozen with, and exit 0 on SIGTERM inside
-// -shutdown-grace.
-func TestLegacyStateDirStartAndShutdown(t *testing.T) {
-	const fixtures = "../../internal/serve/testdata/"
-	stateDir := t.TempDir()
-	legacy, err := os.ReadFile(fixtures + "legacy_v3.snapshot.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(stateDir, "mig.snapshot.json"), legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var want struct {
-		Answers  []float64 `json:"answers"`
-		Consumed float64   `json:"consumed"`
-	}
-	data, err := os.ReadFile(fixtures + "legacy_v3.expected.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
+// server is one running ektelo-serve child.
+type server struct {
+	base   string
+	cmd    *exec.Cmd
+	exited chan error
+	logs   func() string
+}
 
+// shutdownGrace is the -shutdown-grace every child runs with.
+const shutdownGrace = 5 * time.Second
+
+// startServe starts the binary on a loopback port with the given extra
+// flags and waits until /healthz answers 200.
+func startServe(t *testing.T, args ...string) *server {
+	t.Helper()
 	// Reserve a loopback port, then hand it to the child.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -83,8 +73,6 @@ func TestLegacyStateDirStartAndShutdown(t *testing.T) {
 	}
 	addr := l.Addr().String()
 	l.Close()
-
-	const grace = 5 * time.Second
 	// The child logs to a file so a failing check can read them while it
 	// still runs.
 	logPath := filepath.Join(t.TempDir(), "serve.log")
@@ -92,87 +80,151 @@ func TestLegacyStateDirStartAndShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer logFile.Close()
-	logs := func() string {
-		b, _ := os.ReadFile(logPath) // diagnostics only
-		return string(b)
+	t.Cleanup(func() { logFile.Close() })
+	srv := &server{
+		base:   "http://" + addr,
+		cmd:    exec.Command(serveBin, append([]string{"-addr", addr, "-shutdown-grace", shutdownGrace.String()}, args...)...),
+		exited: make(chan error, 1),
+		logs: func() string {
+			b, _ := os.ReadFile(logPath) // diagnostics only
+			return string(b)
+		},
 	}
-	// The fixture's answers were served by the library default solver.
-	cmd := exec.Command(serveBin, "-addr", addr, "-state-dir", stateDir, "-solver", "cgls",
-		"-shutdown-grace", grace.String(), "-preload", "mig:piecewise:32:5000:3:10")
-	cmd.Stdout, cmd.Stderr = logFile, logFile
-	if err := cmd.Start(); err != nil {
+	srv.cmd.Stdout, srv.cmd.Stderr = logFile, logFile
+	if err := srv.cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	exited := make(chan error, 1)
-	go func() { exited <- cmd.Wait() }()
-	defer cmd.Process.Kill() // no-op once the child has exited
+	go func() { srv.exited <- srv.cmd.Wait() }()
+	t.Cleanup(func() { srv.cmd.Process.Kill() }) // no-op once the child has exited
 
-	base := "http://" + addr
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, err := http.Get(base + "/healthz")
+		resp, err := http.Get(srv.base + "/healthz")
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("/healthz: %d", resp.StatusCode)
 			}
-			break
+			return srv
 		}
 		select {
-		case err := <-exited:
-			t.Fatalf("ektelo-serve exited during startup: %v\n%s", err, logs())
+		case err := <-srv.exited:
+			t.Fatalf("ektelo-serve exited during startup: %v\n%s", err, srv.logs())
 		default:
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("ektelo-serve never answered /healthz: %v\n%s", err, logs())
+			t.Fatalf("ektelo-serve never answered /healthz: %v\n%s", err, srv.logs())
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
 
-	resp, err := http.Post(base+"/v1/datasets/mig/query", "application/json",
-		strings.NewReader(`{"ranges":[[0,31],[3,17],[11,11]]}`))
+// post sends a JSON body and decodes a 200 response into out.
+func (srv *server) post(t *testing.T, path, body string, out any) {
+	t.Helper()
+	resp, err := http.Post(srv.base+path, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: status %d, decode %v\n%s", path, resp.StatusCode, err, srv.logs())
+	}
+}
+
+// state returns the answers to a fixed workload and the consumed budget
+// of dataset "ds".
+func (srv *server) state(t *testing.T) (answers []float64, consumed float64) {
+	t.Helper()
 	var got struct {
 		Answers []float64 `json:"answers"`
 	}
-	err = json.NewDecoder(resp.Body).Decode(&got)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("query: status %d, decode %v", resp.StatusCode, err)
-	}
-	if len(got.Answers) != len(want.Answers) {
-		t.Fatalf("query answered %d ranges, want %d", len(got.Answers), len(want.Answers))
-	}
-	for i := range want.Answers {
-		if got.Answers[i] != want.Answers[i] {
-			t.Fatalf("answer %d: %v, legacy process served %v", i, got.Answers[i], want.Answers[i])
-		}
-	}
-	resp, err = http.Get(base + "/v1/datasets/mig")
+	srv.post(t, "/v1/datasets/ds/query", `{"ranges":[[0,31],[3,17],[11,11]]}`, &got)
+	resp, err := http.Get(srv.base + "/v1/datasets/ds")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer resp.Body.Close()
 	var sum struct {
 		Consumed float64 `json:"consumed"`
 	}
-	err = json.NewDecoder(resp.Body).Decode(&sum)
-	resp.Body.Close()
-	if err != nil || sum.Consumed != want.Consumed {
-		t.Fatalf("summary consumed %g (decode %v), legacy process had spent %g", sum.Consumed, err, want.Consumed)
+	if err := json.NewDecoder(resp.Body).Decode(&sum); err != nil {
+		t.Fatal(err)
 	}
+	return got.Answers, sum.Consumed
+}
 
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+// stop sends SIGTERM and requires exit 0 inside -shutdown-grace.
+func (srv *server) stop(t *testing.T) {
+	t.Helper()
+	if err := srv.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case err := <-exited:
+	case err := <-srv.exited:
 		if err != nil {
-			t.Fatalf("exit after SIGTERM: %v\n%s", err, logs())
+			t.Fatalf("exit after SIGTERM: %v\n%s", err, srv.logs())
 		}
-	case <-time.After(grace):
-		t.Fatalf("still running %v after SIGTERM\n%s", grace, logs())
+	case <-time.After(shutdownGrace):
+		t.Fatalf("still running %v after SIGTERM\n%s", shutdownGrace, srv.logs())
+	}
+}
+
+// TestLegacyStateDirStartAndShutdown starts the real binary on a fresh
+// state directory with a preloaded dataset, makes one measurement and
+// requires exit 0 on SIGTERM inside -shutdown-grace; restarted on the
+// same directory, it must answer the same query with the same consumed
+// budget, bit for bit.
+func TestLegacyStateDirStartAndShutdown(t *testing.T) {
+	stateDir := t.TempDir()
+	flags := []string{"-state-dir", stateDir, "-preload", "ds:piecewise:32:5000:3:10"}
+
+	first := startServe(t, flags...)
+	var measured struct {
+		Consumed float64 `json:"consumed"`
+	}
+	first.post(t, "/v1/datasets/ds/measure", `{"strategy":"hb","eps":2}`, &measured)
+	if measured.Consumed != 2 {
+		t.Fatalf("measure: consumed %g, want 2", measured.Consumed)
+	}
+	answers, consumed := first.state(t)
+	first.stop(t)
+
+	second := startServe(t, flags...)
+	gotAnswers, gotConsumed := second.state(t)
+	second.stop(t)
+	if math.Float64bits(gotConsumed) != math.Float64bits(consumed) {
+		t.Fatalf("restart consumed %g, before %g", gotConsumed, consumed)
+	}
+	if len(gotAnswers) != len(answers) {
+		t.Fatalf("restart answered %d ranges, before %d", len(gotAnswers), len(answers))
+	}
+	for i := range answers {
+		if math.Float64bits(gotAnswers[i]) != math.Float64bits(answers[i]) {
+			t.Fatalf("restart answer %d: %v, before %v", i, gotAnswers[i], answers[i])
+		}
+	}
+}
+
+// TestLegacySnapshotStateDirRefused: a state directory holding the
+// state file older versions kept beside the log stops the binary at
+// preload with a non-zero exit and a message naming the file, since
+// loading the log alone would re-grant the budget the file records.
+func TestLegacySnapshotStateDirRefused(t *testing.T) {
+	stateDir := t.TempDir()
+	legacy := filepath.Join(stateDir, "mig.snapshot.json")
+	if err := os.WriteFile(legacy, []byte(`{"version":3,"name":"mig"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, serveBin, "-addr", "127.0.0.1:0", "-state-dir", stateDir,
+		"-preload", "mig:piecewise:32:5000:3:10").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || ctx.Err() != nil {
+		t.Fatalf("want a non-zero exit at preload, got %v (timeout: %v)\n%s", err, ctx.Err(), out)
+	}
+	if !strings.Contains(string(out), "preload mig") || !strings.Contains(string(out), legacy) {
+		t.Fatalf("exit message does not name the preload and %s:\n%s", legacy, out)
 	}
 }

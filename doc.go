@@ -75,8 +75,8 @@
 // absolute consumed budget, audit leaf — for the primary's commit, the
 // restart's replay and a follower's apply, which differ only in the
 // gates around it (the primary checks writability and budget first,
-// replay alone accepts the checkpoint markers of legacy logs, a
-// follower latches a replication error on an audit mismatch). A commit
+// replay fails the create on any error, a follower latches a
+// replication error on an audit mismatch). A commit
 // the primary cannot frame is never applied; its spend is logged as a
 // budget-restore record. Re-creating the dataset restores the log *and its spent
 // budget* (kernel.RestoreConsumed raises to each record's absolute

@@ -5,15 +5,34 @@ package analysis
 // This is the single place the invariants live; the fixture tests
 // construct analyzers with narrow test configs instead.
 func Default(module string) []*Analyzer {
+	c := defaultConfigs(module)
+	return []*Analyzer{
+		NanSafe(),
+		LockScope(c.lockScope),
+		MapDeterminism(pinnedDefault(module)),
+		GuardOrder(c.guardOrder),
+		WSPool(c.wsPool),
+	}
+}
+
+// configs is the invariant inventory Default configures its analyzers
+// with; TestDefaultConfigNamesResolve checks every module-local name in
+// it against the source, so a rename cannot silently drop coverage.
+type configs struct {
+	lockScope  LockScopeConfig
+	guardOrder GuardOrderConfig
+	wsPool     WSPoolConfig
+}
+
+func defaultConfigs(module string) configs {
 	mod := func(s string) string { return module + "/" + s }
 	lockedPkgs := []string{
 		mod("internal/serve"),
 		mod("internal/kernel"),
 		mod("internal/cluster"),
 	}
-	return []*Analyzer{
-		NanSafe(),
-		LockScope(LockScopeConfig{
+	return configs{
+		lockScope: LockScopeConfig{
 			Packages:     lockedPkgs,
 			LockedSuffix: true,
 			Deny: []DenyEntry{
@@ -28,7 +47,7 @@ func Default(module string) []*Analyzer {
 				{Func: mod("internal/serve") + ".canonicalMatrix", Why: "O(nnz) work belongs before d.mu (prepareCommit)"},
 				{Func: mod("internal/serve") + ".prepareCommit", Why: "O(nnz) work belongs before d.mu"},
 				{Func: mod("internal/serve") + ".appendBlocksJSON", Why: "O(nnz) work belongs before d.mu (prepareCommit)"},
-				{Func: mod("internal/serve") + ".snapshotBlock.appendJSON", Why: "O(nnz) work belongs before d.mu (prepareCommit)"},
+				{Func: mod("internal/serve") + ".wireBlock.appendJSON", Why: "O(nnz) work belongs before d.mu (prepareCommit)"},
 				// I/O, fsync and network: a blocked syscall under a hot
 				// mutex stalls every reader and writer behind it.
 				{Func: mod("internal/wal") + ".Log.Append", Why: "WAL append does file I/O and possibly fsync"},
@@ -59,14 +78,13 @@ func Default(module string) []*Analyzer {
 				{Func: "fmt.Println", Why: "stdout I/O"},
 				{Func: "fmt.Print", Why: "stdout I/O"},
 			},
-		}),
-		MapDeterminism(pinnedDefault(module)),
-		GuardOrder(GuardOrderConfig{
+		},
+		guardOrder: GuardOrderConfig{
 			Packages: []string{mod("internal/serve")},
 			Guards:   []string{"checkWritable"},
 			Targets:  []string{mod("internal/kernel") + ".Kernel.NewSession"},
-		}),
-		WSPool(WSPoolConfig{
+		},
+		wsPool: WSPoolConfig{
 			// Scoped to the packages that actually use the pools; an
 			// empty scope would walk everything for no additional
 			// coverage.
@@ -78,6 +96,6 @@ func Default(module string) []*Analyzer {
 				{Checkout: mod("internal/mat") + ".getScratch", ReleaseMethod: "put"},
 				{Checkout: "sync.Pool.Get", ReleaseFunc: "sync.Pool.Put"},
 			},
-		}),
+		},
 	}
 }

@@ -28,8 +28,8 @@ import (
 //     when its absolute consumed is beyond auditConsumed. So the
 //     collapsed bootstrap frames of a re-seeded stream are leaf-neutral
 //     (their generation is already covered by the audit-state frame
-//     that precedes them), and so are the records a compacted head or
-//     a legacy snapshot covers.
+//     that precedes them), and so are the records a compacted head
+//     covers.
 //
 //   - AUDIT CHECKPOINTS: after every commit the primary sinks a
 //     wal.TypeAuditCheckpoint record (tree size + root) to the

@@ -9,20 +9,20 @@ import (
 	"repro/internal/mat"
 )
 
-// plainBlock is snapshotBlock without methods: encoding/json encodes it
+// plainBlock is wireBlock without methods: encoding/json encodes it
 // reflectively, which is the byte-level reference for appendJSON.
 type plainBlock struct {
-	Rows   int               `json:"rows"`
-	Cols   int               `json:"cols"`
-	Dense  []float64         `json:"dense,omitempty"`
-	Sparse []snapshotTriplet `json:"sparse,omitempty"`
-	Y      []float64         `json:"y"`
-	Scale  float64           `json:"scale"`
+	Rows   int           `json:"rows"`
+	Cols   int           `json:"cols"`
+	Dense  []float64     `json:"dense,omitempty"`
+	Sparse []wireTriplet `json:"sparse,omitempty"`
+	Y      []float64     `json:"y"`
+	Scale  float64       `json:"scale"`
 }
 
 // checkBlockJSON asserts appendJSON and encoding/json agree on b: the
 // same bytes, or an error from both.
-func checkBlockJSON(t *testing.T, b snapshotBlock) {
+func checkBlockJSON(t *testing.T, b wireBlock) {
 	t.Helper()
 	want, werr := json.Marshal(plainBlock(b))
 	got, gerr := b.appendJSON(nil)
@@ -56,18 +56,18 @@ var blockJSONFloats = []float64{
 // branch on.
 func TestBlockJSONMatchesEncodingJSON(t *testing.T) {
 	for _, v := range blockJSONFloats {
-		checkBlockJSON(t, snapshotBlock{Rows: 1, Cols: 2, Dense: []float64{v, 1}, Y: []float64{v}, Scale: v})
-		checkBlockJSON(t, snapshotBlock{Rows: 3, Cols: 9, Sparse: []snapshotTriplet{{R: 2, C: 8, V: v}, {V: -v}}, Y: []float64{v, v, v}})
+		checkBlockJSON(t, wireBlock{Rows: 1, Cols: 2, Dense: []float64{v, 1}, Y: []float64{v}, Scale: v})
+		checkBlockJSON(t, wireBlock{Rows: 3, Cols: 9, Sparse: []wireTriplet{{R: 2, C: 8, V: v}, {V: -v}}, Y: []float64{v, v, v}})
 	}
-	checkBlockJSON(t, snapshotBlock{})                                                  // y null, dense and sparse omitted
-	checkBlockJSON(t, snapshotBlock{Y: []float64{}})                                    // y []
-	checkBlockJSON(t, snapshotBlock{Dense: []float64{}, Sparse: []snapshotTriplet{}})   // empty is omitted too
-	checkBlockJSON(t, snapshotBlock{Rows: -4, Cols: math.MaxInt64, Y: []float64{1, 2}}) // integers as written
+	checkBlockJSON(t, wireBlock{})                                                  // y null, dense and sparse omitted
+	checkBlockJSON(t, wireBlock{Y: []float64{}})                                    // y []
+	checkBlockJSON(t, wireBlock{Dense: []float64{}, Sparse: []wireTriplet{}})       // empty is omitted too
+	checkBlockJSON(t, wireBlock{Rows: -4, Cols: math.MaxInt64, Y: []float64{1, 2}}) // integers as written
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		checkBlockJSON(t, snapshotBlock{Rows: 1, Cols: 1, Dense: []float64{bad}, Y: []float64{0}})
-		checkBlockJSON(t, snapshotBlock{Rows: 1, Cols: 1, Sparse: []snapshotTriplet{{V: bad}}, Y: []float64{0}})
-		checkBlockJSON(t, snapshotBlock{Rows: 1, Cols: 1, Dense: []float64{1}, Y: []float64{bad}})
-		checkBlockJSON(t, snapshotBlock{Rows: 1, Cols: 1, Dense: []float64{1}, Y: []float64{0}, Scale: bad})
+		checkBlockJSON(t, wireBlock{Rows: 1, Cols: 1, Dense: []float64{bad}, Y: []float64{0}})
+		checkBlockJSON(t, wireBlock{Rows: 1, Cols: 1, Sparse: []wireTriplet{{V: bad}}, Y: []float64{0}})
+		checkBlockJSON(t, wireBlock{Rows: 1, Cols: 1, Dense: []float64{1}, Y: []float64{bad}})
+		checkBlockJSON(t, wireBlock{Rows: 1, Cols: 1, Dense: []float64{1}, Y: []float64{0}, Scale: bad})
 		if _, err := appendBlocksJSON(nil, []measBlock{{m: canonicalMatrix(strategyMust(t, "identity", 2)), y: []float64{1, bad}}}); err == nil {
 			t.Fatalf("appendBlocksJSON accepted a %v answer", bad)
 		}
@@ -145,16 +145,16 @@ func FuzzBlockJSON(f *testing.F) {
 	f.Add(0, 0, 0.0, math.Copysign(0, -1), 5e-324, math.MaxFloat64, uint8(1))
 	f.Add(-1, 1<<40, math.NaN(), math.Inf(1), 1.0, 2.0, uint8(2))
 	f.Fuzz(func(t *testing.T, rows, cols int, a, b, c, d float64, shape uint8) {
-		blk := snapshotBlock{Rows: rows, Cols: cols, Scale: d}
+		blk := wireBlock{Rows: rows, Cols: cols, Scale: d}
 		switch shape % 4 {
 		case 0:
 			blk.Dense, blk.Y = []float64{a, b, c}, []float64{d, a}
 		case 1:
-			blk.Sparse, blk.Y = []snapshotTriplet{{R: rows, C: cols, V: a}, {R: cols, C: rows, V: b}}, []float64{c}
+			blk.Sparse, blk.Y = []wireTriplet{{R: rows, C: cols, V: a}, {R: cols, C: rows, V: b}}, []float64{c}
 		case 2:
 			blk.Y = []float64{}
 		case 3:
-			blk.Dense, blk.Sparse = []float64{a}, []snapshotTriplet{{V: b}}
+			blk.Dense, blk.Sparse = []float64{a}, []wireTriplet{{V: b}}
 		}
 		checkBlockJSON(t, blk)
 	})

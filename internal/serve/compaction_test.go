@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"testing"
 	"time"
 
@@ -254,57 +253,6 @@ func TestCompactionCrashKeepsOldLog(t *testing.T) {
 			requireSameMachine(t, "restart after crashed compaction", captureMachine(t, d2), live)
 		})
 	}
-}
-
-// TestLegacySnapshotRewrittenOnFirstCompaction starts from the frozen
-// version 3 snapshot and commits once with compaction after every state
-// record: the snapshot file is gone, the directory holds only the log
-// and the panel sidecar, and a restart answers bit for bit as before.
-func TestLegacySnapshotRewrittenOnFirstCompaction(t *testing.T) {
-	dir := t.TempDir()
-	legacy, err := os.ReadFile(legacyFixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(snapshotPath(dir, "mig"), legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{BatchWindow: 100 * time.Microsecond, StateDir: dir, CheckpointEvery: 1, AuditKey: fixedAuditKey}
-	s1 := New(cfg)
-	d1, err := s1.CreateDataset("mig", "piecewise", 32, 5000, 3, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A refresh first, so the commit has a panel to write to the sidecar.
-	if _, err := d1.Query(crashWorkload); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d1.Measure("identity", 1); err != nil {
-		t.Fatal(err)
-	}
-	before := captureMachine(t, d1)
-	s1.Close()
-
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Name())
-	}
-	sort.Strings(names)
-	if want := []string{"mig.panel.json", "mig.wal"}; fmt.Sprint(names) != fmt.Sprint(want) {
-		t.Fatalf("state directory after the first compaction holds %q, want %q", names, want)
-	}
-
-	s2 := New(cfg)
-	defer s2.Close()
-	d2, err := s2.CreateDataset("mig", "piecewise", 32, 5000, 3, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameMachine(t, "restart on the rewritten log", captureMachine(t, d2), before)
 }
 
 // FuzzRestartReplay writes arbitrary bytes as a dataset's log and

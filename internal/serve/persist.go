@@ -1,65 +1,45 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"net/url"
-	"os"
-	"path/filepath"
 	"strconv"
 
-	"repro/internal/audit"
 	"repro/internal/core/inference"
 	"repro/internal/mat"
-	"repro/internal/wal"
 )
 
-// This file is the block codec and the legacy snapshot loader. The
-// block codec is the JSON form of one measurement block — the query
-// matrix over the root domain (dense row-major when ≥⅓ of the entries
-// are nonzero, coordinate triplets otherwise), the noisy answers and
-// the per-row noise scale — in every measurement record (walstate.go).
-//
-// A snapshot (<name>.snapshot.json) is the full state of a dataset as
-// older versions wrote it: identity, spent budget, generation and
-// blocks; version 2 adds the estimate panel, version 3 the audit
-// ledger. Nothing writes one now, but one still loads, fully validated
-// (never a partial log), as the bootstrap records it stands for, and the
-// first compaction removes it.
+// This file is the block codec: the JSON form of one measurement block
+// — the query matrix over the root domain (dense row-major when ≥⅓ of
+// the entries are nonzero, coordinate triplets otherwise), the noisy
+// answers and the per-row noise scale — in every measurement record
+// (walstate.go).
 
-// snapshotVersion is the current on-disk format version. Loaders accept
-// the current version and versions 1–2 (1 lacks the optional warm-start
-// panel, 2 the optional audit ledger) and reject anything else
-// outright: guessing at a skewed layout risks loading a wrong
-// measurement log, which is worse than refusing to start.
-const snapshotVersion = 3
-
-// maxSnapshotDomain bounds the domain (and so every matrix dimension) a
-// loader will accept, so hostile or corrupted snapshots cannot force
-// absurd allocations before validation finishes.
-const maxSnapshotDomain = 1 << 24
+// maxPanelCells bounds the cells (domain × k) of a persisted estimate
+// panel, so a hostile or corrupted sidecar cannot force an absurd
+// allocation before validation finishes.
+const maxPanelCells = 1 << 24
 
 // ErrSnapshot wraps every failure to load persisted state.
 var ErrSnapshot = errors.New("serve: invalid snapshot")
 
-// snapshotTriplet is one sparse matrix entry.
-type snapshotTriplet struct {
+// wireTriplet is one sparse matrix entry.
+type wireTriplet struct {
 	R int     `json:"r"`
 	C int     `json:"c"`
 	V float64 `json:"v"`
 }
 
-// snapshotBlock is one persisted measurement block.
-type snapshotBlock struct {
-	Rows   int               `json:"rows"`
-	Cols   int               `json:"cols"`
-	Dense  []float64         `json:"dense,omitempty"`  // row-major, len rows*cols
-	Sparse []snapshotTriplet `json:"sparse,omitempty"` // exactly one of Dense/Sparse is set
-	Y      []float64         `json:"y"`
-	Scale  float64           `json:"scale"`
+// wireBlock is one measurement block in the codec.
+type wireBlock struct {
+	Rows   int           `json:"rows"`
+	Cols   int           `json:"cols"`
+	Dense  []float64     `json:"dense,omitempty"`  // row-major, len rows*cols
+	Sparse []wireTriplet `json:"sparse,omitempty"` // exactly one of Dense/Sparse is set
+	Y      []float64     `json:"y"`
+	Scale  float64       `json:"scale"`
 }
 
 // appendJSON appends the block's JSON encoding to dst. It is the only
@@ -68,7 +48,7 @@ type snapshotBlock struct {
 // appendBlocksJSON — and writes byte for byte what encoding/json does
 // for the same struct without methods (omitempty and non-finite errors
 // included), so older records and commitments replay unchanged.
-func (b snapshotBlock) appendJSON(dst []byte) (_ []byte, err error) {
+func (b wireBlock) appendJSON(dst []byte) (_ []byte, err error) {
 	dst = strconv.AppendInt(append(dst, `{"rows":`...), int64(b.Rows), 10)
 	dst = strconv.AppendInt(append(dst, `,"cols":`...), int64(b.Cols), 10)
 	if len(b.Dense) > 0 {
@@ -92,7 +72,7 @@ func (b snapshotBlock) appendJSON(dst []byte) (_ []byte, err error) {
 }
 
 // MarshalJSON implements json.Marshaler with appendJSON.
-func (b snapshotBlock) MarshalJSON() ([]byte, error) { return b.appendJSON(nil) }
+func (b wireBlock) MarshalJSON() ([]byte, error) { return b.appendJSON(nil) }
 
 // appendFloatsJSON appends a float slice as encoding/json does: null
 // for nil, [] for empty.
@@ -132,34 +112,7 @@ func appendFloatJSON(dst []byte, v float64, err *error) []byte {
 	return strconv.AppendFloat(dst, v, 'f', -1, 64)
 }
 
-// snapshot is the full persisted state of one dataset's measurement log.
-type snapshot struct {
-	Version    int             `json:"version"`
-	Name       string          `json:"name"`
-	Domain     int             `json:"domain"`
-	EpsTotal   float64         `json:"eps_total"`
-	Consumed   float64         `json:"consumed"`
-	Generation uint64          `json:"generation"`
-	Blocks     []snapshotBlock `json:"blocks"`
-	// Panel is the domain×PanelK row-major estimate panel (version ≥ 2,
-	// omitted before the first solve): a warm-start seed only.
-	Panel  []float64 `json:"panel,omitempty"`
-	PanelK int       `json:"panel_k,omitempty"`
-	// Audit is the audit ledger (version ≥ 3, omitted while empty):
-	// authoritative, since the leaves of the records the snapshot covers
-	// live nowhere else.
-	Audit *snapshotAudit `json:"audit,omitempty"`
-}
-
-// snapshotAudit is a snapshot's audit ledger: every leaf hash (oldest
-// first) plus the root they must recompute to.
-type snapshotAudit struct {
-	Size   uint64   `json:"size"`
-	Root   string   `json:"root"`
-	Leaves []string `json:"leaves"`
-}
-
-// canonicalMatrix re-represents a measurement matrix in the snapshot
+// canonicalMatrix re-represents a measurement matrix in the block
 // codec's canonical form: explicit *mat.Dense when at least a third of
 // the entries are nonzero, CSR otherwise; matrices already in one of
 // those forms pass through untouched. Committing warm-log blocks in
@@ -235,15 +188,15 @@ func implicitTriplets(m mat.Matrix) []mat.Triplet {
 	return ts
 }
 
-// encodeBlock converts a warm measurement block to its snapshot form.
+// encodeBlock converts a warm measurement block to its codec form.
 // Committed blocks are always canonical (*mat.Dense or *mat.Sparse —
 // see commitBlocksLocked), so encoding mirrors the in-memory
 // representation exactly — dense stays dense, CSR stays triplets — and
 // emits the existing storage without re-materializing anything; the
 // decode side then rebuilds the very same representation, which is what
 // keeps restarted servers bit-identical.
-func encodeBlock(b measBlock) snapshotBlock {
-	out := snapshotBlock{Y: b.y, Scale: b.scale}
+func encodeBlock(b measBlock) wireBlock {
+	out := wireBlock{Y: b.y, Scale: b.scale}
 	switch m := b.m.(type) {
 	case *mat.Dense:
 		out.Rows, out.Cols = m.Dims()
@@ -251,11 +204,11 @@ func encodeBlock(b measBlock) snapshotBlock {
 	case *mat.Sparse:
 		r, c := m.Dims()
 		out.Rows, out.Cols = r, c
-		out.Sparse = make([]snapshotTriplet, 0, m.NNZ())
+		out.Sparse = make([]wireTriplet, 0, m.NNZ())
 		for i := 0; i < r; i++ {
 			colIdx, vals := m.RowNNZ(i)
 			for j, col := range colIdx {
-				out.Sparse = append(out.Sparse, snapshotTriplet{R: i, C: col, V: vals[j]})
+				out.Sparse = append(out.Sparse, wireTriplet{R: i, C: col, V: vals[j]})
 			}
 		}
 	default:
@@ -268,7 +221,7 @@ func encodeBlock(b measBlock) snapshotBlock {
 
 // decodeBlock rebuilds a warm measurement block, validating every field
 // against the dataset domain.
-func decodeBlock(i int, b snapshotBlock, domain int) (measBlock, error) {
+func decodeBlock(i int, b wireBlock, domain int) (measBlock, error) {
 	fail := func(format string, args ...any) (measBlock, error) {
 		return measBlock{}, fmt.Errorf("%w: block %d: %s", ErrSnapshot, i, fmt.Sprintf(format, args...))
 	}
@@ -316,55 +269,9 @@ func decodeBlock(i int, b snapshotBlock, domain int) (measBlock, error) {
 	return measBlock{m: m, y: append([]float64(nil), b.Y...), scale: b.Scale, digest: inference.Digest(m)}, nil
 }
 
-// loadSnapshot parses and fully validates snapshot bytes. It returns the
-// decoded snapshot with every block rebuilt, or an error — never a
-// panic, never a partially valid result.
-func loadSnapshot(data []byte) (*snapshot, []measBlock, error) {
-	var s snapshot
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrSnapshot, err)
-	}
-	if dec.More() {
-		return nil, nil, fmt.Errorf("%w: trailing data after snapshot object", ErrSnapshot)
-	}
-	if s.Version < 1 || s.Version > snapshotVersion {
-		return nil, nil, fmt.Errorf("%w: version %d, loader supports %d", ErrSnapshot, s.Version, snapshotVersion)
-	}
-	if s.Domain <= 0 || s.Domain > maxSnapshotDomain {
-		return nil, nil, fmt.Errorf("%w: domain %d out of range", ErrSnapshot, s.Domain)
-	}
-	if math.IsNaN(s.EpsTotal) || math.IsInf(s.EpsTotal, 0) || s.EpsTotal <= 0 {
-		return nil, nil, fmt.Errorf("%w: eps_total %g", ErrSnapshot, s.EpsTotal)
-	}
-	if !(s.Consumed >= 0) || s.Consumed > s.EpsTotal+1e-9 {
-		return nil, nil, fmt.Errorf("%w: consumed %g outside [0, %g]", ErrSnapshot, s.Consumed, s.EpsTotal)
-	}
-	if s.Panel != nil {
-		if err := checkPanel(s.Domain, s.PanelK, s.Panel); err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrSnapshot, err)
-		}
-	} else if s.PanelK != 0 {
-		return nil, nil, fmt.Errorf("%w: panel_k %d without a panel", ErrSnapshot, s.PanelK)
-	}
-	if s.Generation == 0 && len(s.Blocks) > 0 {
-		return nil, nil, fmt.Errorf("%w: %d blocks at generation 0", ErrSnapshot, len(s.Blocks))
-	}
-	blocks := make([]measBlock, len(s.Blocks))
-	for i, b := range s.Blocks {
-		mb, err := decodeBlock(i, b, s.Domain)
-		if err != nil {
-			return nil, nil, err
-		}
-		blocks[i] = mb
-	}
-	return &s, blocks, nil
-}
-
 // checkPanel validates a persisted domain×k estimate panel.
 func checkPanel(domain, k int, panel []float64) error {
-	if k < 1 || domain > maxSnapshotDomain/k || len(panel) != domain*k {
+	if k < 1 || domain > maxPanelCells/k || len(panel) != domain*k {
 		return fmt.Errorf("panel length %d against domain %d × k %d", len(panel), domain, k)
 	}
 	for _, v := range panel {
@@ -373,58 +280,4 @@ func checkPanel(domain, k int, panel []float64) error {
 		}
 	}
 	return nil
-}
-
-// snapshotPath is the snapshot file for a dataset name under a state
-// directory. The name is path-escaped so client-chosen names cannot
-// traverse outside the directory.
-func snapshotPath(stateDir, name string) string {
-	return filepath.Join(stateDir, url.PathEscape(name)+".snapshot.json")
-}
-
-// loadLegacySnapshot loads the dataset's legacy snapshot, if any: a
-// version 2 panel seeds the estimate panel, and the state comes back
-// as bootstrap records for replay. Runs during create.
-func (d *Dataset) loadLegacySnapshot() ([]record, error) {
-	data, err := d.fs.ReadFile(d.legacyPath)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		d.legacyPath = ""
-		return nil, nil
-	case err != nil:
-		return nil, fmt.Errorf("%w: %v", ErrSnapshot, err)
-	}
-	s, blocks, err := loadSnapshot(data)
-	if err != nil {
-		return nil, err
-	}
-	if s.Panel != nil {
-		d.panel, d.k = s.Panel, s.PanelK
-	}
-	return legacySnapshotRecords(s, blocks), nil
-}
-
-// legacySnapshotRecords is bootstrapRecordsLocked for a snapshot. The
-// audit state's watermarks keep records the snapshot covers
-// leaf-neutral (a snapshot without a ledger predates it), and the
-// closing audit checkpoint checks the leaves against the snapshot's
-// root.
-func legacySnapshotRecords(s *snapshot, blocks []measBlock) []record {
-	st := &walAuditState{Gen: s.Generation, Consumed: s.Consumed}
-	ckpt := &walAuditCkpt{Root: audit.FormatHash(audit.NewTree().Root())}
-	if s.Audit != nil {
-		st.Size, st.Leaves = s.Audit.Size, s.Audit.Leaves
-		ckpt.Size, ckpt.Root = s.Audit.Size, s.Audit.Root
-	}
-	recs := []record{
-		{typ: wal.TypeDatasetCreate, payload: &walCreate{Name: s.Name, Domain: s.Domain, EpsTotal: s.EpsTotal}},
-		{typ: wal.TypeAuditState, payload: st},
-	}
-	if s.Generation > 0 {
-		m := &walMeas{Gen: s.Generation, Consumed: s.Consumed, Full: true}
-		recs = append(recs, record{typ: wal.TypeMeasurementBlock, payload: m, blocks: blocks})
-	} else if s.Consumed > 0 {
-		recs = append(recs, record{typ: wal.TypeBudgetRestore, payload: &walBudget{Consumed: s.Consumed}})
-	}
-	return append(recs, record{typ: wal.TypeAuditCheckpoint, payload: ckpt})
 }

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +14,7 @@ import (
 
 	"repro/internal/core/plans"
 	"repro/internal/mat"
+	"repro/internal/wal"
 )
 
 // newPersistentServer returns a server persisting under dir.
@@ -196,59 +199,79 @@ func TestPersistRejectsMismatchedIdentity(t *testing.T) {
 	}
 }
 
-// TestPersistRejectsCorruptSnapshot covers the legacy loader's
-// validation paths on real files: truncation, version skew, budget
-// inconsistency and a tampered audit ledger all fail the create. The file is the frozen version 3
-// fixture (legacyFixture), since nothing writes snapshots any more.
-func TestPersistRejectsCorruptSnapshot(t *testing.T) {
-	legacy, err := os.ReadFile(legacyFixture)
+// TestLegacySnapshotRefused: a state directory still holding the state
+// file older versions kept beside the log fails the create with
+// ErrSnapshot, naming the file, and leaves it untouched with no log
+// opened beside it. Loading the directory without the file's state would
+// re-grant the budget it records as spent.
+func TestLegacySnapshotRefused(t *testing.T) {
+	dir := t.TempDir()
+	legacy := []byte(`{"version":3,"name":"mig","consumed":2}`)
+	if err := os.WriteFile(legacySnapshotPath(dir, "mig"), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newPersistentServer(t, dir)
+	_, err := s.CreateDataset("mig", "piecewise", 32, 5000, 3, 10)
+	if !errors.Is(err, ErrSnapshot) || !strings.Contains(err.Error(), "mig.snapshot.json") {
+		t.Fatalf("create over a legacy snapshot: %v, want ErrSnapshot naming the file", err)
+	}
+	if got, err := os.ReadFile(legacySnapshotPath(dir, "mig")); err != nil || !bytes.Equal(got, legacy) {
+		t.Fatalf("legacy snapshot changed by the refused create: %q (%v)", got, err)
+	}
+	if _, err := os.Stat(walFilePath(dir, "mig")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("refused create opened a log: %v", err)
+	}
+}
+
+// TestCheckpointMarkerLogRefused: a log holding a checkpoint marker (the
+// head older versions wrote over a separate state file) fails the create
+// with its bytes unchanged, wherever the marker sits; the same log
+// without the marker loads.
+func TestCheckpointMarkerLogRefused(t *testing.T) {
+	create, err := json.Marshal(&walCreate{Name: "mk", Domain: 32, EpsTotal: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupt := func(t *testing.T, mutate func([]byte) []byte) error {
-		dir := t.TempDir()
-		if err := os.WriteFile(snapshotPath(dir, "mig"), mutate(legacy), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s2 := newPersistentServer(t, dir)
-		_, err := s2.CreateDataset("mig", "piecewise", 32, 5000, 3, 10)
-		return err
+	frame := func(typ wal.Type, payload string) []byte { return wal.AppendFrame(nil, typ, []byte(payload)) }
+	createF := frame(wal.TypeDatasetCreate, string(create))
+	marker := frame(wal.TypeCheckpointMarker, `{"gen":1,"consumed":2}`)
+	budget := frame(wal.TypeBudgetRestore, `{"consumed":3}`)
+	image := func(frames ...[]byte) []byte { return bytes.Join(append([][]byte{[]byte(wal.Magic)}, frames...), nil) }
+	for name, data := range map[string][]byte{
+		"create+marker+budget": image(createF, marker, budget),
+		"marker+budget":        image(marker, budget),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(walFilePath(dir, "mk"), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s := newPersistentServer(t, dir)
+			_, err := s.CreateDataset("mk", "piecewise", 32, 5000, 3, 10)
+			if !errors.Is(err, ErrSnapshot) || !strings.Contains(err.Error(), "unknown record type 4") {
+				t.Fatalf("create over a marker log: %v, want ErrSnapshot for record type 4", err)
+			}
+			if got, err := os.ReadFile(walFilePath(dir, "mk")); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("marker log changed by the refused create (%d bytes, was %d): %v", len(got), len(data), err)
+			}
+		})
 	}
-	if err := corrupt(t, func(b []byte) []byte { return b }); err != nil {
-		t.Fatalf("intact fixture refused: %v", err)
+	dir := t.TempDir()
+	if err := os.WriteFile(walFilePath(dir, "mk"), image(createF, budget), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if err := corrupt(t, func(b []byte) []byte { return b[:len(b)/2] }); err == nil {
-		t.Fatal("truncated snapshot accepted")
-	}
-	if err := corrupt(t, func(b []byte) []byte {
-		return []byte(strings.Replace(string(b), `"version":3`, `"version":99`, 1))
-	}); err == nil {
-		t.Fatal("version-skewed snapshot accepted")
-	}
-	if err := corrupt(t, func(b []byte) []byte {
-		return []byte(strings.Replace(string(b), `"consumed":2`, `"consumed":99`, 1))
-	}); err == nil {
-		t.Fatal("over-budget snapshot accepted")
-	}
-	// An edited ledger leaf no longer recomputes the snapshot's root,
-	// which the translated audit checkpoint checks on replay.
-	if err := corrupt(t, func(b []byte) []byte {
-		return []byte(strings.Replace(string(b), `"leaves":["16c4`, `"leaves":["26c4`, 1))
-	}); err == nil {
-		t.Fatal("snapshot with a tampered audit leaf accepted")
+	d, err := newPersistentServer(t, dir).CreateDataset("mk", "piecewise", 32, 5000, 3, 10)
+	if err != nil || d.Summary().Consumed != 3 {
+		t.Fatalf("the log without its marker: %v", err)
 	}
 }
 
 // TestCorruptSnapshotIsServerErrorOverHTTP pins the status mapping: a
-// create that fails on a bad persisted snapshot is server-side state
-// trouble (500), never a 400 blaming the well-formed client request.
+// create refused over persisted state is server-side state trouble
+// (500), never a 400 blaming the well-formed client request.
 func TestCorruptSnapshotIsServerErrorOverHTTP(t *testing.T) {
 	dir := t.TempDir()
-	data, err := os.ReadFile(legacyFixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(snapshotPath(dir, "mig"), data[:len(data)/2], 0o644); err != nil {
+	if err := os.WriteFile(legacySnapshotPath(dir, "mig"), []byte(`{"version":3,`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s2 := newPersistentServer(t, dir)
@@ -258,7 +281,7 @@ func TestCorruptSnapshotIsServerErrorOverHTTP(t *testing.T) {
 		Name: "mig", Kind: "piecewise", N: 32, Scale: 5000, Seed: 3, EpsTotal: 10,
 	}, nil)
 	if status != http.StatusInternalServerError {
-		t.Fatalf("corrupt-snapshot create: status %d (%s), want 500", status, body)
+		t.Fatalf("legacy-snapshot create: status %d (%s), want 500", status, body)
 	}
 }
 
@@ -302,64 +325,4 @@ func seq(n int) []float64 {
 		out[i] = float64(i + 1)
 	}
 	return out
-}
-
-// FuzzLoadSnapshot is the loader's safety fuzz target: arbitrary bytes
-// must either load a fully valid snapshot or return an error — never
-// panic, never hand back a partially validated log.
-func FuzzLoadSnapshot(f *testing.F) {
-	// Seed with the frozen version 3 snapshot, a truncation, a version
-	// skew, and a few structurally interesting corruptions.
-	valid, err := os.ReadFile(legacyFixture)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)/3])
-	f.Add([]byte(strings.Replace(string(valid), `"version":3`, `"version":7`, 1)))
-	f.Add([]byte(strings.Replace(string(valid), `"rows":33`, `"rows":-1`, 1)))
-	f.Add([]byte(strings.Replace(string(valid), `"scale":`, `"scale":-`, 1)))
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"version":1,"name":"a","domain":4,"eps_total":1,"consumed":0,` +
-		`"blocks":[{"rows":1,"cols":4,"sparse":[{"r":0,"c":9,"v":1}],"y":[0],"scale":1}]}`))
-	f.Add([]byte(`{"version":1,"name":"a","domain":1073741824,"eps_total":1,"consumed":0,"blocks":[]}`))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, blocks, err := loadSnapshot(data)
-		if err != nil {
-			if s != nil || blocks != nil {
-				t.Fatalf("error %v returned with partial state", err)
-			}
-			return
-		}
-		// A successful load must be internally consistent: every block
-		// matrix matches the domain and its answer count, with usable
-		// metadata.
-		if s.Version != snapshotVersion || s.Domain <= 0 || s.Domain > maxSnapshotDomain {
-			t.Fatalf("invalid snapshot accepted: %+v", s)
-		}
-		if !(s.Consumed >= 0) || s.Consumed > s.EpsTotal+1e-9 {
-			t.Fatalf("inconsistent budget accepted: %+v", s)
-		}
-		if len(blocks) != len(s.Blocks) {
-			t.Fatalf("partial block decode: %d of %d", len(blocks), len(s.Blocks))
-		}
-		for i, b := range blocks {
-			r, c := b.m.Dims()
-			if c != s.Domain || r != len(b.y) || r <= 0 {
-				t.Fatalf("block %d shape %dx%d with %d answers over domain %d", i, r, c, len(b.y), s.Domain)
-			}
-			if !(b.scale >= 0) || math.IsInf(b.scale, 0) {
-				t.Fatalf("block %d scale %v", i, b.scale)
-			}
-		}
-		// Round-trip: a loaded snapshot re-encodes and re-loads.
-		re, err := json.Marshal(s)
-		if err != nil {
-			t.Fatalf("accepted snapshot does not re-encode: %v", err)
-		}
-		if _, _, err := loadSnapshot(re); err != nil {
-			t.Fatalf("accepted snapshot does not re-load: %v", err)
-		}
-	})
 }

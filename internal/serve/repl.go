@@ -193,7 +193,7 @@ func (d *Dataset) bootstrapRecordsLocked() ([]wal.Record, error) {
 	}
 	recs = append(recs, wal.Record{Type: wal.TypeAuditState, Payload: payload})
 	if d.gen > 0 {
-		m := walMeas{Gen: d.gen, Consumed: consumed, Blocks: make([]snapshotBlock, len(d.blocks)), Full: true}
+		m := walMeas{Gen: d.gen, Consumed: consumed, Blocks: make([]wireBlock, len(d.blocks)), Full: true}
 		for i, b := range d.blocks {
 			m.Blocks[i] = encodeBlock(b)
 		}
@@ -316,10 +316,9 @@ func (s *Server) CreateFollower(name string, domain int, epsTotal float64, seed 
 // applied by the one state transition, applyRecordLocked, which sinks
 // it onto the follower's own stream and local WAL. Measurement records
 // are generation-guarded and budget values absolute, so applying the
-// same stream twice is a no-op. Only the gates are the follower's own:
-// checkpoint markers, which belong to legacy log files, are refused,
-// and a shipped audit record the rebuilt ledger disagrees with latches
-// the sticky replication error. It returns the number of records that
+// same stream twice is a no-op. Only the gate is the follower's own: a
+// shipped audit record the rebuilt ledger disagrees with latches the
+// sticky replication error. It returns the number of records that
 // changed state. Partial streams fail after applying the clean prefix;
 // the follower simply re-tails.
 func (d *Dataset) ApplyWALStream(data []byte) (applied int, err error) {
@@ -345,9 +344,6 @@ func (d *Dataset) ApplyWALStream(data []byte) (applied int, err error) {
 // applyShipped is follower apply's gate around applyRecordLocked for
 // one shipped record, reporting whether it changed state.
 func (d *Dataset) applyShipped(rec wal.Record) (bool, error) {
-	if rec.Type == wal.TypeCheckpointMarker {
-		return false, fmt.Errorf("unexpected record type %d in shipped stream", rec.Type)
-	}
 	r, err := decodeRecord(rec, d.n)
 	if err != nil {
 		return false, err

@@ -9,11 +9,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core/plans"
 	"repro/internal/mat"
+	"repro/internal/wal"
 )
 
 // shipAll copies the primary dataset's full replication stream into
@@ -408,6 +410,44 @@ func TestFollowerRejectsTamperedStream(t *testing.T) {
 	}
 	if got := fd.Summary().Generation; got != 1 {
 		t.Fatalf("generation %d after clean apply, want 1", got)
+	}
+}
+
+// TestFollowerRefusesShippedMarker: a checkpoint-marker frame on the
+// replication stream is refused like any unknown record, and moves
+// neither the follower's generation nor its consumed budget.
+func TestFollowerRefusesShippedMarker(t *testing.T) {
+	ps := New(Config{})
+	defer ps.Close()
+	pd, err := ps.CreateDatasetWithOptions("ds", "piecewise", 32, 500, 5, 4, SolverNormal, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pd.Measure("identity", 1); err != nil {
+		t.Fatal(err)
+	}
+	data, _, _, _, err := pd.WALTail(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := New(Config{})
+	defer fs.Close()
+	fd, err := fs.CreateFollower("ds", 32, 4, 5, SolverNormal, 0, "http://p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fd.ApplyWALStream(data); err != nil {
+		t.Fatal(err)
+	}
+	before := fd.Summary()
+	marker := wal.AppendFrame(nil, wal.TypeCheckpointMarker, []byte(`{"gen":2,"consumed":3}`))
+	applied, err := fd.ApplyWALStream(marker)
+	if err == nil || !strings.Contains(err.Error(), "unknown record type 4") || applied != 0 {
+		t.Fatalf("shipped marker: applied %d, err %v; want a refusal of record type 4", applied, err)
+	}
+	if after := fd.Summary(); after.Generation != before.Generation || after.Consumed != before.Consumed {
+		t.Fatalf("refused marker moved the follower: generation %d -> %d, consumed %v -> %v",
+			before.Generation, after.Generation, before.Consumed, after.Consumed)
 	}
 }
 

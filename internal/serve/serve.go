@@ -471,13 +471,11 @@ type Dataset struct {
 	// solver) epoch; nil when disabled.
 	cache *panelCache
 	// walPath and panelPath are the log and the advisory warm-start
-	// sidecar (walstate.go), legacyPath a legacy snapshot the next
-	// compaction removes ("" when none). All persistence I/O goes
-	// through fs so tests can inject faults.
-	walPath    string
-	panelPath  string
-	legacyPath string
-	fs         wal.FS
+	// sidecar (walstate.go). All persistence I/O goes through fs so
+	// tests can inject faults.
+	walPath   string
+	panelPath string
+	fs        wal.FS
 	// wlog is the open write-ahead log (nil: no persistence); walRecs
 	// counts state records since the last compaction, triggering the
 	// next at Config.CheckpointEvery.
@@ -552,15 +550,6 @@ func (s *Server) CreateDatasetWithOptions(name, kind string, n int, scale float6
 	return s.addDataset(name, x, seed, epsTotal, solverName, damping, "")
 }
 
-// CreateDatasetFromVector registers a dataset from an explicit data
-// vector.
-func (s *Server) CreateDatasetFromVector(name string, x []float64, seed uint64, epsTotal float64) (*Dataset, error) {
-	if len(x) == 0 || !(epsTotal > 0) || math.IsInf(epsTotal, 0) {
-		return nil, fmt.Errorf("serve: dataset needs positive domain and finite positive budget")
-	}
-	return s.addDataset(name, x, seed, epsTotal, "", 0, "")
-}
-
 // addDataset constructs and registers a dataset. A non-empty primary
 // address makes it a follower (read replica — see repl.go): same
 // construction, persistence restore included, but writes are refused
@@ -596,7 +585,6 @@ func (s *Server) addDataset(name string, x []float64, seed uint64, epsTotal floa
 	if s.cfg.StateDir != "" {
 		d.walPath = walFilePath(s.cfg.StateDir, name)
 		d.panelPath = panelFilePath(s.cfg.StateDir, name)
-		d.legacyPath = snapshotPath(s.cfg.StateDir, name)
 		// Restore the persisted measurement log (and its spent budget)
 		// before the dataset becomes visible; persisted state that exists
 		// but does not validate fails the create rather than silently

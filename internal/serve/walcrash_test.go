@@ -292,7 +292,7 @@ func TestWALCompactionRestart(t *testing.T) {
 	// Compaction ran at the second commit: no snapshot file, and the
 	// live log opens with the bootstrap head — create, audit state, one
 	// Full measurement, audit checkpoint — before the third commit.
-	if _, err := os.Stat(snapshotPath(dir, "ck")); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(legacySnapshotPath(dir, "ck")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("compaction wrote a snapshot file: %v", err)
 	}
 	data, err := os.ReadFile(walFilePath(dir, "ck"))
@@ -333,165 +333,5 @@ func TestWALCompactionRestart(t *testing.T) {
 		if after.Answers[i] != before.Answers[i] {
 			t.Fatalf("compacted restart moved answer %d: %v -> %v", i, before.Answers[i], after.Answers[i])
 		}
-	}
-}
-
-// legacyFixture is a state file the retired snapshot-per-commit backend
-// wrote (dataset "mig": piecewise, n=32, scale 5000, seed 3, ε-total 10,
-// one "hb" measurement at ε=2), frozen with the answers and budget that
-// process served before it exited.
-const (
-	legacyFixture         = "testdata/legacy_v3.snapshot.json"
-	legacyFixtureExpected = "testdata/legacy_v3.expected.json"
-)
-
-// TestWALLegacySnapshotMigration opens a state directory holding only a
-// snapshot file written by the retired snapshot backend: the snapshot
-// loads as the checkpoint with no migration step, answers stay bitwise,
-// spent budget is not re-granted, and new commits append to a fresh log
-// that survives a further restart.
-func TestWALLegacySnapshotMigration(t *testing.T) {
-	dir := t.TempDir()
-	legacy, err := os.ReadFile(legacyFixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(snapshotPath(dir, "mig"), legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var want struct {
-		Answers      []float64 `json:"answers"`
-		Consumed     float64   `json:"consumed"`
-		MeasuredRows int       `json:"measured_rows"`
-		Generation   uint64    `json:"generation"`
-	}
-	data, err := os.ReadFile(legacyFixtureExpected)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := New(Config{BatchWindow: 100 * time.Microsecond, StateDir: dir})
-	d2, err := s2.CreateDataset("mig", "piecewise", 32, 5000, 3, 10)
-	if err != nil {
-		t.Fatalf("legacy state dir refused by WAL backend: %v", err)
-	}
-	sumAfter := d2.Summary()
-	if sumAfter.Consumed != want.Consumed || sumAfter.MeasuredRows != want.MeasuredRows ||
-		sumAfter.Generation != want.Generation {
-		t.Fatalf("migration state %+v, want %+v", sumAfter, want)
-	}
-	after, err := d2.Query(crashWorkload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after.Answers) != len(want.Answers) {
-		t.Fatalf("migration answered %d ranges, want %d", len(after.Answers), len(want.Answers))
-	}
-	for i := range want.Answers {
-		if after.Answers[i] != want.Answers[i] {
-			t.Fatalf("migration moved answer %d: %v -> %v", i, want.Answers[i], after.Answers[i])
-		}
-	}
-	// New commits land in the WAL and survive a further restart.
-	if _, err := d2.Measure("identity", 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(walFilePath(dir, "mig")); err != nil {
-		t.Fatalf("WAL backend did not open a log on legacy state: %v", err)
-	}
-	before3, err := d2.Query(crashWorkload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2.Close()
-
-	s3 := New(Config{BatchWindow: 100 * time.Microsecond, StateDir: dir})
-	defer s3.Close()
-	d3, err := s3.CreateDataset("mig", "piecewise", 32, 5000, 3, 10)
-	if err != nil {
-		t.Fatalf("restart on legacy checkpoint + new log: %v", err)
-	}
-	if sum := d3.Summary(); sum.Consumed != want.Consumed+1 || sum.Generation != want.Generation+1 {
-		t.Fatalf("second restart state %+v, want consumed %g at generation %d",
-			sum, want.Consumed+1, want.Generation+1)
-	}
-	after3, err := d3.Query(crashWorkload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range before3.Answers {
-		if after3.Answers[i] != before3.Answers[i] {
-			t.Fatalf("second restart moved answer %d: %v -> %v", i, before3.Answers[i], after3.Answers[i])
-		}
-	}
-}
-
-// legacyTail is the one-record log the v1 and v2 fixtures load under:
-// a measurement of the total query at generation 2, as a commit after
-// the checkpoint would have appended it.
-const legacyTail = `{"gen":2,"consumed":3,"blocks":[{"rows":1,"cols":32,"dense":[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1],"y":[14771.5],"scale":1}],"op":"measure:total","session":1,"charges":1,"eps":1}`
-
-// TestWALLegacyCheckpointFormats freezes the two checkpoint formats
-// older than the current one: a hand-written version-1 snapshot (no
-// panel, no audit ledger) and version-2 snapshot (a warm-start panel,
-// no audit ledger), each under a one-record log tail, load through the
-// replay path to the pinned generation, budget, log size, audit head
-// and answers.
-func TestWALLegacyCheckpointFormats(t *testing.T) {
-	for _, v := range []string{"v1", "v2"} {
-		t.Run(v, func(t *testing.T) {
-			dir := t.TempDir()
-			snap, err := os.ReadFile("testdata/legacy_" + v + ".snapshot.json")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(snapshotPath(dir, "mig"), snap, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			tail := wal.AppendFrame([]byte(wal.Magic), wal.TypeMeasurementBlock, []byte(legacyTail))
-			if err := os.WriteFile(walFilePath(dir, "mig"), tail, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			var want struct {
-				Answers      []float64 `json:"answers"`
-				Consumed     float64   `json:"consumed"`
-				Generation   uint64    `json:"generation"`
-				Measurements int       `json:"measurements"`
-				MeasuredRows int       `json:"measured_rows"`
-				AuditSize    uint64    `json:"audit_size"`
-				AuditRoot    string    `json:"audit_root"`
-			}
-			data, err := os.ReadFile("testdata/legacy_" + v + ".expected.json")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := json.Unmarshal(data, &want); err != nil {
-				t.Fatal(err)
-			}
-
-			s := New(Config{BatchWindow: 100 * time.Microsecond, StateDir: dir})
-			defer s.Close()
-			d, err := s.CreateDataset("mig", "piecewise", 32, 5000, 3, 10)
-			if err != nil {
-				t.Fatalf("%s checkpoint with a log tail refused: %v", v, err)
-			}
-			sum := d.Summary()
-			if sum.Generation != want.Generation || sum.Consumed != want.Consumed ||
-				sum.Measurements != want.Measurements || sum.MeasuredRows != want.MeasuredRows ||
-				sum.AuditSize != want.AuditSize || sum.AuditRoot != want.AuditRoot {
-				t.Fatalf("%s state: generation %d, consumed %v, %d blocks / %d rows, audit %d %s; want %+v",
-					v, sum.Generation, sum.Consumed, sum.Measurements, sum.MeasuredRows, sum.AuditSize, sum.AuditRoot, want)
-			}
-			got, err := d.Query(crashWorkload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bitsEqual(got.Answers, want.Answers) {
-				t.Fatalf("%s answers %v, want %v", v, got.Answers, want.Answers)
-			}
-		})
 	}
 }

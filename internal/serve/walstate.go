@@ -32,9 +32,8 @@ import (
 //     writability and budget before d.mu, then passes the record it
 //     built — canonical blocks, commitment and sealed frame from
 //     prepareCommit — so it never decodes what it just encoded.
-//   - WAL replay (loadStateWAL) decodes each record with decodeRecord,
-//     alone accepts checkpoint markers (and only over a legacy
-//     snapshot), and turns any error into a failed create.
+//   - WAL replay (loadStateWAL) decodes each record with decodeRecord
+//     and turns any error into a failed create.
 //   - Follower apply (ApplyWALStream, repl.go) decodes each shipped
 //     record with the same decodeRecord, before the lock, and latches a
 //     replication error when the shipped audit ledger disagrees.
@@ -65,8 +64,6 @@ import (
 //	budget-restore    — absolute consumed without measurements (a failed
 //	                    plan's partial spend)
 //	audit-*           — the ledger's head and full state (audit.go)
-//	checkpoint-marker — legacy only, never written: the generation +
-//	                    consumed of the snapshot an old log sits on
 //
 // The transition is idempotent, so compaction's crash windows and
 // re-shipped frames are harmless: a measurement record whose generation
@@ -111,13 +108,13 @@ type walCreate struct {
 // before the ledger existed replay unchanged (their leaves carry zero
 // attribution, identically at every replay site).
 type walMeas struct {
-	Gen      uint64          `json:"gen"`
-	Consumed float64         `json:"consumed"`
-	Blocks   []snapshotBlock `json:"blocks"`
-	Op       string          `json:"op,omitempty"`
-	Session  int             `json:"session,omitempty"`
-	Charges  int             `json:"charges,omitempty"`
-	Eps      float64         `json:"eps,omitempty"`
+	Gen      uint64      `json:"gen"`
+	Consumed float64     `json:"consumed"`
+	Blocks   []wireBlock `json:"blocks"`
+	Op       string      `json:"op,omitempty"`
+	Session  int         `json:"session,omitempty"`
+	Charges  int         `json:"charges,omitempty"`
+	Eps      float64     `json:"eps,omitempty"`
 	// Full marks a collapsed full-history record (a replication
 	// bootstrap frame): apply replaces the measurement log instead of
 	// appending to it, so a follower resyncing from offset zero does
@@ -135,12 +132,6 @@ type walBudget struct {
 	Eps      float64 `json:"eps,omitempty"`
 }
 
-// walMarker is the legacy checkpoint-marker record payload.
-type walMarker struct {
-	Gen      uint64  `json:"gen"`
-	Consumed float64 `json:"consumed"`
-}
-
 // panelSidecar is the advisory warm-start panel file.
 type panelSidecar struct {
 	Domain int       `json:"domain"`
@@ -149,13 +140,19 @@ type panelSidecar struct {
 }
 
 // walFilePath and panelFilePath name a dataset's log and panel sidecar
-// under a state directory (path-escaped like snapshotPath).
+// under a state directory, and legacySnapshotPath the state file older
+// versions kept beside the log. The name is path-escaped so
+// client-chosen names cannot traverse outside the directory.
 func walFilePath(stateDir, name string) string {
 	return filepath.Join(stateDir, url.PathEscape(name)+".wal")
 }
 
 func panelFilePath(stateDir, name string) string {
 	return filepath.Join(stateDir, url.PathEscape(name)+".panel.json")
+}
+
+func legacySnapshotPath(stateDir, name string) string {
+	return filepath.Join(stateDir, url.PathEscape(name)+".snapshot.json")
 }
 
 // decodeStrict unmarshals a record payload rejecting unknown fields and
@@ -198,9 +195,9 @@ func (d *Dataset) checkIdentity(c *walCreate) error {
 }
 
 // record is one log record ready for applyRecordLocked: its type, its
-// decoded payload (*walCreate, *walMeas, *walBudget, *walMarker,
-// *walAuditCkpt or *walAuditState), and the sealed frame the sink
-// publishes (nil on replay, where the record is already in the log).
+// decoded payload (*walCreate, *walMeas, *walBudget, *walAuditCkpt or
+// *walAuditState), and the sealed frame the sink publishes (nil on
+// replay, where the record is already in the log).
 // A measurement record also carries its blocks in canonical form and the
 // hex SHA-256 commitment of their encoding.
 type record struct {
@@ -223,8 +220,6 @@ func decodeRecord(rec wal.Record, domain int) (record, error) {
 		r.payload = new(walMeas)
 	case wal.TypeBudgetRestore:
 		r.payload = new(walBudget)
-	case wal.TypeCheckpointMarker:
-		r.payload = new(walMarker)
 	case wal.TypeAuditCheckpoint:
 		r.payload = new(walAuditCkpt)
 	case wal.TypeAuditState:
@@ -313,11 +308,6 @@ func (d *Dataset) applyRecordLocked(r record) (changed bool, rcpt AuditReceipt, 
 		rcpt = d.auditSpendLeafLocked(p)
 		d.sinkLocked(r)
 		return changed, rcpt, nil
-	case *walMarker:
-		if p.Gen > d.gen {
-			return false, rcpt, fmt.Errorf("marker generation %d ahead of legacy snapshot %d", p.Gen, d.gen)
-		}
-		return false, rcpt, d.kern.RestoreConsumed(p.Consumed)
 	case *walAuditCkpt:
 		// The recorded ledger head is the tamper-evidence anchor: the local
 		// tree must have held exactly this root at this size.
@@ -368,21 +358,21 @@ func (d *Dataset) sinkLocked(r record) {
 	d.maybeCompactLocked()
 }
 
-// loadStateWAL restores the dataset from a legacy snapshot, if any,
-// plus a log replay through applyRecordLocked, then leaves the log open
-// for appends. Called once at create time, before the dataset is
-// published. Torn log tails are recovery (the clean prefix loads); a
-// compacted head cut short or a CRC-valid record that fails validation
-// fails the create — silently dropping either could re-grant budget.
+// loadStateWAL restores the dataset by a log replay through
+// applyRecordLocked, then leaves the log open for appends. Called once
+// at create time, before the dataset is published. Torn log tails are
+// recovery (the clean prefix loads); a compacted head cut short or a
+// CRC-valid record that fails validation fails the create — silently
+// dropping either could re-grant budget. So does a state file older
+// versions kept beside the log: the log alone would load without the
+// budget that file records as spent.
 func (d *Dataset) loadStateWAL() error {
-	legacy, err := d.loadLegacySnapshot()
-	if err != nil {
-		return fmt.Errorf("legacy snapshot for %q: %w", d.name, err)
-	}
-	for i, r := range legacy {
-		if _, _, err := d.applyRecordLocked(r); err != nil {
-			return fmt.Errorf("%w: legacy snapshot for %q: record %d: %v", ErrSnapshot, d.name, i, err)
+	legacy := legacySnapshotPath(d.cfg.StateDir, d.name)
+	if _, err := d.fs.ReadFile(legacy); !errors.Is(err, os.ErrNotExist) {
+		if err == nil {
+			err = errors.New("state file of an older version; convert it into the log with that version first")
 		}
+		return fmt.Errorf("%w: %s: %v", ErrSnapshot, legacy, err)
 	}
 	create, err := json.Marshal(&walCreate{Name: d.name, Domain: d.n, EpsTotal: d.kern.EpsTotal()})
 	if err != nil {
@@ -407,12 +397,6 @@ func (d *Dataset) loadStateWAL() error {
 	}
 	for i, rec := range recs {
 		r, err := decodeRecord(rec, d.n)
-		if err == nil && rec.Type == wal.TypeCheckpointMarker && legacy == nil {
-			// A marker names the legacy snapshot the log sits on; without
-			// it the generations it covers are gone, and loading the
-			// remainder would silently drop measurements (and budget).
-			err = errors.New("checkpoint marker without a legacy snapshot")
-		}
 		if err == nil {
 			_, _, err = d.applyRecordLocked(r)
 		}
@@ -465,9 +449,7 @@ func compactedHead(data []byte, recs []wal.Record, createLen int) (n int, whole 
 
 // loadPanelSidecar restores the advisory warm-start panel. Purely
 // best-effort: anything invalid is logged and ignored — the panel is a
-// solve seed, never authoritative state. A sidecar overrides a legacy
-// snapshot's embedded panel (both were written at commit time; the
-// sidecar is at least as fresh).
+// solve seed, never authoritative state.
 func (d *Dataset) loadPanelSidecar() {
 	data, err := d.fs.ReadFile(d.panelPath)
 	if err != nil {
@@ -689,14 +671,6 @@ func (d *Dataset) maybeCompactLocked() {
 		return
 	}
 	d.wlog = nl
-	if d.legacyPath != "" {
-		// The head covers the snapshot; a crash before this removal
-		// reloads it under the head, which replay idempotence makes
-		// harmless, and a failed removal retries at the next compaction.
-		if err := d.fs.Remove(d.legacyPath); err == nil || errors.Is(err, os.ErrNotExist) {
-			d.legacyPath = ""
-		}
-	}
 }
 
 // closePersistence syncs and closes the dataset's log (no-op without

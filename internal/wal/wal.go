@@ -89,9 +89,10 @@ const (
 	// value.
 	TypeBudgetRestore Type = 3
 	// TypeCheckpointMarker opened a log compacted into a separate
-	// checkpoint file, recording the generation and consumed value of
-	// that checkpoint. Nothing writes it any more; it stays a valid type
-	// so such legacy logs still scan.
+	// checkpoint file in older versions. Nothing writes it, and serve
+	// refuses a log or stream that holds one. It stays a valid frame type
+	// so Scan reads such a log whole for that refusal, instead of
+	// truncating it as a torn tail and loading the rest.
 	TypeCheckpointMarker Type = 4
 	// TypeAuditCheckpoint pins the audit ledger head (leaf count and
 	// Merkle root) after a commit; replay must reproduce the root or
