@@ -252,8 +252,8 @@ func BenchmarkGramKronFast(b *testing.B) {
 // ---------------------------------------------------------------------
 // Blocked Gram and multi-RHS (MatMat) benchmarks. The Gram shapes are
 // gramCases; blocked-vs-column speedups are read off the
-// sub-benchmark ratio. Allocations are reported and must be 0 on the
-// GramInto and MatMat steady states for Dense and CSR.
+// sub-benchmark ratio. Allocations are reported; the MatMat steady
+// states for Dense and CSR must make none.
 // ---------------------------------------------------------------------
 
 // gramCases are the Gram benchmark shapes: the strategy shapes DirectLS
@@ -297,16 +297,14 @@ func benchGramCase(b *testing.B, name string) {
 			continue
 		}
 		m := c.build()
-		_, cols := m.Dims()
-		g := mat.NewDense(cols, cols, nil)
 		b.Run("blocked", func(b *testing.B) {
 			mat.SetParallelism(1)
 			defer mat.SetParallelism(0)
-			mat.GramInto(g, m) // warm pools
+			mat.Gram(m) // warm pools
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mat.GramInto(g, m)
+				mat.Gram(m)
 			}
 		})
 		b.Run("columns", func(b *testing.B) {

@@ -50,11 +50,11 @@
 // (workload, rounds, total, shape, dim, seed) — through a per-request
 // kernel session with exactly the same Algorithm 2 accounting, and
 // appends every measurement the plan took to the warm log. Repeated
-// query workloads are memoized by a per-dataset cache that owns its
-// validity epoch, (measurement-log generation, solver): a hit is served
-// on the request goroutine before the batcher, with no dataset lock,
-// zero solver iterations and zero panel work, and any new measurement
-// or solver switch moves the epoch, dropping every cached answer.
+// query workloads are memoized by a per-dataset cache keyed by the
+// measurement-log generation (a dataset's solver is fixed at create):
+// a hit is served on the request goroutine before the batcher, with no
+// dataset lock, zero solver iterations and zero panel work, and any new
+// measurement moves the generation, dropping every cached answer.
 // With Config.StateDir set, each measurement commit is made durable
 // before the request returns by a per-dataset write-ahead log
 // (internal/wal): one CRC32C-framed record per commit — O(delta)
@@ -134,7 +134,7 @@
 // per-iteration garbage. On top of the single-vector kernels sits a
 // batched multi-RHS tier (mat.MatMat/TMatMat over row-major panels)
 // that the hot consumers ride: blocked symmetric Gram builds
-// (mat.GramInto), suffix-sum range-workload Grams with engine-parallel
+// (mat.Gram), suffix-sum range-workload Grams with engine-parallel
 // axis passes and an engine-parallel Kronecker expansion, block Krylov
 // solvers — solver.CGLSMulti and solver.LSMRMulti, the paper's §7.6
 // solver run k columns at a time with per-column convergence latches,

@@ -8,6 +8,7 @@ package repro
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core/inference"
@@ -96,13 +97,13 @@ func TestRegistryPlansAreRunnable(t *testing.T) {
 
 	runners := map[string]func(h *kernel.Handle) ([]float64, error){
 		"Identity":              func(h *kernel.Handle) ([]float64, error) { return plans.Identity(h, 1) },
-		"Privelet":              func(h *kernel.Handle) ([]float64, error) { return plans.Privelet(h, 1) },
-		"Hierarchical (H2)":     func(h *kernel.Handle) ([]float64, error) { return plans.H2(h, 1) },
+		"Privelet":              func(h *kernel.Handle) ([]float64, error) { return plans.PriveletGraph(1).Execute(h) },
+		"Hierarchical (H2)":     func(h *kernel.Handle) ([]float64, error) { return plans.H2Graph(1).Execute(h) },
 		"Hierarchical Opt (HB)": func(h *kernel.Handle) ([]float64, error) { return plans.HB(h, 1) },
 		"Greedy-H": func(h *kernel.Handle) ([]float64, error) {
-			return plans.GreedyH(h, w.Ranges1D(), 1)
+			return plans.GreedyHGraph(w.Ranges1D(), 1).Execute(h)
 		},
-		"Uniform": func(h *kernel.Handle) ([]float64, error) { return plans.Uniform(h, 1) },
+		"Uniform": func(h *kernel.Handle) ([]float64, error) { return plans.UniformGraph(1).Execute(h) },
 		"MWEM": func(h *kernel.Handle) ([]float64, error) {
 			return plans.MWEM(h, w, 1, plans.MWEMConfig{Rounds: 3, Total: total})
 		},
@@ -122,7 +123,7 @@ func TestRegistryPlansAreRunnable(t *testing.T) {
 		},
 	}
 	for name, run := range runners {
-		if _, ok := plans.ByName(name); !ok {
+		if !slices.Contains(plans.PlanNames(), name) {
 			t.Errorf("%s not in the Fig. 2 registry", name)
 			continue
 		}

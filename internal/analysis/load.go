@@ -89,9 +89,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// Fset returns the loader's shared FileSet.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Import implements types.Importer so the loader can hand itself to
 // types.Config: module-local paths load recursively through the loader,
 // anything else goes to the stdlib source importer.

@@ -8,7 +8,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -89,7 +91,19 @@ func (c *testCluster) primaryOf(dataset string) string {
 	for _, b := range c.topo.Backends {
 		names = append(names, b.Name)
 	}
-	return NewRing(names, 0).Primary(dataset)
+	return NewRing(names, 0).Owners(dataset, 1)[0]
+}
+
+// statusOf returns a dataset's /v1/status row on one server.
+func statusOf(t *testing.T, s *serve.Server, dataset string) serve.DatasetStatus {
+	t.Helper()
+	for _, st := range s.Status().Datasets {
+		if st.Name == dataset {
+			return st
+		}
+	}
+	t.Fatalf("no status row for %q", dataset)
+	return serve.DatasetStatus{}
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
@@ -232,8 +246,8 @@ func TestClusterReplicationBitIdentity(t *testing.T) {
 			t.Fatalf("replica %q audit ledger %d/%s, primary %d/%s",
 				b.Name, sum.AuditSize, sum.AuditRoot, psum.AuditSize, psum.AuditRoot)
 		}
-		if err := d.ReplicationError(); err != nil {
-			t.Fatalf("replica %q latched replication error: %v", b.Name, err)
+		if e := statusOf(t, c.servers[b.Name], ds).ReplicationError; e != "" {
+			t.Fatalf("replica %q latched replication error: %s", b.Name, e)
 		}
 		got := queryBackend(t, c.listen[b.Name].URL, ds)
 		if !sameBits(got.Answers, want.Answers) {
@@ -460,7 +474,8 @@ func TestFollowerManagerCursorAndLag(t *testing.T) {
 		}
 	}
 	pd, _ := c.servers[primary].Dataset(ds)
-	_, pOff, pGen := pd.ReplState()
+	psum := pd.Summary()
+	pOff, pGen := psum.WALOffset, psum.Generation
 
 	c.managers[follower].SyncOnce()
 	_, off1 := c.managers[follower].Cursor(ds)
@@ -588,5 +603,55 @@ func TestClusterProbeUnderWrite(t *testing.T) {
 		if got := fd.Summary().Generation; got != want.Generation {
 			t.Fatalf("replica %q at generation %d, primary %d", b.Name, got, want.Generation)
 		}
+	}
+}
+
+// TestRouterRefusesOversizedBody: a body over serve.MaxBodyBytes gets
+// 413 from the router itself; the backend never sees the request and
+// no budget is spent.
+func TestRouterRefusesOversizedBody(t *testing.T) {
+	s := serve.New(serve.Config{BatchWindow: 100 * time.Microsecond})
+	var forwarded atomic.Int64
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.Method == http.MethodPost {
+			forwarded.Add(1)
+		}
+		s.Handler().ServeHTTP(w, req)
+	}))
+	r, err := NewRouter(Topology{Backends: []Backend{{Name: "a", Addr: backend.URL}}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(r.Handler())
+	t.Cleanup(func() {
+		front.Close()
+		r.Close()
+		backend.Close()
+		s.Close()
+	})
+	r.ProbeOnce()
+	resp, body := postJSON(t, front.URL+"/v1/datasets", map[string]any{
+		"name": "big", "kind": "uniform", "n": 32, "scale": 500, "seed": 1, "eps_total": 4,
+	})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d %s", resp.StatusCode, body)
+	}
+	before := forwarded.Load()
+
+	padded := `{"strategy":"identity",` + strings.Repeat(" ", serve.MaxBodyBytes) + `"eps":1}`
+	resp, err = http.Post(front.URL+"/v1/datasets/big/measure", "application/json", strings.NewReader(padded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-limit measure via router: %d %s, want 413", resp.StatusCode, msg)
+	}
+	if n := forwarded.Load() - before; n != 0 {
+		t.Fatalf("router forwarded %d over-limit requests to the backend", n)
+	}
+	if d, _ := s.Dataset("big"); d.Summary().Consumed != 0 {
+		t.Fatalf("over-limit measure spent %v", d.Summary().Consumed)
 	}
 }

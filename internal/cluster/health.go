@@ -79,13 +79,6 @@ func (b *backendState) generation(dataset string) uint64 {
 	return 0
 }
 
-func (b *backendState) datasetStatus(dataset string) (serve.DatasetStatus, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	st, ok := b.datasets[dataset]
-	return st, ok
-}
-
 // BackendReport is one backend's row in the router's /v1/cluster/status.
 type BackendReport struct {
 	Name     string `json:"name"`

@@ -74,12 +74,6 @@ func hash64(s string) uint64 {
 	return x
 }
 
-// Primary returns the backend owning key — the first point clockwise
-// from the key's hash.
-func (r *Ring) Primary(key string) string {
-	return r.Owners(key, 1)[0]
-}
-
 // Owners returns the first n distinct backends clockwise from the
 // key's hash: index 0 is the primary, the rest are its replicas in
 // ring order. n is capped at the backend count.

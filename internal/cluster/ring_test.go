@@ -5,13 +5,17 @@ import (
 	"testing"
 )
 
+// primaryOf is the backend owning key: the first point clockwise from
+// the key's hash.
+func primaryOf(r *Ring, key string) string { return r.Owners(key, 1)[0] }
+
 func TestRingDeterministicPlacement(t *testing.T) {
 	names := []string{"a", "b", "c"}
 	r1 := NewRing(names, 64)
 	r2 := NewRing([]string{"c", "a", "b"}, 64) // input order must not matter
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("dataset-%d", i)
-		if r1.Primary(key) != r2.Primary(key) {
+		if primaryOf(r1, key) != primaryOf(r2, key) {
 			t.Fatalf("key %q: placement depends on backend input order", key)
 		}
 	}
@@ -32,8 +36,8 @@ func TestRingOwnersDistinct(t *testing.T) {
 			}
 			seen[o] = true
 		}
-		if owners[0] != r.Primary(key) {
-			t.Fatalf("key %q: Owners[0] %q != Primary %q", key, owners[0], r.Primary(key))
+		if p := primaryOf(r, key); owners[0] != p {
+			t.Fatalf("key %q: Owners(3)[0] %q != Owners(1)[0] %q", key, owners[0], p)
 		}
 	}
 	// Asking for more owners than backends caps at the backend count.
@@ -48,7 +52,7 @@ func TestRingBalance(t *testing.T) {
 	counts := map[string]int{}
 	const keys = 10000
 	for i := 0; i < keys; i++ {
-		counts[r.Primary(fmt.Sprintf("key-%d", i))]++
+		counts[primaryOf(r, fmt.Sprintf("key-%d", i))]++
 	}
 	// With 64 vnodes per backend the load should be within a loose 2x
 	// band of fair share — the point is no backend is starved or doubled.
@@ -67,7 +71,7 @@ func TestRingMinimalDisruption(t *testing.T) {
 	const keys = 2000
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		b, a := before.Primary(key), after.Primary(key)
+		b, a := primaryOf(before, key), primaryOf(after, key)
 		if b != a {
 			if a != "d" {
 				t.Fatalf("key %q moved %q -> %q, not to the new backend", key, b, a)

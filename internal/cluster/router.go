@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -223,14 +224,31 @@ func writeProxied(w http.ResponseWriter, b *backendState, res proxyResult) {
 	_, _ = w.Write(res.body)
 }
 
+// errBodyTooLarge refuses a request body over serve.MaxBodyBytes, which
+// no backend would accept.
+var errBodyTooLarge = fmt.Errorf("request body exceeds %d bytes", serve.MaxBodyBytes)
+
 // readBody buffers a request body (queries must be resendable for
-// retry-on-next-replica).
+// retry-on-next-replica), reading at most one byte past the limit.
 func readBody(req *http.Request) ([]byte, error) {
 	if req.Body == nil {
 		return nil, nil
 	}
 	defer req.Body.Close()
-	return io.ReadAll(io.LimitReader(req.Body, 16<<20))
+	body, err := io.ReadAll(io.LimitReader(req.Body, serve.MaxBodyBytes+1))
+	if err == nil && len(body) > serve.MaxBodyBytes {
+		return nil, errBodyTooLarge
+	}
+	return body, err
+}
+
+// bodyErr answers a request whose body readBody refused.
+func bodyErr(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	if errors.Is(err, errBodyTooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	routerErr(w, status, "read body: %v", err)
 }
 
 // owners returns the dataset's owner backends: primary first, then
@@ -290,7 +308,7 @@ func (r *Router) handleRead(w http.ResponseWriter, req *http.Request) {
 	dataset := req.PathValue("name")
 	body, err := readBody(req)
 	if err != nil {
-		routerErr(w, http.StatusBadRequest, "read body: %v", err)
+		bodyErr(w, err)
 		return
 	}
 	cands, primaryReady, primary := r.readPlan(dataset)
@@ -349,7 +367,7 @@ func (r *Router) writeToPrimary(w http.ResponseWriter, req *http.Request, datase
 	}
 	body, err := readBody(req)
 	if err != nil {
-		routerErr(w, http.StatusBadRequest, "read body: %v", err)
+		bodyErr(w, err)
 		return
 	}
 	res, err := r.forward(primary, req, body)
@@ -366,7 +384,7 @@ func (r *Router) writeToPrimary(w http.ResponseWriter, req *http.Request, datase
 func (r *Router) handleCreate(w http.ResponseWriter, req *http.Request) {
 	body, err := readBody(req)
 	if err != nil {
-		routerErr(w, http.StatusBadRequest, "read body: %v", err)
+		bodyErr(w, err)
 		return
 	}
 	var peek struct {

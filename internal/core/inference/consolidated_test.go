@@ -49,14 +49,8 @@ func TestConsolidatedDistinctBlocksAreTheStack(t *testing.T) {
 	if c.Groups() != len(ms) {
 		t.Fatalf("%d groups for %d distinct strategies", c.Groups(), len(ms))
 	}
-	st, ok := a.(*mat.VStackMat)
-	if !ok || len(st.Blocks()) != len(ms) {
+	if _, ok := a.(*mat.VStackMat); !ok || !mat.Equal(a, mat.VStack(ms...), 0) {
 		t.Fatalf("system matrix is %T, want the stack of the %d blocks", a, len(ms))
-	}
-	for i, b := range st.Blocks() {
-		if b != ms[i] {
-			t.Fatalf("stack block %d is not log block %d", i, i)
-		}
 	}
 	if !sameFloats(y, wantY) || !sameFloats(w, wantW) {
 		t.Fatal("a log of distinct strategies is not the stacked system bit for bit")
@@ -151,7 +145,7 @@ func TestConsolidatedDigestCollisionOpensNewGroup(t *testing.T) {
 	for i := 0; i < n; i++ {
 		d.Set(i, i, 1)
 	}
-	if sameMatrix(a, d) || !sameMatrix(d, d.Clone()) {
+	if sameMatrix(a, d) || !sameMatrix(d, mat.NewDense(n, n, append([]float64(nil), d.Data()...))) {
 		t.Fatal("sameMatrix must compare like forms entry for entry")
 	}
 }

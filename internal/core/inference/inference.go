@@ -85,9 +85,6 @@ func (ms *Measurements) Len() int {
 	return total
 }
 
-// Domain returns the root domain size.
-func (ms *Measurements) Domain() int { return ms.domain }
-
 // Matrix returns the union (vertical stack) of all measurement blocks.
 func (ms *Measurements) Matrix() mat.Matrix {
 	if len(ms.blocks) == 0 {
@@ -195,9 +192,4 @@ func (ms *Measurements) MultWeights(xInit []float64, iters int) []float64 {
 	ws := wsPool.Get().(*mat.Workspace)
 	defer wsPool.Put(ws)
 	return solver.MultWeights(ms.Matrix(), ms.Answers(), xInit, iters, ws)
-}
-
-// defaultSolverOptions is the shared default for convenience wrappers.
-func defaultSolverOptions() solver.Options {
-	return solver.Options{MaxIter: 500, Tol: 1e-9}
 }

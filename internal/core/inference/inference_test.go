@@ -159,8 +159,8 @@ func TestLenAndDomain(t *testing.T) {
 	ms := NewMeasurements(4)
 	ms.Add(mat.Identity(4), make([]float64, 4), 1)
 	ms.Add(mat.Total(4), make([]float64, 1), 2)
-	if ms.Len() != 5 || ms.Domain() != 4 {
-		t.Fatalf("len=%d domain=%d", ms.Len(), ms.Domain())
+	if ms.Len() != 5 || ms.domain != 4 {
+		t.Fatalf("len=%d domain=%d", ms.Len(), ms.domain)
 	}
 	w := ms.Weights()
 	if len(w) != 5 || w[0] != 1 || w[4] != 0.5 {

@@ -25,18 +25,3 @@ func Threshold(xhat []float64, t float64) []float64 {
 func NoiseAwareThreshold(xhat []float64, noiseScale, k float64) []float64 {
 	return Threshold(xhat, k*noiseScale*math.Sqrt2)
 }
-
-// ThresholdedLeastSquares runs least-squares inference and then
-// suppresses sub-noise estimates — the LS→HR idiom of sparse-domain
-// plans.
-func (ms *Measurements) ThresholdedLeastSquares(k float64) []float64 {
-	xhat := ms.LeastSquares(defaultSolverOptions())
-	// Use the largest block scale as the conservative noise level.
-	var maxScale float64
-	for _, s := range ms.scales {
-		if s > maxScale {
-			maxScale = s
-		}
-	}
-	return NoiseAwareThreshold(xhat, maxScale, k)
-}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/mat"
+	"repro/internal/solver"
 )
 
 func TestThreshold(t *testing.T) {
@@ -32,7 +33,7 @@ func TestThresholdedLeastSquares(t *testing.T) {
 	ms := NewMeasurements(6)
 	noisy := []float64{0.3, -0.8, 50, 0.2, -0.1, 40}
 	ms.Add(mat.Identity(6), noisy, 1)
-	got := ms.ThresholdedLeastSquares(1.5)
+	got := NoiseAwareThreshold(ms.LeastSquares(solver.Options{MaxIter: 500, Tol: 1e-9}), 1, 1.5)
 	for i, v := range got {
 		switch i {
 		case 2, 5:

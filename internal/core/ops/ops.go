@@ -167,8 +167,8 @@ type PartitionOp struct {
 	Split func(env *Env) error
 }
 
-func (o PartitionOp) Abbr() string { return o.Name }
-func (o PartitionOp) Class() Class { return Partition }
+func (o PartitionOp) Abbr() string       { return o.Name }
+func (o PartitionOp) Class() Class       { return Partition }
 func (o PartitionOp) Run(env *Env) error { return o.Split(env) }
 
 // MeasureOp is the Laplace query operator (LM, paper §5.2): it answers
@@ -220,8 +220,8 @@ type MetaOp struct {
 	Do   func(env *Env) error
 }
 
-func (o MetaOp) Abbr() string { return o.Name }
-func (o MetaOp) Class() Class { return Meta }
+func (o MetaOp) Abbr() string       { return o.Name }
+func (o MetaOp) Class() Class       { return Meta }
 func (o MetaOp) Run(env *Env) error { return o.Do(env) }
 
 // ---------------------------------------------------------------------
@@ -290,12 +290,6 @@ func Laplace(eps float64) MeasureOp {
 	return MeasureOp{Name: "LM", Eps: func(*Env) float64 { return eps }}
 }
 
-// LaplaceF returns a Laplace query operator whose budget share depends
-// on the environment.
-func LaplaceF(eps func(env *Env) float64) MeasureOp {
-	return MeasureOp{Name: "LM", Eps: eps}
-}
-
 // LS returns the ordinary least-squares inference operator.
 func LS(opts solver.Options) InferOp {
 	return InferOp{Name: "LS", Solve: func(env *Env) ([]float64, error) {
@@ -352,9 +346,6 @@ func (g *Graph) Add(ops ...Operator) *Graph {
 
 // Name returns the plan name.
 func (g *Graph) Name() string { return g.name }
-
-// Steps returns the operator sequence (the caller must not modify it).
-func (g *Graph) Steps() []Operator { return g.steps }
 
 // Signature renders the plan in the paper's Fig. 2 notation: operator
 // abbreviations in order, iteration bodies as "I:( … )", per-partition

@@ -3,6 +3,8 @@ package partition
 import (
 	"math/rand/v2"
 	"testing"
+
+	"repro/internal/mat"
 )
 
 func TestDawaL1ExactUniform(t *testing.T) {
@@ -55,13 +57,13 @@ func TestDawaCostAblation(t *testing.T) {
 }
 
 // uniformityError is the squared error of approximating x by its
-// bucket-uniform expansion.
+// bucket-uniform expansion P⁺x′.
 func uniformityError(x []float64, p Partition) float64 {
 	reduced := make([]float64, p.K)
 	for i, g := range p.Groups {
 		reduced[g] += x[i]
 	}
-	expanded := p.Expand(reduced)
+	expanded := mat.Mul(p.PInverse(), reduced)
 	var s float64
 	for i := range x {
 		d := x[i] - expanded[i]

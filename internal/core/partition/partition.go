@@ -34,23 +34,6 @@ func FromGroups(groups []int) Partition {
 	return Partition{Groups: out, K: len(remap)}
 }
 
-// Uniform returns the partition of n cells into K contiguous blocks of
-// (nearly) equal size.
-func Uniform(n, k int) Partition {
-	if k <= 0 || k > n {
-		panic(fmt.Sprintf("partition: Uniform k=%d outside [1,%d]", k, n))
-	}
-	groups := make([]int, n)
-	for i := range groups {
-		g := i * k / n
-		if g >= k {
-			g = k - 1
-		}
-		groups[i] = g
-	}
-	return Partition{Groups: groups, K: k}
-}
-
 // Matrix returns the K×n 0/1 partition matrix P with P[g][i]=1 iff cell i
 // belongs to group g (paper Definition 8.2).
 func (p Partition) Matrix() *mat.Sparse {
@@ -84,20 +67,6 @@ func (p Partition) PInverse() mat.Matrix {
 		entries = append(entries, mat.Triplet{Row: i, Col: g, Val: 1 / float64(sizes[g])})
 	}
 	return mat.NewSparse(len(p.Groups), p.K, entries)
-}
-
-// Expand lifts a reduced vector x′ (length K) back to the full domain by
-// spreading each group total uniformly across its cells: x = P⁺x′.
-func (p Partition) Expand(reduced []float64) []float64 {
-	if len(reduced) != p.K {
-		panic(fmt.Sprintf("partition: Expand got %d values for %d groups", len(reduced), p.K))
-	}
-	sizes := p.GroupSizes()
-	out := make([]float64, len(p.Groups))
-	for i, g := range p.Groups {
-		out[i] = reduced[g] / float64(sizes[g])
-	}
-	return out
 }
 
 // ReduceWorkload returns W′ = W·P⁺, the workload expressed over the

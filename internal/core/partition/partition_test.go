@@ -23,24 +23,6 @@ func TestFromGroupsRenumbers(t *testing.T) {
 	}
 }
 
-func TestUniformPartition(t *testing.T) {
-	p := Uniform(10, 3)
-	sizes := p.GroupSizes()
-	if len(sizes) != 3 {
-		t.Fatalf("sizes = %v", sizes)
-	}
-	total := 0
-	for _, s := range sizes {
-		total += s
-		if s < 3 || s > 4 {
-			t.Fatalf("unbalanced sizes = %v", sizes)
-		}
-	}
-	if total != 10 {
-		t.Fatalf("sizes sum = %d", total)
-	}
-}
-
 func TestPartitionMatrixReduces(t *testing.T) {
 	p := FromGroups([]int{0, 0, 1, 1, 1})
 	x := []float64{1, 2, 3, 4, 5}
@@ -61,7 +43,7 @@ func TestPInversePropertiesPaper(t *testing.T) {
 
 func TestExpandUniformSpreading(t *testing.T) {
 	p := FromGroups([]int{0, 0, 1, 1})
-	x := p.Expand([]float64{6, 10})
+	x := mat.Mul(p.PInverse(), []float64{6, 10})
 	want := []float64{3, 3, 5, 5}
 	if !vec.AllClose(x, want, 0, 0) {
 		t.Fatalf("expand = %v", x)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core/ops"
 	"repro/internal/core/selection"
-	"repro/internal/kernel"
 	"repro/internal/mat"
 	"repro/internal/solver"
 )
@@ -71,13 +70,4 @@ func AdvisedGraph(w mat.Matrix, eps float64, rng *rand.Rand, opts solver.Options
 		return strategy, nil
 	}}
 	return measureLSGraph("Advised", sel, eps, opts)
-}
-
-// Advised selects the analytically best data-independent strategy for
-// the workload, measures it once with the full budget, and infers with
-// least squares. It returns the estimate and the chosen strategy name.
-func Advised(h *kernel.Handle, w mat.Matrix, eps float64, rng *rand.Rand, opts solver.Options) ([]float64, string, error) {
-	var name string
-	xhat, err := AdvisedGraph(w, eps, rng, opts, &name).Execute(h)
-	return xhat, name, err
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/mat"
 	"repro/internal/solver"
 	"repro/internal/vec"
-	"repro/internal/workload"
 )
 
 func TestChooseStrategyIdentityWorkload(t *testing.T) {
@@ -31,9 +30,10 @@ func TestAdvisedRunsAndIsAccurate(t *testing.T) {
 	n := 64
 	x := testData(n, 21)
 	rng := rand.New(rand.NewPCG(89, 91))
-	w := workload.Prefix(n)
+	w := mat.Prefix(n)
 	_, h := newVecKernel(x, 1e7, 93)
-	xhat, name, err := Advised(h, w, 1e7, rng, solver.Options{})
+	var name string
+	xhat, err := AdvisedGraph(w, 1e7, rng, solver.Options{}, &name).Execute(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +50,13 @@ func TestAdvisedBeatsWorstChoiceOnAverage(t *testing.T) {
 	// beat plain identity on average (the matrix-mechanism prediction).
 	n := 128
 	x := testData(n, 22)
-	w := workload.Prefix(n)
+	w := mat.Prefix(n)
 	rng := rand.New(rand.NewPCG(95, 97))
 	var advErr, idErr float64
 	const trials = 6
 	for s := uint64(0); s < trials; s++ {
 		_, h1 := newVecKernel(x, 1.0, 300+s)
-		xa, _, err := Advised(h1, w, 1.0, rng, solver.Options{})
+		xa, err := AdvisedGraph(w, 1.0, rng, solver.Options{}, nil).Execute(h1)
 		if err != nil {
 			t.Fatal(err)
 		}

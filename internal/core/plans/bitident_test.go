@@ -10,6 +10,7 @@ package plans
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/core/inference"
@@ -357,12 +358,12 @@ func TestGraphPortBitIdenticalMeasureLS(t *testing.T) {
 			func(h *kernel.Handle) ([]float64, error) {
 				return legacyMeasureLS(h, selection.Privelet(h.Domain()), eps, solver.Options{})
 			},
-			func(h *kernel.Handle) ([]float64, error) { return Privelet(h, eps) }},
+			func(h *kernel.Handle) ([]float64, error) { return PriveletGraph(eps).Execute(h) }},
 		{"H2",
 			func(h *kernel.Handle) ([]float64, error) {
 				return legacyMeasureLS(h, selection.H2(h.Domain()), eps, solver.Options{})
 			},
-			func(h *kernel.Handle) ([]float64, error) { return H2(h, eps) }},
+			func(h *kernel.Handle) ([]float64, error) { return H2Graph(eps).Execute(h) }},
 		{"HB",
 			func(h *kernel.Handle) ([]float64, error) {
 				return legacyMeasureLS(h, selection.HB(h.Domain()), eps, solver.Options{})
@@ -374,13 +375,13 @@ func TestGraphPortBitIdenticalMeasureLS(t *testing.T) {
 				return legacyMeasureLS(h, selection.GreedyH(h.Domain(), wl), eps, solver.Options{})
 			},
 			func(h *kernel.Handle) ([]float64, error) {
-				return GreedyH(h, []mat.Range1D{{Lo: 0, Hi: 31}, {Lo: 16, Hi: 63}}, eps)
+				return GreedyHGraph([]mat.Range1D{{Lo: 0, Hi: 31}, {Lo: 16, Hi: 63}}, eps).Execute(h)
 			}},
 		{"Uniform",
 			func(h *kernel.Handle) ([]float64, error) {
 				return legacyMeasureLS(h, selection.Total(h.Domain()), eps, solver.Options{})
 			},
-			func(h *kernel.Handle) ([]float64, error) { return Uniform(h, eps) }},
+			func(h *kernel.Handle) ([]float64, error) { return UniformGraph(eps).Execute(h) }},
 		{"QuadTree",
 			func(h *kernel.Handle) ([]float64, error) {
 				return legacyMeasureLS(h, selection.QuadTree(8, 8), eps, solver.Options{})
@@ -443,7 +444,7 @@ func TestGraphPortBitIdenticalAdaptivePlans(t *testing.T) {
 		func(h *kernel.Handle) ([]float64, error) { return DAWA(h, 1.0, DAWAConfig{}) })
 	assertBitIdentical(t, "CDF", 64, 1.0, 63,
 		func(h *kernel.Handle) ([]float64, error) { return legacyCDFEstimator(h, 1.0, CDFConfig{}) },
-		func(h *kernel.Handle) ([]float64, error) { return CDFEstimator(h, 1.0, CDFConfig{}) })
+		func(h *kernel.Handle) ([]float64, error) { return CDFGraph(1.0, CDFConfig{}).Execute(h) })
 }
 
 func TestGraphPortBitIdenticalGridAndStriped(t *testing.T) {
@@ -549,12 +550,12 @@ func TestGraphSignaturesMatchRegistry(t *testing.T) {
 		if c.registry == "" {
 			continue
 		}
-		info, ok := ByName(c.registry)
-		if !ok {
+		i := slices.IndexFunc(Registry, func(p PlanInfo) bool { return p.Name == c.registry })
+		if i < 0 {
 			t.Errorf("registry entry %q missing", c.registry)
 			continue
 		}
-		if info.Signature != c.want {
+		if info := Registry[i]; info.Signature != c.want {
 			t.Errorf("%s: registry signature %q != graph %q", c.registry, info.Signature, c.want)
 		}
 	}

@@ -3,7 +3,6 @@ package plans
 import (
 	"repro/internal/core/ops"
 	"repro/internal/core/selection"
-	"repro/internal/kernel"
 	"repro/internal/mat"
 	"repro/internal/solver"
 )
@@ -45,13 +44,4 @@ func CDFGraph(eps float64, cfg CDFConfig) *ops.Graph {
 			return nil
 		}},
 	)
-}
-
-// CDFEstimator is the paper's Algorithm 1 as a library plan: given a
-// vectorized 1-D handle (e.g. the salary histogram after Where/Select/
-// Vectorize), it runs AHPpartition (ρ·ε) → V-ReduceByPartition →
-// Identity → Vector Laplace ((1−ρ)·ε) → NNLS → Prefix, returning the
-// private empirical-CDF estimate over the handle's domain.
-func CDFEstimator(h *kernel.Handle, eps float64, cfg CDFConfig) ([]float64, error) {
-	return CDFGraph(eps, cfg).Execute(h)
 }

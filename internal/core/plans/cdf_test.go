@@ -13,7 +13,7 @@ func TestCDFEstimatorNearExact(t *testing.T) {
 	n := 128
 	x := testData(n, 31)
 	_, h := newVecKernel(x, 1e8, 33)
-	cdf, err := CDFEstimator(h, 1e7, CDFConfig{})
+	cdf, err := CDFGraph(1e7, CDFConfig{}).Execute(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestCDFEstimatorMonotoneNonDecreasing(t *testing.T) {
 	n := 64
 	x := testData(n, 32)
 	_, h := newVecKernel(x, 1.0, 35)
-	cdf, err := CDFEstimator(h, 1.0, CDFConfig{Solver: solver.Options{MaxIter: 800}})
+	cdf, err := CDFGraph(1.0, CDFConfig{Solver: solver.Options{MaxIter: 800}}).Execute(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,20 +51,13 @@ func TestCDFEstimatorMonotoneNonDecreasing(t *testing.T) {
 func TestCDFEstimatorBudget(t *testing.T) {
 	x := testData(32, 33)
 	k, h := newVecKernel(x, 1.0, 37)
-	if _, err := CDFEstimator(h, 1.0, CDFConfig{}); err != nil {
+	if _, err := CDFGraph(1.0, CDFConfig{}).Execute(h); err != nil {
 		t.Fatal(err)
 	}
 	if k.Consumed() > 1.0+1e-9 {
 		t.Fatalf("CDF estimator overspent: %v", k.Consumed())
 	}
-	if _, err := CDFEstimator(h, 0.5, CDFConfig{}); err == nil {
+	if _, err := CDFGraph(0.5, CDFConfig{}).Execute(h); err == nil {
 		t.Fatal("second run should exhaust the budget")
-	}
-}
-
-func TestStripeWorkloadAnswer(t *testing.T) {
-	got := StripeWorkloadAnswer(mat.Total(3), []float64{1, 2, 3})
-	if got[0] != 6 {
-		t.Fatalf("answer = %v", got)
 	}
 }

@@ -24,15 +24,15 @@ func TestConcurrentSessionsRunRegistryPlans(t *testing.T) {
 	w := workload.RandomRange(n, 20, rand.New(rand.NewPCG(2, 2)))
 	planFns := []func(h *kernel.Handle) ([]float64, error){
 		func(h *kernel.Handle) ([]float64, error) { return Identity(h, grant) },
-		func(h *kernel.Handle) ([]float64, error) { return H2(h, grant) },
+		func(h *kernel.Handle) ([]float64, error) { return H2Graph(grant).Execute(h) },
 		func(h *kernel.Handle) ([]float64, error) { return HB(h, grant) },
-		func(h *kernel.Handle) ([]float64, error) { return Privelet(h, grant) },
+		func(h *kernel.Handle) ([]float64, error) { return PriveletGraph(grant).Execute(h) },
 		func(h *kernel.Handle) ([]float64, error) {
 			return MWEM(h, w, grant, MWEMConfig{Rounds: 4, Total: 20000})
 		},
 		func(h *kernel.Handle) ([]float64, error) { return AHP(h, grant, AHPConfig{}) },
 		func(h *kernel.Handle) ([]float64, error) { return DAWA(h, grant, DAWAConfig{}) },
-		func(h *kernel.Handle) ([]float64, error) { return CDFEstimator(h, grant, CDFConfig{}) },
+		func(h *kernel.Handle) ([]float64, error) { return CDFGraph(grant, CDFConfig{}).Execute(h) },
 	}
 	epsTotal := grant*float64(len(planFns)) + 1 // headroom: every plan must succeed
 

@@ -11,14 +11,14 @@ import (
 	"repro/internal/solver"
 )
 
-// ExampleCDFEstimator shows the paper's §2.1 running example as one
+// ExampleCDFGraph shows the paper's §2.1 running example as one
 // library call: a private CDF over a protected histogram.
-func ExampleCDFEstimator() {
+func ExampleCDFGraph() {
 	// A tiny salary histogram with two obvious levels.
 	x := []float64{100, 100, 100, 100, 0, 0, 0, 0}
 	_, h := kernel.InitVector(x, 1e9, noise.NewRand(1))
 
-	cdf, err := plans.CDFEstimator(h, 1e8, plans.CDFConfig{})
+	cdf, err := plans.CDFGraph(1e8, plans.CDFConfig{}).Execute(h)
 	if err != nil {
 		panic(err)
 	}
@@ -80,8 +80,8 @@ func ExampleMWEM() {
 	// Output: estimated total: 1600
 }
 
-// ExampleAdvised shows the plan-level strategy chooser.
-func ExampleAdvised() {
+// ExampleAdvisedGraph shows the plan-level strategy chooser.
+func ExampleAdvisedGraph() {
 	x := make([]float64, 64)
 	for i := range x {
 		x[i] = 5
@@ -89,7 +89,8 @@ func ExampleAdvised() {
 	_, h := kernel.InitVector(x, 1e9, noise.NewRand(7))
 	// For a prefix workload over a non-trivial domain the advisor picks
 	// a hierarchical strategy, not identity.
-	_, name, err := plans.Advised(h, mat.Prefix(64), 1e8, noise.NewRand(8), solver.Options{})
+	var name string
+	_, err := plans.AdvisedGraph(mat.Prefix(64), 1e8, noise.NewRand(8), solver.Options{}, &name).Execute(h)
 	if err != nil {
 		panic(err)
 	}

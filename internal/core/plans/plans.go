@@ -63,19 +63,9 @@ func PriveletGraph(eps float64) *ops.Graph {
 	return measureLSGraph("Privelet", selectFixed("SP", selection.Privelet), eps, solver.Options{})
 }
 
-// Privelet is plan #2 (Xiao et al.): wavelet selection, Laplace, LS.
-func Privelet(h *kernel.Handle, eps float64) ([]float64, error) {
-	return PriveletGraph(eps).Execute(h)
-}
-
 // H2Graph is plan #3 as an operator graph ("SH2 LM LS").
 func H2Graph(eps float64) *ops.Graph {
 	return measureLSGraph("Hierarchical (H2)", selectFixed("SH2", selection.H2), eps, solver.Options{})
-}
-
-// H2 is plan #3 (Hay et al.): binary hierarchy, Laplace, LS.
-func H2(h *kernel.Handle, eps float64) ([]float64, error) {
-	return H2Graph(eps).Execute(h)
 }
 
 // HBGraph is plan #4 as an operator graph ("SHB LM LS").
@@ -95,23 +85,11 @@ func GreedyHGraph(workloadRanges []mat.Range1D, eps float64) *ops.Graph {
 		eps, solver.Options{})
 }
 
-// GreedyH is plan #5 (Li et al.): workload-weighted hierarchy.
-func GreedyH(h *kernel.Handle, workloadRanges []mat.Range1D, eps float64) ([]float64, error) {
-	return GreedyHGraph(workloadRanges, eps).Execute(h)
-}
-
 // UniformGraph is plan #6 as an operator graph ("ST LM LS").
 func UniformGraph(eps float64) *ops.Graph {
 	return measureLSGraph("Uniform",
 		selectFixed("ST", func(n int) mat.Matrix { return selection.Total(n) }),
 		eps, solver.Options{})
-}
-
-// Uniform is plan #6: measure only the total and assume uniformity. The
-// minimum-norm least-squares solution of the single total measurement
-// spreads the noisy total uniformly over the domain.
-func Uniform(h *kernel.Handle, eps float64) ([]float64, error) {
-	return UniformGraph(eps).Execute(h)
 }
 
 // HDMMGraph is plan #13 as an operator graph ("SHD LM LS"). The

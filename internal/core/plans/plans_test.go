@@ -49,11 +49,11 @@ func TestPlansNearExactAtHighEps(t *testing.T) {
 		run  func(h *kernel.Handle) ([]float64, error)
 	}{
 		{"identity", func(h *kernel.Handle) ([]float64, error) { return Identity(h, eps) }},
-		{"privelet", func(h *kernel.Handle) ([]float64, error) { return Privelet(h, eps) }},
-		{"h2", func(h *kernel.Handle) ([]float64, error) { return H2(h, eps) }},
+		{"privelet", func(h *kernel.Handle) ([]float64, error) { return PriveletGraph(eps).Execute(h) }},
+		{"h2", func(h *kernel.Handle) ([]float64, error) { return H2Graph(eps).Execute(h) }},
 		{"hb", func(h *kernel.Handle) ([]float64, error) { return HB(h, eps) }},
 		{"greedyh", func(h *kernel.Handle) ([]float64, error) {
-			return GreedyH(h, []mat.Range1D{{Lo: 0, Hi: 31}, {Lo: 16, Hi: 63}}, eps)
+			return GreedyHGraph([]mat.Range1D{{Lo: 0, Hi: 31}, {Lo: 16, Hi: 63}}, eps).Execute(h)
 		}},
 		{"ahp", func(h *kernel.Handle) ([]float64, error) { return AHP(h, eps, AHPConfig{}) }},
 		{"dawa", func(h *kernel.Handle) ([]float64, error) { return DAWA(h, eps, DAWAConfig{}) }},
@@ -80,7 +80,7 @@ func TestUniformPlanSpreadsTotal(t *testing.T) {
 		x[i] = float64(i)
 	}
 	_, h := newVecKernel(x, 1e8, 3)
-	got, err := Uniform(h, 1e8)
+	got, err := UniformGraph(1e8).Execute(h)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,16 +59,6 @@ var Registry = []PlanInfo{
 	{20, "NEW", "MWEM variant d", "I:( SW SH2 LM NLS )", true, []string{"WorstApprox", "VectorLaplace"}},
 }
 
-// ByName returns the registry entry with the given plan name.
-func ByName(name string) (PlanInfo, bool) {
-	for _, p := range Registry {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return PlanInfo{}, false
-}
-
 // PrivacyCriticalOperators returns the de-duplicated set of
 // Private→Public operators used across all registered plans — the code
 // that must be vetted once to certify every plan (the paper's

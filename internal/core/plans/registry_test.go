@@ -66,16 +66,6 @@ func TestPrivacyCriticalOperators(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	p, ok := ByName("DAWA")
-	if !ok || p.ID != 9 {
-		t.Fatalf("ByName(DAWA) = %+v, %v", p, ok)
-	}
-	if _, ok := ByName("nope"); ok {
-		t.Fatal("ByName invented a plan")
-	}
-}
-
 func TestSignaturesShareIdioms(t *testing.T) {
 	// The select-measure-infer idiom (S* LM LS) appears across plans
 	// (paper §6.2's second translation strategy).

@@ -109,9 +109,3 @@ func HBStripedKronGraph(shape []int, dim int, eps float64, opts solver.Options) 
 func HBStripedKron(h *kernel.Handle, shape []int, dim int, eps float64, opts solver.Options) ([]float64, error) {
 	return HBStripedKronGraph(shape, dim, eps, opts).Execute(h)
 }
-
-// StripeWorkloadAnswer is a convenience for evaluating a workload W on a
-// plan estimate: answers = W·x̂.
-func StripeWorkloadAnswer(w mat.Matrix, xhat []float64) []float64 {
-	return mat.Mul(w, xhat)
-}

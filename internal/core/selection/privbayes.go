@@ -92,7 +92,7 @@ func PrivBayesSelect(h *kernel.Handle, shape []int, eps float64, nRecords float6
 			idx, err := h.NoisyMax(func(x []float64) []float64 {
 				scores = ws.Get(len(cands))
 				for i, pr := range cands {
-					scores[i] = mutualInformationW(x, shape, pr.child, pr.parent, ws)
+					scores[i] = mutualInformation(x, shape, pr.child, pr.parent, ws)
 				}
 				return scores
 			}, perRound, sens)
@@ -138,14 +138,9 @@ func marginalMatrix(shape []int, a, b int) mat.Matrix {
 
 // mutualInformation computes the empirical mutual information between
 // attributes a and b of the contingency vector x with the given shape.
-func mutualInformation(x []float64, shape []int, a, b int) float64 {
-	return mutualInformationW(x, shape, a, b, nil)
-}
-
-// mutualInformationW is mutualInformation with an optional workspace
-// supplying the joint and marginal tables, so PrivBayes's per-round
-// candidate sweeps reuse them across pairs.
-func mutualInformationW(x []float64, shape []int, a, b int, ws *mat.Workspace) float64 {
+// The optional workspace supplies the joint and marginal tables, so
+// PrivBayes's per-round candidate sweeps reuse them across pairs.
+func mutualInformation(x []float64, shape []int, a, b int, ws *mat.Workspace) float64 {
 	strides := rowMajorStrides(shape)
 	na, nb := shape[a], shape[b]
 	joint := ws.GetZero(na * nb)

@@ -25,8 +25,8 @@ func correlatedVector() ([]float64, []int) {
 
 func TestMutualInformationOrdering(t *testing.T) {
 	x, shape := correlatedVector()
-	miCorrelated := mutualInformation(x, shape, 0, 1)
-	miIndependent := mutualInformation(x, shape, 0, 2)
+	miCorrelated := mutualInformation(x, shape, 0, 1, nil)
+	miIndependent := mutualInformation(x, shape, 0, 2, nil)
 	if miCorrelated <= miIndependent {
 		t.Fatalf("MI(0,1)=%v should exceed MI(0,2)=%v", miCorrelated, miIndependent)
 	}
@@ -39,7 +39,7 @@ func TestMutualInformationOrdering(t *testing.T) {
 }
 
 func TestMutualInformationEmptyVector(t *testing.T) {
-	if mi := mutualInformation(make([]float64, 18), []int{3, 3, 2}, 0, 1); mi != 0 {
+	if mi := mutualInformation(make([]float64, 18), []int{3, 3, 2}, 0, 1, nil); mi != 0 {
 		t.Fatalf("empty-data MI = %v", mi)
 	}
 }

@@ -21,9 +21,6 @@ func Identity(n int) mat.Matrix { return mat.Identity(n) }
 // Total returns the single total query over n cells.
 func Total(n int) mat.Matrix { return mat.Total(n) }
 
-// Prefix returns the prefix-sum strategy over n cells.
-func Prefix(n int) mat.Matrix { return mat.Prefix(n) }
-
 // Privelet returns the Haar-wavelet strategy of Xiao et al. (paper plan
 // #2). Domains that are not a power of two are handled by embedding into
 // the next power of two via a column-subset wrapper, which preserves the

@@ -7,7 +7,6 @@ package dataset
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Attribute is a discrete attribute with values in [0, Size).
@@ -131,9 +130,6 @@ type Predicate []Condition
 // Eq returns the equality condition Attr == v.
 func Eq(attr string, v int) Condition { return Condition{Attr: attr, Lo: v, Hi: v} }
 
-// Between returns the range condition Attr ∈ [lo, hi].
-func Between(attr string, lo, hi int) Condition { return Condition{Attr: attr, Lo: lo, Hi: hi} }
-
 // Matches reports whether the predicate holds on row i of t.
 func (p Predicate) Matches(t *Table, i int) bool {
 	for _, c := range p {
@@ -228,39 +224,4 @@ func (t *Table) Vectorize() []float64 {
 		x[idx]++
 	}
 	return x
-}
-
-// Histogram returns the 1-D count vector of a single attribute.
-func (t *Table) Histogram(attr string) []float64 {
-	k := t.schema.Index(attr)
-	if k < 0 {
-		panic(fmt.Sprintf("dataset: Histogram unknown attribute %q", attr))
-	}
-	x := make([]float64, t.schema[k].Size)
-	for _, v := range t.cols[k] {
-		x[v]++
-	}
-	return x
-}
-
-// SortBy sorts the table rows by the named attribute (ascending, stable).
-// Useful for deterministic golden tests.
-func (t *Table) SortBy(attr string) {
-	k := t.schema.Index(attr)
-	if k < 0 {
-		panic(fmt.Sprintf("dataset: SortBy unknown attribute %q", attr))
-	}
-	n := t.NumRows()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return t.cols[k][order[a]] < t.cols[k][order[b]] })
-	for c := range t.cols {
-		newCol := make([]int, n)
-		for i, o := range order {
-			newCol[i] = t.cols[c][o]
-		}
-		t.cols[c] = newCol
-	}
 }

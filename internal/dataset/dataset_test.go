@@ -54,7 +54,7 @@ func TestWhere(t *testing.T) {
 	if got.NumRows() != 3 {
 		t.Fatalf("Where rows = %d, want 3", got.NumRows())
 	}
-	got2 := tbl.Where(Predicate{Between("age", 1, 2), Eq("sex", 1)})
+	got2 := tbl.Where(Predicate{{Attr: "age", Lo: 1, Hi: 2}, Eq("sex", 1)})
 	if got2.NumRows() != 2 {
 		t.Fatalf("conjunction rows = %d, want 2", got2.NumRows())
 	}
@@ -96,7 +96,7 @@ func TestVectorize(t *testing.T) {
 
 func TestHistogram(t *testing.T) {
 	tbl := sampleTable()
-	h := tbl.Histogram("age")
+	h := tbl.Select("age").Vectorize()
 	if h[0] != 2 || h[1] != 1 || h[2] != 2 {
 		t.Fatalf("histogram = %v", h)
 	}
@@ -123,17 +123,6 @@ func TestSplitByPartitionDrops(t *testing.T) {
 	}
 }
 
-func TestSortBy(t *testing.T) {
-	tbl := sampleTable()
-	tbl.SortBy("sex")
-	col := tbl.Column("sex")
-	for i := 1; i < len(col); i++ {
-		if col[i-1] > col[i] {
-			t.Fatalf("not sorted: %v", col)
-		}
-	}
-}
-
 // Property: Where(p) preserves the schema and never invents rows.
 func TestWhereQuick(t *testing.T) {
 	f := func(seed uint64, loRaw, hiRaw uint8) bool {
@@ -143,7 +132,7 @@ func TestWhereQuick(t *testing.T) {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		sub := tbl.Where(Predicate{Between("age", lo, hi)})
+		sub := tbl.Where(Predicate{{Attr: "age", Lo: lo, Hi: hi}})
 		if sub.NumRows() > tbl.NumRows() {
 			return false
 		}
@@ -207,7 +196,7 @@ func TestCensusShape(t *testing.T) {
 	}
 	// Income should be heavy-tailed: the top bucket region is sparse but
 	// the low-income region dense.
-	h := tbl.Histogram("income")
+	h := tbl.Select("income").Vectorize()
 	var lowMass, highMass float64
 	for i := 0; i < 500; i++ {
 		lowMass += h[i]

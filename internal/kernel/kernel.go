@@ -7,7 +7,7 @@
 //
 // Client code holds only opaque *Handle values; the raw table and vector
 // state never leaves the kernel except through noisy Private→Public
-// operators (NoisyCount, VectorLaplace, WorstApprox, NoisyMax).
+// operators (VectorLaplace, WorstApprox, NoisyMax).
 //
 // # Sessions and concurrency
 //
@@ -139,18 +139,10 @@ func InitVector(x []float64, epsTotal float64, rng *rand.Rand) (*Kernel, *Handle
 	return k, &Handle{s: k.rootSession(), id: id}
 }
 
-// InitTableSeeded is InitTable with all randomness — the root session's
-// noise stream and the seed source that forks NewSession streams —
-// derived deterministically from one seed, so a fixed session-creation
-// order replays every session's noise bit-identically.
-func InitTableSeeded(t *dataset.Table, epsTotal float64, seed uint64) (*Kernel, *Handle) {
-	k := newKernel(epsTotal, noise.NewRand(seed), seed^seedSaltA, seed^seedSaltB)
-	id := k.addNodeLocked(&node{parent: -1, kind: kindTable, table: t, stability: 1, edgeFrom: -1})
-	return k, &Handle{s: k.rootSession(), id: id}
-}
-
-// InitVectorSeeded is InitVector with all randomness derived from one
-// seed (see InitTableSeeded).
+// InitVectorSeeded is InitVector with all randomness — the root
+// session's noise stream and the seed source that forks NewSession
+// streams — derived deterministically from one seed, so a fixed
+// session-creation order replays every session's noise bit-identically.
 func InitVectorSeeded(x []float64, epsTotal float64, seed uint64) (*Kernel, *Handle) {
 	k := newKernel(epsTotal, noise.NewRand(seed), seed^seedSaltA, seed^seedSaltB)
 	id := k.addNodeLocked(&node{parent: -1, kind: kindVector, vector: x, stability: 1, edgeFrom: -1})
@@ -204,13 +196,6 @@ func (k *Kernel) nodeByID(id int) *node {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	return k.nodes[id]
-}
-
-// Remaining returns the unconsumed portion of the global budget.
-func (k *Kernel) Remaining() float64 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.epsTotal - k.nodes[0].budget
 }
 
 // Consumed returns the budget consumed at the root (total privacy loss).
@@ -463,38 +448,6 @@ func (h *Handle) GroupBy(attr string) *Handle {
 	return h.derive(&node{parent: h.id, kind: kindTable, table: grouped, stability: 2, edgeFrom: -1})
 }
 
-// VectorGeometric answers the query set M with the two-sided geometric
-// mechanism — the discrete analogue of VectorLaplace, immune to the
-// floating-point attacks of Mironov (paper §1) when answers are
-// integer counts. The returned noise scale is the standard deviation
-// of the geometric noise, for inference weighting.
-func (h *Handle) VectorGeometric(m mat.Matrix, eps float64) (answers []float64, noiseScale float64, err error) {
-	n := h.node(kindVector)
-	if !validEps(eps) {
-		return nil, 0, fmt.Errorf("kernel: VectorGeometric requires positive finite eps, got %g", eps)
-	}
-	_, mc := m.Dims()
-	if mc != len(n.vector) {
-		return nil, 0, fmt.Errorf("kernel: VectorGeometric matrix cols %d != domain %d", mc, len(n.vector))
-	}
-	sens := mat.L1Sensitivity(m)
-	// Var of the two-sided geometric with alpha = exp(-eps/sens) is
-	// 2*alpha/(1-alpha)^2; report the std dev as the scale.
-	alpha := math.Exp(-eps / sens)
-	sd := math.Sqrt(2*alpha) / (1 - alpha)
-	if !finiteScale(sd) {
-		return nil, 0, fmt.Errorf("kernel: VectorGeometric noise scale %g at eps %g is not finite", sd, eps)
-	}
-	if !h.kernel().charge(h.s, h.id, eps, "VectorGeometric") {
-		return nil, 0, ErrBudgetExceeded
-	}
-	y := mat.Mul(m, n.vector)
-	for i := range y {
-		y[i] += float64(noise.TwoSidedGeometric(h.s.rng, eps, sens))
-	}
-	return y, sd, nil
-}
-
 // Vectorize converts a table source into its count vector over the full
 // attribute domain (T-Vectorize; 1-stable). The resulting node is a
 // lineage root: measurements on its descendants map back to this domain.
@@ -502,9 +455,6 @@ func (h *Handle) Vectorize() *Handle {
 	n := h.node(kindTable)
 	return h.derive(&node{parent: h.id, kind: kindVector, vector: n.table.Vectorize(), stability: 1, edgeFrom: -1})
 }
-
-// TableSchema exposes the schema of a table source (public metadata).
-func (h *Handle) TableSchema() dataset.Schema { return h.node(kindTable).table.Schema() }
 
 // ReduceByPartition applies the V-ReduceByPartition transform: the new
 // vector is P·x for the p×n partition matrix P (1-stable, since partition
@@ -636,22 +586,6 @@ func (h *Handle) MapTo(anc *Handle, m mat.Matrix) mat.Matrix {
 // ---------------------------------------------------------------------
 // Query operators (Private→Public: consume budget, return noisy values).
 // ---------------------------------------------------------------------
-
-// NoisyCount returns |D| + Laplace(1/eps) for a table source.
-func (h *Handle) NoisyCount(eps float64) (float64, error) {
-	n := h.node(kindTable)
-	if !validEps(eps) {
-		return 0, fmt.Errorf("kernel: NoisyCount requires positive finite eps, got %g", eps)
-	}
-	scale := 1 / eps
-	if !finiteScale(scale) {
-		return 0, fmt.Errorf("kernel: NoisyCount noise scale %g at eps %g is not finite", scale, eps)
-	}
-	if !h.kernel().charge(h.s, h.id, eps, "NoisyCount") {
-		return 0, ErrBudgetExceeded
-	}
-	return float64(n.table.NumRows()) + noise.Laplace(h.s.rng, scale), nil
-}
 
 // VectorLaplace answers the query set M on a vector source with the
 // Laplace mechanism: M·x + (σ(M)/ε)·b, where σ(M) is the maximum L1

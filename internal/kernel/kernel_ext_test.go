@@ -21,7 +21,7 @@ func TestGroupByStabilityTwo(t *testing.T) {
 		t.Fatalf("GroupBy stability = %v, want 2", g.Stability())
 	}
 	// A query at ε on the grouped table must charge 2ε at the root.
-	if _, err := g.NoisyCount(0.25); err != nil {
+	if _, err := tableCount(g, 0.25); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(k.Consumed()-0.5) > 1e-12 {
@@ -36,60 +36,13 @@ func TestGroupByDistinctValues(t *testing.T) {
 	}
 	_, root := InitTable(tbl, 100, noise.NewRand(5))
 	g := root.GroupBy("a")
-	c, err := g.NoisyCount(50)
+	c, err := tableCount(g, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 3 distinct values; huge ε makes the count nearly exact.
 	if math.Abs(c-3) > 1 {
 		t.Fatalf("distinct count = %v, want ≈3", c)
-	}
-}
-
-func TestVectorGeometricIntegerNoise(t *testing.T) {
-	x := []float64{10, 20, 30}
-	_, h := vecKernel(x, 100)
-	y, scale, err := h.VectorGeometric(mat.Identity(3), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scale <= 0 {
-		t.Fatalf("scale = %v", scale)
-	}
-	for i, v := range y {
-		if v != math.Trunc(v) {
-			t.Fatalf("geometric answer y[%d] = %v not integral", i, v)
-		}
-	}
-}
-
-func TestVectorGeometricBudget(t *testing.T) {
-	k, h := vecKernel([]float64{1, 2}, 1)
-	if _, _, err := h.VectorGeometric(mat.Identity(2), 0.7); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(k.Consumed()-0.7) > 1e-12 {
-		t.Fatalf("consumed = %v", k.Consumed())
-	}
-	if _, _, err := h.VectorGeometric(mat.Identity(2), 0.5); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatal("budget not enforced")
-	}
-}
-
-func TestVectorGeometricUnbiased(t *testing.T) {
-	x := []float64{50}
-	_, h := vecKernel(x, 1e9)
-	var sum float64
-	const n = 3000
-	for i := 0; i < n; i++ {
-		y, _, err := h.VectorGeometric(mat.Identity(1), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += y[0]
-	}
-	if math.Abs(sum/n-50) > 0.2 {
-		t.Fatalf("geometric mean = %v, want ≈50", sum/n)
 	}
 }
 
@@ -144,23 +97,14 @@ func TestMapToIntermediateAncestor(t *testing.T) {
 
 func TestRemainingTracksConsumption(t *testing.T) {
 	k, h := vecKernel([]float64{1, 2}, 2.0)
-	if k.Remaining() != 2.0 {
-		t.Fatalf("initial remaining = %v", k.Remaining())
+	if rem := k.EpsTotal() - k.Consumed(); rem != 2.0 {
+		t.Fatalf("initial remaining = %v", rem)
 	}
 	if _, _, err := h.VectorLaplace(mat.Identity(2), 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(k.Remaining()-1.5) > 1e-12 {
-		t.Fatalf("remaining = %v, want 1.5", k.Remaining())
-	}
-}
-
-func TestTableSchemaExposed(t *testing.T) {
-	tbl := dataset.New(dataset.Schema{{Name: "a", Size: 3}, {Name: "b", Size: 2}})
-	_, root := InitTable(tbl, 1, noise.NewRand(1))
-	s := root.TableSchema()
-	if len(s) != 2 || s[0].Name != "a" || s[1].Size != 2 {
-		t.Fatalf("schema = %v", s)
+	if rem := k.EpsTotal() - k.Consumed(); math.Abs(rem-1.5) > 1e-12 {
+		t.Fatalf("remaining = %v, want 1.5", rem)
 	}
 }
 
@@ -213,7 +157,7 @@ func TestSplitTableByPartitionParallelComposition(t *testing.T) {
 		t.Fatalf("splits = %d", len(subs))
 	}
 	// Each split carries the right rows.
-	c0, err := subs[0].NoisyCount(0.5)
+	c0, err := tableCount(subs[0], 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +165,7 @@ func TestSplitTableByPartitionParallelComposition(t *testing.T) {
 		t.Fatalf("split 0 count = %v", c0)
 	}
 	// Parallel composition: the sibling query at the same ε is free.
-	if _, err := subs[1].NoisyCount(0.5); err != nil {
+	if _, err := tableCount(subs[1], 0.5); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(k.Consumed()-0.5) > 1e-12 {

@@ -26,9 +26,6 @@ func TestNaNEpsilonChargeRejectedOnVector(t *testing.T) {
 		if _, _, err := root.VectorLaplace(mat.Identity(4), eps); err == nil {
 			t.Fatalf("VectorLaplace accepted eps=%v", eps)
 		}
-		if _, _, err := root.VectorGeometric(mat.Identity(4), eps); err == nil {
-			t.Fatalf("VectorGeometric accepted eps=%v", eps)
-		}
 		if _, err := root.WorstApprox(mat.Identity(4), []float64{0, 0, 0, 0}, eps, 1); err == nil {
 			t.Fatalf("WorstApprox accepted eps=%v", eps)
 		}
@@ -67,15 +64,15 @@ func TestNaNEpsilonChargeRejectedOnTable(t *testing.T) {
 	tab.Append(1)
 	k, root := InitTable(tab, 1, noise.NewRand(3))
 	for _, eps := range badEpsilons {
-		if _, err := root.NoisyCount(eps); err == nil {
-			t.Fatalf("NoisyCount accepted eps=%v", eps)
+		if _, err := tableCount(root, eps); err == nil {
+			t.Fatalf("table count accepted eps=%v", eps)
 		}
 	}
 	if c := k.Consumed(); c != 0 {
 		t.Fatalf("bad eps leaked consumption %v", c)
 	}
-	if _, err := root.NoisyCount(1); err != nil {
-		t.Fatalf("valid NoisyCount rejected: %v", err)
+	if _, err := tableCount(root, 1); err != nil {
+		t.Fatalf("valid table count rejected: %v", err)
 	}
 	if c := k.Consumed(); c != 1 {
 		t.Fatalf("consumed = %v, want 1", c)
@@ -111,9 +108,6 @@ func TestDenormalEpsilonRejectedBeforeCharge(t *testing.T) {
 	if _, _, err := root.VectorLaplace(mat.Identity(4), denormal); err == nil {
 		t.Fatal("VectorLaplace accepted a denormal eps")
 	}
-	if _, _, err := root.VectorGeometric(mat.Identity(4), denormal); err == nil {
-		t.Fatal("VectorGeometric accepted a denormal eps")
-	}
 	if c, n := k.Consumed(), k.HistoryLen(); c != 0 || n != 0 {
 		t.Fatalf("denormal eps charged: consumed %v, %d history records", c, n)
 	}
@@ -130,10 +124,10 @@ func TestDenormalEpsilonRejectedBeforeCharge(t *testing.T) {
 	tab := dataset.New(dataset.Schema{{Name: "a", Size: 2}})
 	tab.Append(0)
 	tk, troot := InitTable(tab, 1, noise.NewRand(3))
-	if _, err := troot.NoisyCount(denormal); err == nil {
-		t.Fatal("NoisyCount accepted a denormal eps")
+	if _, err := tableCount(troot, denormal); err == nil {
+		t.Fatal("table count accepted a denormal eps")
 	}
 	if c := tk.Consumed(); c != 0 {
-		t.Fatalf("denormal NoisyCount charged %v", c)
+		t.Fatalf("denormal table count charged %v", c)
 	}
 }

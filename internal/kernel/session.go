@@ -55,10 +55,6 @@ func (k *Kernel) NewSession() *Session {
 	return s
 }
 
-// Root returns the session created by Init, whose noise stream is the
-// rng the caller passed to Init.
-func (k *Kernel) Root() *Session { return k.rootSess }
-
 // Sessions returns the number of sessions created so far (including the
 // root session).
 func (k *Kernel) Sessions() int {
@@ -69,9 +65,6 @@ func (k *Kernel) Sessions() int {
 
 // ID returns the session's creation index (the root session is 0).
 func (s *Session) ID() int { return s.id }
-
-// Kernel returns the owning kernel.
-func (s *Session) Kernel() *Kernel { return s.k }
 
 // Bind returns a handle to the same data source as h, bound to this
 // session: operators called through it draw noise from this session's
@@ -104,6 +97,3 @@ func (s *Session) Charges() int {
 	defer s.k.mu.Unlock()
 	return s.charges
 }
-
-// Session returns the session a handle is bound to.
-func (h *Handle) Session() *Session { return h.s }

@@ -104,8 +104,8 @@ func TestConcurrentSessionsBudgetLinearizable(t *testing.T) {
 		t.Fatalf("overdraft: consumed %v > %v", k.Consumed(), epsTotal)
 	}
 	// The budget must actually be exhausted: nothing below one grant left.
-	if k.Remaining() >= perEps {
-		t.Fatalf("workers stopped with %v remaining", k.Remaining())
+	if rem := k.EpsTotal() - k.Consumed(); rem >= perEps {
+		t.Fatalf("workers stopped with %v remaining", rem)
 	}
 }
 
@@ -191,7 +191,7 @@ func TestSessionConsumedUnderPartition(t *testing.T) {
 	if got := s2.Consumed(); got != 0 {
 		t.Fatalf("s2 consumed %v, want 0 (parallel composition)", got)
 	}
-	if total := s1.Consumed() + s2.Consumed() + k.Root().Consumed(); math.Abs(total-k.Consumed()) > 1e-12 {
+	if total := s1.Consumed() + s2.Consumed() + k.rootSession().Consumed(); math.Abs(total-k.Consumed()) > 1e-12 {
 		t.Fatalf("session totals %v != root %v", total, k.Consumed())
 	}
 }

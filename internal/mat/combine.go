@@ -42,9 +42,6 @@ func VStack(blocks ...Matrix) *VStackMat {
 	return &VStackMat{blocks: blocks, offs: offs, rows: rows, cols: c}
 }
 
-// Blocks returns the stacked sub-matrices.
-func (m *VStackMat) Blocks() []Matrix { return m.blocks }
-
 // Dims returns the stacked dimensions.
 func (m *VStackMat) Dims() (int, int) { return m.rows, m.cols }
 
@@ -323,9 +320,6 @@ func (m *KroneckerMat) Dims() (int, int) {
 	br, bc := m.b.Dims()
 	return ar * br, ac * bc
 }
-
-// Factors returns the two Kronecker factors.
-func (m *KroneckerMat) Factors() (Matrix, Matrix) { return m.a, m.b }
 
 // MatVec computes (A⊗B)x by reshaping x into an n_A×n_B matrix X and
 // evaluating vec(A·(X·Bᵀ)ᵀ... concretely: Z[j1,:] = B·X[j1,:] for each j1,

@@ -26,24 +26,6 @@ func TestCombinatorAbsSqrAgainstDense(t *testing.T) {
 	}
 }
 
-func TestVStackBlocksAccessor(t *testing.T) {
-	a, b := Identity(3), Total(3)
-	v := VStack(a, b)
-	blocks := v.Blocks()
-	if len(blocks) != 2 || blocks[0] != Matrix(a) || blocks[1] != Matrix(b) {
-		t.Fatalf("Blocks = %v", blocks)
-	}
-}
-
-func TestKroneckerFactorsAccessor(t *testing.T) {
-	a, b := Identity(2), Prefix(3)
-	k := Kron(a, b).(*KroneckerMat)
-	fa, fb := k.Factors()
-	if fa != Matrix(a) || fb != Matrix(b) {
-		t.Fatal("Factors accessor wrong")
-	}
-}
-
 func TestProductNonBinaryAbsMaterializes(t *testing.T) {
 	// A product with negative entries cannot use the binary shortcut:
 	// abs(AB) != abs(A)abs(B) in general, so Abs must materialize and be

@@ -304,13 +304,6 @@ func (d *Dense) Sqr() Matrix {
 	return out
 }
 
-// Clone returns a deep copy of d.
-func (d *Dense) Clone() *Dense {
-	data := make([]float64, len(d.data))
-	copy(data, d.data)
-	return NewDense(d.rows, d.cols, data)
-}
-
 // String renders small matrices for debugging.
 func (d *Dense) String() string {
 	if d.rows*d.cols > 400 {

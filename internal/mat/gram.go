@@ -29,8 +29,8 @@ import "repro/internal/vec"
 // Both kernels run through the parallel engine when the estimated work
 // clears the threshold: workers process disjoint row ranges into private
 // partial Grams that the engine merges, and the mirror runs once after
-// the merge. With a caller-provided output (GramInto) and warm pools the
-// Dense and CSR paths perform zero steady-state heap allocations.
+// the merge. With warm pools the Dense and CSR kernels allocate nothing
+// beyond the output matrix.
 //
 // solver.DirectLS and the strategy-scoring layers call Gram on exactly
 // these shapes, so the dispatch removes the O(cols·matvec) bottleneck
@@ -100,27 +100,6 @@ func Gram(m Matrix) *Dense {
 		}
 	}
 	return GramColumns(m)
-}
-
-// GramInto computes g = mᵀm into the caller-provided cols×cols dense
-// matrix, reusing its backing storage. For Dense and CSR operands the
-// blocked kernels write g in place with zero steady-state allocations
-// (the engine's partial-Gram accumulators are pooled); every other
-// matrix type falls back to Gram and copies.
-func GramInto(g *Dense, m Matrix) *Dense {
-	_, c := m.Dims()
-	if g.rows != c || g.cols != c {
-		panic("mat: GramInto output dims mismatch")
-	}
-	switch t := m.(type) {
-	case *Sparse:
-		sparseGramInto(g, t)
-	case *Dense:
-		denseGramInto(g, t)
-	default:
-		copy(g.data, Gram(m).data)
-	}
-	return g
 }
 
 // GramColumns computes MᵀM column by column through the primitive

@@ -8,10 +8,10 @@ package mat
 // Determinism is the load-bearing property. GramUpdate and
 // AddScaledTMatMat always run the serial Dense/CSR kernels — never the
 // parallel engine — and those kernels accumulate every output cell in
-// ascending row order, exactly like the serial kernels behind GramInto.
+// ascending row order, exactly like the serial kernels behind Gram.
 // A Gram matrix grown by a sequence of GramUpdate calls over row blocks
 // b₀, b₁, … therefore equals, bit for bit, a single serial
-// GramInto/GramUpdate pass over the stacked rows: each output cell sees
+// Gram/GramUpdate pass over the stacked rows: each output cell sees
 // the same additions in the same order either way. That is what lets an
 // incremental solve path promise bit-identical answers to its cold
 // rebuild (see solver.NormalMulti) — and it is also why these functions
@@ -23,7 +23,7 @@ package mat
 // in as GramUpdate(g, m, w)). g must be cols×cols and hold either zeros
 // or a previously accumulated, exactly symmetric Gram state; it is kept
 // exactly symmetric on return. With c == 1 the accumulation is
-// bit-identical to the serial GramInto kernels, so growing G
+// bit-identical to the serial Gram kernels, so growing G
 // incrementally matches a cold serial rebuild to the last bit (see the
 // file comment). Dense and CSR operands use the blocked serial kernels;
 // any other matrix type falls back to Gram(m) plus a scaled elementwise
@@ -55,7 +55,7 @@ func GramUpdate(g *Dense, m Matrix, c float64) {
 // upper-triangle + stray-diagonal-block write pattern are identical to
 // denseGramRange, and (c2·a)·v with c2 == 1 is exactly a·v, so the
 // caller's gramMirror leaves a state bit-identical to the serial
-// GramInto path over the same rows.
+// Gram path over the same rows.
 func denseGramUpdateRange(d *Dense, g []float64, c2 float64, lo, hi int) {
 	c := d.cols
 	if c == 0 {

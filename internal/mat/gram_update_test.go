@@ -76,7 +76,7 @@ func randomRowSplits(rng *rand.Rand, rows int) []int {
 // TestGramUpdateMatchesRebuildBitIdentical is the incremental-solve
 // acceptance pin, fuzzed over shapes and row splits: accumulating a
 // matrix's Gram via unweighted GramUpdate calls over consecutive row
-// blocks must equal the one-shot serial GramInto rebuild of the full
+// blocks must equal the one-shot serial Gram rebuild of the full
 // matrix to the last bit, for both Dense and CSR operands.
 func TestGramUpdateMatchesRebuildBitIdentical(t *testing.T) {
 	defer SetParallelism(0)
@@ -88,7 +88,7 @@ func TestGramUpdateMatchesRebuildBitIdentical(t *testing.T) {
 		cuts := randomRowSplits(rng, rows)
 
 		full := gramUpdateRandDense(rng, rows, cols)
-		want := GramInto(NewDense(cols, cols, nil), full)
+		want := Gram(full)
 		got := NewDense(cols, cols, nil)
 		for i := 1; i < len(cuts); i++ {
 			GramUpdate(got, denseRowBlock(full, cuts[i-1], cuts[i]), 1)
@@ -101,7 +101,7 @@ func TestGramUpdateMatchesRebuildBitIdentical(t *testing.T) {
 		}
 
 		sp := gramUpdateRandSparse(rng, rows, cols)
-		wantSp := GramInto(NewDense(cols, cols, nil), sp)
+		wantSp := Gram(sp)
 		gotSp := NewDense(cols, cols, nil)
 		for i := 1; i < len(cuts); i++ {
 			GramUpdate(gotSp, sparseRowBlock(sp, cuts[i-1], cuts[i]), 1)

@@ -53,14 +53,11 @@
 // the parallel engine with per-worker partial Grams, VStack block sums,
 // and the Bᵀ·Gram(A)·B sandwich for CSR-led products — bypassing the
 // generic cols·matvec construction wherever the operand shape allows
-// (see gram.go for the blocked kernels' cost model). GramInto reuses a
-// caller-provided output for allocation-free steady state on Dense and
-// CSR.
+// (see gram.go for the blocked kernels' cost model).
 package mat
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/vec"
 )
@@ -152,18 +149,6 @@ func L1Sensitivity(m Matrix) float64 {
 		return 0
 	}
 	return vec.Max(colSums)
-}
-
-// L2Sensitivity returns ‖M‖₂, the maximum L2 column norm, computed as
-// sqrt(max(sqr(M)ᵀ·1)).
-func L2Sensitivity(m Matrix) float64 {
-	s := Sqr(m)
-	r, _ := s.Dims()
-	colSums := TMul(s, vec.Ones(r))
-	if len(colSums) == 0 {
-		return 0
-	}
-	return math.Sqrt(max(0, vec.Max(colSums)))
 }
 
 // Row materializes the i-th row of m as wᵢ = Mᵀeᵢ (paper §7.3, row indexing).

@@ -10,9 +10,6 @@ import "fmt"
 // Range1D is an inclusive interval [Lo, Hi] over a 1-D domain.
 type Range1D struct{ Lo, Hi int }
 
-// Contains reports whether index i falls inside the range.
-func (r Range1D) Contains(i int) bool { return i >= r.Lo && i <= r.Hi }
-
 // Size returns the number of cells covered by the range.
 func (r Range1D) Size() int { return r.Hi - r.Lo + 1 }
 

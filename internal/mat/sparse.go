@@ -72,32 +72,6 @@ func NewSparse(rows, cols int, entries []Triplet) *Sparse {
 	return s
 }
 
-// SparseFromRows builds a CSR matrix where row i contains the given
-// (column, value) pairs. Columns within each row need not be sorted.
-func SparseFromRows(cols int, rows [][]Triplet) *Sparse {
-	var entries []Triplet
-	for i, r := range rows {
-		for _, t := range r {
-			entries = append(entries, Triplet{Row: i, Col: t.Col, Val: t.Val})
-		}
-	}
-	return NewSparse(len(rows), cols, entries)
-}
-
-// SparseFromDense converts a dense matrix to CSR, dropping zeros.
-func SparseFromDense(d *Dense) *Sparse {
-	var entries []Triplet
-	r, c := d.Dims()
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			if v := d.At(i, j); v != 0 {
-				entries = append(entries, Triplet{Row: i, Col: j, Val: v})
-			}
-		}
-	}
-	return NewSparse(r, c, entries)
-}
-
 // Dims returns the matrix dimensions.
 func (s *Sparse) Dims() (int, int) { return s.rows, s.cols }
 
@@ -275,17 +249,6 @@ func (s *Sparse) mapVals(f func(float64) float64) *Sparse {
 		out.val[i] = f(v)
 	}
 	return out
-}
-
-// Transposed returns an explicit CSR transpose of s.
-func (s *Sparse) Transposed() *Sparse {
-	var entries []Triplet
-	for i := 0; i < s.rows; i++ {
-		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
-			entries = append(entries, Triplet{Row: s.colIdx[k], Col: i, Val: s.val[k]})
-		}
-	}
-	return NewSparse(s.cols, s.rows, entries)
 }
 
 // RowNNZ returns the (column, value) pairs of row i.

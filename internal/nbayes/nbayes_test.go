@@ -115,7 +115,7 @@ func TestHistWorkloadSemantics(t *testing.T) {
 	w := HistWorkload(shape)
 	label, joints := SplitHists(shape, mat.Mul(w, x))
 	// Direct histograms from the table must match.
-	wantLabel := tbl.Histogram("y")
+	wantLabel := tbl.Select("y").Vectorize()
 	if !vec.AllClose(label, wantLabel, 1e-9, 1e-9) {
 		t.Fatalf("label hist = %v, want %v", label, wantLabel)
 	}

@@ -74,37 +74,3 @@ func Exponential(rng *rand.Rand, scores []float64, eps, sens float64) int {
 	}
 	return len(scores) - 1
 }
-
-// TwoSidedGeometric draws from the two-sided geometric distribution with
-// parameter alpha = exp(-eps/sens), the discrete analogue of the Laplace
-// mechanism (useful for integer-valued counts).
-func TwoSidedGeometric(rng *rand.Rand, eps, sens float64) int64 {
-	// NaN-rejecting form: with `eps <= 0` a NaN epsilon slips through
-	// and alpha = exp(-NaN/sens) silently yields NaN-valued samples.
-	if !(eps > 0) || !(sens > 0) {
-		panic("noise: TwoSidedGeometric requires positive eps and sens")
-	}
-	alpha := math.Exp(-eps / sens)
-	// Sample sign and magnitude: P(0) = (1-alpha)/(1+alpha),
-	// P(±k) = P(0)·alpha^k for k >= 1.
-	u := rng.Float64()
-	p0 := (1 - alpha) / (1 + alpha)
-	if u < p0 {
-		return 0
-	}
-	// Remaining mass split evenly between the two tails.
-	u = (u - p0) / (1 - p0) // uniform in [0,1)
-	sign := int64(1)
-	if u < 0.5 {
-		sign = -1
-		u *= 2
-	} else {
-		u = (u - 0.5) * 2
-	}
-	// Geometric tail: k >= 1 with P(k) ∝ alpha^{k-1}.
-	k := int64(math.Floor(math.Log(1-u)/math.Log(alpha))) + 1
-	if k < 1 {
-		k = 1
-	}
-	return sign * k
-}

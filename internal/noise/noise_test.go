@@ -112,32 +112,3 @@ func TestExponentialEmptyPanics(t *testing.T) {
 	}()
 	Exponential(NewRand(1), nil, 1, 1)
 }
-
-func TestTwoSidedGeometricSymmetry(t *testing.T) {
-	rng := NewRand(23)
-	var pos, neg, zero int
-	var sum float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		v := TwoSidedGeometric(rng, 0.5, 1)
-		sum += float64(v)
-		switch {
-		case v > 0:
-			pos++
-		case v < 0:
-			neg++
-		default:
-			zero++
-		}
-	}
-	if math.Abs(sum/n) > 0.08 {
-		t.Errorf("geometric mean = %v, want ~0", sum/n)
-	}
-	if zero == 0 {
-		t.Error("no zero samples")
-	}
-	ratio := float64(pos) / float64(neg)
-	if ratio < 0.9 || ratio > 1.1 {
-		t.Errorf("pos/neg ratio = %v, want ~1", ratio)
-	}
-}

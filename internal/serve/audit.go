@@ -223,15 +223,6 @@ func (d *Dataset) AuditState() (size uint64, root [audit.HashSize]byte, gen uint
 	return d.audit.Size(), d.audit.Root(), d.gen
 }
 
-// ReplicationError returns the sticky replication-integrity error (a
-// follower whose rebuilt ledger diverged from the primary's shipped
-// checkpoints), nil when replication is healthy.
-func (d *Dataset) ReplicationError() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.replErr
-}
-
 // setReplicationErrorLocked latches a replication-integrity error for
 // /v1/status. Sticky: a diverged ledger cannot silently heal — the
 // operator rebuilds the follower. Caller holds d.mu.

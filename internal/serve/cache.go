@@ -14,12 +14,12 @@ import (
 // batcher, without d.mu, zero solver iterations, zero MatMat passes.
 //
 // The cache alone knows when an answer is valid. It holds the dataset's
-// current epoch, (measurement-log generation, solver): every transition
-// that changes the estimate moves the epoch forward (invalidate, under
-// d.mu) and drops every entry, and an answer computed from a panel of
-// an older epoch is refused on put, so stale estimates are never served.
-// The solver is part of the epoch because switching the dataset's block
-// solver changes the (bit-level) estimate without new measurements.
+// current measurement-log generation: every transition that changes the
+// estimate moves the generation forward (invalidate, under d.mu) and
+// drops every entry, and an answer computed from a panel of an older
+// generation is refused on put, so stale estimates are never served.
+// A dataset's solver is fixed at create, so the generation alone names
+// the estimate.
 //
 // Fingerprints are 64-bit hashes of the range workload; because a
 // collision would silently serve another workload's answers, every
@@ -61,15 +61,8 @@ func sameRanges(a, b []mat.Range1D) bool {
 	return true
 }
 
-// cacheEpoch is the dataset state a cached answer belongs to: the
-// measurement-log generation and the solver that produced the panel.
-type cacheEpoch struct {
-	gen    uint64
-	solver string
-}
-
 // cacheEntry is one memoized workload answer. Answers/Stderr are stored
-// exactly as computed from the epoch's estimate panel; batch metadata is
+// exactly as computed from the generation's estimate panel; batch metadata is
 // not cached (it describes the serving path, not the answer).
 type cacheEntry struct {
 	fp     uint64
@@ -92,22 +85,22 @@ type CacheStats struct {
 type panelCache struct {
 	mu      sync.Mutex
 	cap     int
-	epoch   cacheEpoch
+	gen     uint64
 	entries map[uint64]*list.Element // by fingerprint; values are *cacheEntry
 	lru     *list.List               // front = most recent
 	stats   CacheStats
 }
 
 // newPanelCache returns a cache bounded to size entries that starts at
-// the given epoch, or nil when size <= 0 (disabled).
-func newPanelCache(size int, epoch cacheEpoch) *panelCache {
+// the given generation, or nil when size <= 0 (disabled).
+func newPanelCache(size int, gen uint64) *panelCache {
 	if size <= 0 {
 		return nil
 	}
-	return &panelCache{cap: size, epoch: epoch, entries: map[uint64]*list.Element{}, lru: list.New()}
+	return &panelCache{cap: size, gen: gen, entries: map[uint64]*list.Element{}, lru: list.New()}
 }
 
-// get returns the memoized answer of the workload at the current epoch,
+// get returns the memoized answer of the workload at the current generation,
 // if present and an exact range match.
 func (c *panelCache) get(ranges []mat.Range1D) (QueryResult, bool) {
 	if c == nil {
@@ -127,18 +120,18 @@ func (c *panelCache) get(ranges []mat.Range1D) (QueryResult, bool) {
 	return QueryResult{}, false
 }
 
-// put memoizes a workload answered from a panel of the given epoch,
-// evicting the least recently used entry when full. An answer whose
-// epoch is no longer current (a commit or solver switch landed while it
+// put memoizes a workload answered from a panel of the given
+// generation, evicting the least recently used entry when full. An
+// answer whose generation is no longer current (a commit landed while it
 // was computed) is dropped.
-func (c *panelCache) put(epoch cacheEpoch, ranges []mat.Range1D, res QueryResult) {
+func (c *panelCache) put(gen uint64, ranges []mat.Range1D, res QueryResult) {
 	if c == nil {
 		return
 	}
 	fp := fingerprintRanges(ranges)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if epoch != c.epoch {
+	if gen != c.gen {
 		return
 	}
 	e := &cacheEntry{fp: fp, ranges: append([]mat.Range1D(nil), ranges...), res: res}
@@ -153,16 +146,15 @@ func (c *panelCache) put(epoch cacheEpoch, ranges []mat.Range1D, res QueryResult
 	c.entries[fp] = c.lru.PushFront(e)
 }
 
-// invalidate moves the cache to a new epoch and drops every entry; the
-// dataset calls it, under d.mu, whenever new measurements land or the
-// solver changes.
-func (c *panelCache) invalidate(epoch cacheEpoch) {
+// invalidate moves the cache to a new generation and drops every entry;
+// the dataset calls it, under d.mu, whenever new measurements land.
+func (c *panelCache) invalidate(gen uint64) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.epoch = epoch
+	c.gen = gen
 	clear(c.entries)
 	c.lru.Init()
 	c.stats.Invalidations++

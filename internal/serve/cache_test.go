@@ -88,35 +88,6 @@ func TestCacheHitSkipsSolveAndPanel(t *testing.T) {
 	}
 }
 
-// TestCacheKeyedBySolver pins the solver component of the cache key: an
-// answer cached under one block solver must not be served after the
-// dataset switches solvers, even though the generation is unchanged.
-func TestCacheKeyedBySolver(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
-	d, err := s.CreateDataset("sw", "piecewise", 64, 10000, 11, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Measure("hb", 2); err != nil {
-		t.Fatal(err)
-	}
-	wl := []mat.Range1D{{Lo: 3, Hi: 40}}
-	if _, err := d.Query(wl); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SetSolver(SolverLSMR); err != nil {
-		t.Fatal(err)
-	}
-	res, err := d.Query(wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cached {
-		t.Fatalf("solver switch served a stale cached answer: %+v", res)
-	}
-}
-
 // TestCacheDisabled checks CacheSize < 0 turns the cache off without
 // changing behavior: repeats are recomputed, never marked cached.
 func TestCacheDisabled(t *testing.T) {
@@ -264,34 +235,28 @@ func TestCacheHitSkipsBatcherAndLock(t *testing.T) {
 }
 
 // TestPanelCacheDropsStaleEpochPut pins the cache's ownership of answer
-// validity: an answer computed from a panel whose epoch is no longer
-// current (a commit or a solver switch landed mid-batch) is never
-// stored, and invalidate drops what was stored before it.
+// validity: an answer computed from a panel whose generation is no
+// longer current (a commit landed mid-batch) is never stored, and
+// invalidate drops what was stored before it.
 func TestPanelCacheDropsStaleEpochPut(t *testing.T) {
-	g := cacheEpoch{gen: 3, solver: SolverLSMR}
+	const g = uint64(3)
 	c := newPanelCache(4, g)
 	wl := []mat.Range1D{{Lo: 0, Hi: 9}}
 	res := QueryResult{Answers: []float64{42}}
 
 	c.put(g, wl, res)
 	if got, ok := c.get(wl); !ok || got.Answers[0] != 42 {
-		t.Fatalf("put at the current epoch not served: %+v %v", got, ok)
+		t.Fatalf("put at the current generation not served: %+v %v", got, ok)
 	}
-	next := cacheEpoch{gen: g.gen + 1, solver: g.solver}
-	c.invalidate(next)
+	c.invalidate(g + 1)
 	if _, ok := c.get(wl); ok {
-		t.Fatal("invalidate kept an entry of the old epoch")
+		t.Fatal("invalidate kept an entry of the old generation")
 	}
 	c.put(g, wl, res)
 	if _, ok := c.get(wl); ok {
 		t.Fatal("put at a superseded generation was served")
 	}
-	c.invalidate(cacheEpoch{gen: next.gen, solver: SolverCGLS})
-	c.put(next, wl, res)
-	if _, ok := c.get(wl); ok {
-		t.Fatal("put under a superseded solver was served")
-	}
-	if st := c.snapshot(); st.Hits != 1 || st.Misses != 3 || st.Invalidations != 2 {
+	if st := c.snapshot(); st.Hits != 1 || st.Misses != 2 || st.Invalidations != 1 {
 		t.Fatalf("stats %+v", st)
 	}
 }

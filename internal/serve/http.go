@@ -127,13 +127,24 @@ func clientErr(err error) error {
 	return httpError{http.StatusBadRequest, err.Error()}
 }
 
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+// MaxBodyBytes bounds a request body. Serve answers a larger body with
+// 413 Request Entity Too Large, and the cluster router refuses it the
+// same way before contacting a backend.
+const MaxBodyBytes = 16 << 20
+
+// decodeBody decodes a request body of at most MaxBodyBytes holding one
+// JSON value with known fields only, as decodeStrict asks of a log record.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	err := decodeStrict(http.MaxBytesReader(w, r.Body, MaxBodyBytes), v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, &tooLarge):
+		return httpError{http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", MaxBodyBytes)}
+	default:
 		return httpError{http.StatusBadRequest, "bad request body: " + err.Error()}
 	}
-	return nil
 }
 
 func (s *Server) withDataset(h func(http.ResponseWriter, *http.Request, *Dataset)) http.HandlerFunc {
@@ -200,7 +211,7 @@ type createRequest struct {
 
 func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 	var req createRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -246,7 +257,7 @@ type measureRequest struct {
 
 func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request, d *Dataset) {
 	var req measureRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -323,7 +334,7 @@ type planRequest struct {
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, d *Dataset) {
 	var req planRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -354,7 +365,7 @@ type queryRequest struct {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, d *Dataset) {
 	var req queryRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}

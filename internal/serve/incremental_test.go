@@ -168,47 +168,6 @@ func TestIncrementalNormalWarmColdBitIdentical(t *testing.T) {
 	})
 }
 
-// TestIncrementalSolverSwitchMidLog switches one dataset lsmr → normal
-// → lsmr mid-log through SetSolver. Only the current solver family's
-// system is kept, so each switch across families must refold the log:
-// the "normal" answers equal, bit for bit, those of a same-seed dataset
-// that used "normal" from the start, and the final "lsmr" answers
-// (warm-started from the normal panel) are within 1e-6 of a cold solve.
-func TestIncrementalSolverSwitchMidLog(t *testing.T) {
-	ss, switched := createIncremental(t, Config{}, "inc", SolverLSMR)
-	defer ss.Close()
-	ns, normal := createIncremental(t, Config{}, "inc", SolverNormal)
-	defer ns.Close()
-	cs, cold := createIncremental(t, Config{}, "inc", SolverLSMR)
-	defer cs.Close()
-	const toNormal, backToLSMR = 3, 6
-	var got QueryResult
-	for r := 1; r <= incrementalLogRounds; r++ {
-		switch r {
-		case toNormal:
-			if err := switched.SetSolver(SolverNormal); err != nil {
-				t.Fatal(err)
-			}
-		case backToLSMR:
-			if err := switched.SetSolver(SolverLSMR); err != nil {
-				t.Fatal(err)
-			}
-		}
-		measureIncrementalRound(t, switched, r)
-		measureIncrementalRound(t, normal, r)
-		measureIncrementalRound(t, cold, r)
-		got = queryIncremental(t, switched)
-		want := queryIncremental(t, normal)
-		if r >= toNormal && r < backToLSMR {
-			requireBitIdentical(t, fmt.Sprintf("round %d on normal after the switch", r), got, want)
-		}
-	}
-	cold.mu.Lock()
-	cold.stale, cold.panel = true, nil
-	cold.mu.Unlock()
-	requireWithin(t, "lsmr after switching back vs cold", got, queryIncremental(t, cold), 1e-6)
-}
-
 // TestIncrementalNormalMatchesLSMR cross-checks the normal solver's
 // answers against LSMR on the same measurement state: the direct
 // normal-equation solve and the Krylov solve agree to solver tolerance.
@@ -409,8 +368,8 @@ func TestIncrementalIterativeRestartWarmStart(t *testing.T) {
 }
 
 // TestIncrementalDampingValidation pins the damping surface: λ is
-// accepted only by the solvers that implement it, at create time and on
-// solver switches, and is reported in the summary.
+// accepted at create time only by the solvers that implement it, and is
+// reported in the summary.
 func TestIncrementalDampingValidation(t *testing.T) {
 	s := New(Config{BatchWindow: time.Microsecond})
 	defer s.Close()
@@ -428,12 +387,6 @@ func TestIncrementalDampingValidation(t *testing.T) {
 	}
 	if got := d.Summary().Damping; got != 0.5 {
 		t.Fatalf("summary damping %v, want 0.5", got)
-	}
-	if err := d.SetSolver(SolverCGLS); err == nil {
-		t.Fatal("switch of a damped dataset to cgls accepted")
-	}
-	if err := d.SetSolver(SolverNormal); err != nil {
-		t.Fatalf("switch of a damped dataset to normal rejected: %v", err)
 	}
 	// A damped estimate stays finite and answerable.
 	if _, err := d.Measure("identity", 1); err != nil {

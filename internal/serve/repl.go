@@ -277,20 +277,8 @@ func (d *Dataset) WALTail(from int64) (data []byte, next int64, epoch, gen uint6
 	return data, r.end, r.epoch, d.gen, nil
 }
 
-// ReplState reports the stream's current (epoch, end offset,
-// generation) triple for status endpoints and lag accounting.
-func (d *Dataset) ReplState() (epoch uint64, offset int64, gen uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.repl.epoch, d.repl.end, d.gen
-}
-
-// IsFollower reports the dataset's role; Primary is the primary's
-// address ("" on a primary).
+// IsFollower reports the dataset's role.
 func (d *Dataset) IsFollower() bool { return d.follower }
-
-// Primary returns the primary's address for a follower ("" otherwise).
-func (d *Dataset) Primary() string { return d.primary }
 
 // CreateFollower registers a read replica of a dataset whose primary
 // lives elsewhere: domain, budget, seed, solver and damping are the

@@ -29,7 +29,7 @@ func TestReplStreamMatchesContiguousModel(t *testing.T) {
 				}
 				// The model: all stream bytes from logical offset 0, and the
 				// start offset of every frame so the trim rule can be replayed.
-				_, end, _ := d.ReplState()
+				end := d.Summary().WALOffset
 				first, _, _, _, err := d.WALTail(0)
 				if err != nil || int64(len(first)) != end {
 					t.Fatalf("seed stream: %d bytes, end %d, err %v", len(first), end, err)
@@ -59,9 +59,6 @@ func TestReplStreamMatchesContiguousModel(t *testing.T) {
 					// Summary.WALOffset arithmetic: every byte ever appended.
 					if got := d.Summary().WALOffset; got != end {
 						t.Fatalf("step %d: WALOffset %d, model end %d", step, got, end)
-					}
-					if _, off, _ := d.ReplState(); off != end {
-						t.Fatalf("step %d: ReplState offset %d, model end %d", step, off, end)
 					}
 
 					// Probe offsets: the floor and its neighbours, the end and

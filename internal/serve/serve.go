@@ -11,7 +11,7 @@
 // executed by name (MeasurePlan / the /plan endpoint), whose
 // measurements — combinator plans included — land in the same warm log.
 // Query answering is pure post-processing: a workload answered before
-// at the current (measurement-log generation, solver) epoch is served
+// at the current measurement-log generation is served
 // from a per-dataset cache on the request goroutine (cache.go), and
 // only misses reach the per-dataset batcher, which coalesces concurrent
 // clients' range workloads into one panel and answers them with a
@@ -159,7 +159,7 @@ type Config struct {
 	Solver string
 	// CacheSize bounds the per-dataset workload-answer cache (entries
 	// keyed by workload fingerprint, valid for one measurement-log
-	// generation and solver); 0 means 256, negative disables caching.
+	// generation); 0 means 256, negative disables caching.
 	CacheSize int
 	// StateDir, when non-empty, enables measurement-log persistence
 	// under this directory: creating a dataset with a previously used
@@ -434,7 +434,7 @@ type Dataset struct {
 	solver string  // estimate-panel solver (one of Solvers())
 	damp   float64 // Tikhonov λ for lsmr/normal solves (0: none)
 	// gen is the measurement-log generation: bumped every time new
-	// measurements land, it is half the cache epoch and stamps records.
+	// measurements land, it keys the answer cache and stamps records.
 	gen uint64
 	// panelSolves counts actual block solves (refreshes that ran a
 	// solver), so tests can assert a cache hit performed zero of them.
@@ -467,8 +467,8 @@ type Dataset struct {
 	savedIterations int
 	baselineIters   int // iterations of the last cold iterative refresh
 
-	// cache memoizes answered workloads at the current (generation,
-	// solver) epoch; nil when disabled.
+	// cache memoizes answered workloads at the current generation; nil
+	// when disabled.
 	cache *panelCache
 	// walPath and panelPath are the log and the advisory warm-start
 	// sidecar (walstate.go). All persistence I/O goes through fs so
@@ -593,9 +593,9 @@ func (s *Server) addDataset(name string, x []float64, seed uint64, epsTotal floa
 			return nil, err
 		}
 	}
-	// The answer cache starts at the restored epoch, so the replay's
-	// transitions had none to invalidate.
-	d.cache = newPanelCache(s.cfg.CacheSize, cacheEpoch{gen: d.gen, solver: d.solver})
+	// The answer cache starts at the restored generation, so the
+	// replay's transitions had none to invalidate.
+	d.cache = newPanelCache(s.cfg.CacheSize, d.gen)
 	// Seed the replication stream from the (possibly restored) state
 	// before the dataset is visible: followers that connect immediately
 	// see a complete history from offset zero.
@@ -666,51 +666,6 @@ func strategyByName(name string, n int) (mat.Matrix, error) {
 	default:
 		return nil, fmt.Errorf("serve: unknown strategy %q (have %v)", name, Strategies())
 	}
-}
-
-// SetSolver switches the dataset's estimate-panel solver (one of
-// Solvers()), drops the cached answers and marks the panel stale so the
-// next query re-solves with it. A switch into or out of "normal" drops
-// the fold, because only the current family's system is kept; the next
-// refresh refolds the log.
-// Switching away from a damped solver while damping is set is
-// rejected, since the target solver could not honor the dataset's λ.
-func (d *Dataset) SetSolver(name string) error {
-	if name == "" {
-		return nil
-	}
-	if !validSolver(name) {
-		return fmt.Errorf("%w %q (have %v)", ErrUnknownSolver, name, Solvers())
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.damp > 0 && !dampSolver(name) {
-		return fmt.Errorf("serve: dataset %q has damping %g; solver %q has no damped form",
-			d.name, d.damp, name)
-	}
-	if d.solver != name {
-		if (d.solver == SolverNormal) != (name == SolverNormal) {
-			d.fold, d.folded = nil, 0
-		}
-		d.solver = name
-		d.stale = true
-		d.cache.invalidate(cacheEpoch{gen: d.gen, solver: name})
-	}
-	return nil
-}
-
-// Solver returns the dataset's estimate-panel solver name.
-func (d *Dataset) Solver() string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.solver
-}
-
-// Damping returns the dataset's Tikhonov λ (0 when undamped).
-func (d *Dataset) Damping() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.damp
 }
 
 // Summary is a dataset's public state.
@@ -1267,12 +1222,12 @@ type QueryResult struct {
 	SolveConverged  bool `json:"solve_converged"`
 	// Cached marks an answer served from the workload cache: the same
 	// workload was answered earlier at the same measurement-log
-	// generation with the same solver, so no batcher or panel work ran.
+	// generation, so no batcher or panel work ran.
 	Cached bool `json:"cached,omitempty"`
 }
 
 // Query answers a workload of 1-D ranges against the dataset's current
-// estimate. A workload cached at the current epoch is answered on the
+// estimate. A workload cached at the current generation is answered on the
 // calling goroutine; otherwise concurrent calls are coalesced by the
 // dataset's batcher into one panel product and the call blocks until
 // its batch is answered. Once the batcher is stopped (Server.Close),
@@ -1297,19 +1252,19 @@ func (d *Dataset) Query(ranges []mat.Range1D) (QueryResult, error) {
 }
 
 // refreshedPanel refreshes the estimate panel if stale and returns it
-// with its solve state plus the cache epoch the panel belongs to, so an
-// answer computed from it is cached only while that epoch is current.
+// with its solve state plus the generation the panel belongs to, so an
+// answer computed from it is cached only while that generation is current.
 // The lock is released by defer so that a panic inside the refresh
 // (assembly or block solve) unwinds with d.mu free — the batcher's
 // recover keeps serving instead of deadlocking every later lock attempt
 // on the dataset.
-func (d *Dataset) refreshedPanel() (panel []float64, k, solveIters int, solveConv bool, epoch cacheEpoch, err error) {
+func (d *Dataset) refreshedPanel() (panel []float64, k, solveIters int, solveConv bool, gen uint64, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.refreshLocked(); err != nil {
-		return nil, 0, 0, false, epoch, err
+		return nil, 0, 0, false, 0, err
 	}
-	return d.panel, d.k, d.solveIterations, d.solveConverged, cacheEpoch{gen: d.gen, solver: d.solver}, nil
+	return d.panel, d.k, d.solveIterations, d.solveConverged, d.gen, nil
 }
 
 // answerBatch answers a coalesced batch of client workloads with one
@@ -1319,7 +1274,7 @@ func (d *Dataset) refreshedPanel() (panel []float64, k, solveIters int, solveCon
 // errors (columns 1..R). Every request here already missed the cache in
 // Query.
 func (d *Dataset) answerBatch(reqs []*queryReq) {
-	panel, k, solveIters, solveConv, epoch, err := d.refreshedPanel()
+	panel, k, solveIters, solveConv, gen, err := d.refreshedPanel()
 	if err != nil {
 		for _, r := range reqs {
 			r.resp <- queryResp{err: err}
@@ -1365,12 +1320,12 @@ func (d *Dataset) answerBatch(reqs []*queryReq) {
 			}
 		}
 		// Memoize without the batch metadata: the cached value is the
-		// answer of this epoch's panel, not of this batch. put drops it
-		// if the epoch moved on mid-batch.
+		// answer of this generation's panel, not of this batch. put drops
+		// it if the generation moved on mid-batch.
 		stored := res
 		stored.BatchQueries = m
 		stored.BatchClients = 1
-		d.cache.put(epoch, r.ranges, stored)
+		d.cache.put(gen, r.ranges, stored)
 		r.resp <- queryResp{result: res}
 		off += m
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -141,6 +142,52 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRequestBodyBounded pins the body rules every JSON endpoint shares:
+// a body over MaxBodyBytes gets 413 and a JSON value followed by more
+// than whitespace gets 400, and neither spends budget, bumps the
+// generation or appends an audit leaf.
+func TestRequestBodyBounded(t *testing.T) {
+	s, ts := newTestServer(t)
+	d, err := s.CreateDataset("bounded", "piecewise", 64, 1000, 3, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := ts.URL + "/v1/datasets/bounded/measure"
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	before := d.Summary()
+	unchanged := func(what string) {
+		t.Helper()
+		after := d.Summary()
+		if after.Consumed != before.Consumed || after.Generation != before.Generation || after.AuditSize != before.AuditSize {
+			t.Fatalf("%s changed state: consumed %v→%v, generation %d→%d, audit %d→%d", what,
+				before.Consumed, after.Consumed, before.Generation, after.Generation, before.AuditSize, after.AuditSize)
+		}
+	}
+
+	// Valid JSON, padded with whitespace inside the object past the limit.
+	padded := `{"strategy":"identity",` + strings.Repeat(" ", MaxBodyBytes) + `"eps":0.5}`
+	if status, msg := post(padded); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-limit body: %d %s, want 413", status, msg)
+	}
+	unchanged("over-limit body")
+	if status, msg := post(`{"strategy":"identity","eps":0.5} x`); status != http.StatusBadRequest {
+		t.Fatalf("trailing data: %d %s, want 400", status, msg)
+	}
+	unchanged("trailing data")
+	if status, msg := post(`{"strategy":"identity","eps":0.5}` + " \n\t"); status != http.StatusOK {
+		t.Fatalf("trailing whitespace: %d %s, want 200", status, msg)
+	}
+}
+
 func TestServePlansEndpointListsRegistry(t *testing.T) {
 	_, ts := newTestServer(t)
 	var out struct {
@@ -179,11 +226,8 @@ func TestServeConcurrentClients(t *testing.T) {
 				s.Close()
 			})
 			name := "shared-" + solverName
-			d, err := s.CreateDataset(name, "piecewise", 128, 20000, 3, 100)
+			d, err := s.CreateDatasetWithOptions(name, "piecewise", 128, 20000, 3, 100, solverName, 0)
 			if err != nil {
-				t.Fatal(err)
-			}
-			if err := d.SetSolver(solverName); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := d.Measure("hb", 1); err != nil {
@@ -408,36 +452,34 @@ func TestServeLSMRSolverEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServeSolversAgree answers the same measured dataset with both
-// solvers: the least-squares problem has one solution, so switching the
-// solver must not move the answers beyond solver tolerance.
+// TestServeSolversAgree answers two same-seed datasets, measured alike,
+// one with each iterative solver: the least-squares problem has one
+// solution, so the solver must not move the answers beyond solver
+// tolerance.
 func TestServeSolversAgree(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
-	d, err := s.CreateDataset("agree", "piecewise", 64, 10000, 17, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Measure("hb", 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Measure("identity", 1); err != nil {
-		t.Fatal(err)
-	}
 	ranges := []mat.Range1D{{Lo: 0, Hi: 63}, {Lo: 5, Hi: 20}, {Lo: 33, Hi: 34}}
-	cgls, err := d.Query(ranges)
-	if err != nil {
-		t.Fatal(err)
+	answer := func(solverName string) []float64 {
+		d, err := s.CreateDatasetWithOptions("agree-"+solverName, "piecewise", 64, 10000, 17, 50, solverName, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Measure("hb", 2); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Measure("identity", 1); err != nil {
+			t.Fatal(err)
+		}
+		res, err := d.Query(ranges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Answers
 	}
-	if err := d.SetSolver("lsmr"); err != nil {
-		t.Fatal(err)
-	}
-	lsmr, err := d.Query(ranges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vec.AllClose(cgls.Answers, lsmr.Answers, 1e-6, 1e-6) {
-		t.Fatalf("solver switch moved answers: cgls %v vs lsmr %v", cgls.Answers, lsmr.Answers)
+	cgls, lsmr := answer(SolverCGLS), answer(SolverLSMR)
+	if !vec.AllClose(cgls, lsmr, 1e-6, 1e-6) {
+		t.Fatalf("solvers disagree: cgls %v vs lsmr %v", cgls, lsmr)
 	}
 }
 

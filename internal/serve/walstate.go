@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net/url"
@@ -155,20 +156,24 @@ func legacySnapshotPath(stateDir, name string) string {
 	return filepath.Join(stateDir, url.PathEscape(name)+".snapshot.json")
 }
 
-// decodeStrict unmarshals a record payload rejecting unknown fields and
-// trailing data: a CRC-valid record that does not decode exactly is
-// corruption the checksum cannot see, and replay must fail the create
-// rather than guess.
-func decodeStrict(payload []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(payload))
+// decodeStrict decodes one JSON value rejecting unknown fields and any
+// non-whitespace after it: a CRC-valid record that does not decode
+// exactly is corruption the checksum cannot see, and replay must fail
+// the create rather than guess. Request bodies follow the same rule.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if dec.More() {
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case err == nil:
 		return errors.New("trailing data")
+	default:
+		return fmt.Errorf("trailing data: %w", err)
 	}
-	return nil
 }
 
 func validConsumed(v float64) bool {
@@ -227,7 +232,7 @@ func decodeRecord(rec wal.Record, domain int) (record, error) {
 	default:
 		return r, fmt.Errorf("unknown record type %d", rec.Type)
 	}
-	if err := decodeStrict(rec.Payload, r.payload); err != nil {
+	if err := decodeStrict(bytes.NewReader(rec.Payload), r.payload); err != nil {
 		return r, err
 	}
 	// Budget values are validated where they are raised to
@@ -292,7 +297,7 @@ func (d *Dataset) applyRecordLocked(r record) (changed bool, rcpt AuditReceipt, 
 		}
 		d.gen = p.Gen
 		d.stale = true
-		d.cache.invalidate(cacheEpoch{gen: d.gen, solver: d.solver})
+		d.cache.invalidate(d.gen)
 		rcpt = d.auditMeasLeafLocked(p, r.commitment)
 		// Raising can fail (a consumed above this dataset's eps_total) after
 		// the blocks landed. The record is still sunk: dropping it would
@@ -459,7 +464,7 @@ func (d *Dataset) loadPanelSidecar() {
 		return
 	}
 	var pc panelSidecar
-	if err = decodeStrict(data, &pc); err == nil {
+	if err = decodeStrict(bytes.NewReader(data), &pc); err == nil {
 		err = checkPanel(pc.Domain, pc.K, pc.Panel)
 	}
 	if err == nil && pc.Domain != d.n {

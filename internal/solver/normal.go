@@ -11,7 +11,7 @@ import (
 //	(G + (ridge + λ²)·I)·X = B
 //
 // for the k right-hand sides packed in the n×k row-major panel b, given
-// a precomputed Gram matrix G (mat.Gram / mat.GramInto output, or an
+// a precomputed Gram matrix G (mat.Gram output, or an
 // incrementally maintained mat.GramUpdate accumulation). It is the
 // direct counterpart of the iterative Multi solvers for callers that
 // already own the normal-equation state: one dense Cholesky factor

@@ -59,20 +59,6 @@ func Scale(a float64, x []float64) {
 	}
 }
 
-// Add computes dst = x + y element-wise.
-func Add(dst, x, y []float64) {
-	for i := range dst {
-		dst[i] = x[i] + y[i]
-	}
-}
-
-// Sub computes dst = x - y element-wise.
-func Sub(dst, x, y []float64) {
-	for i := range dst {
-		dst[i] = x[i] - y[i]
-	}
-}
-
 // Norm2 returns the Euclidean norm of x, guarding against overflow for
 // moderately large values by scaling with the max element.
 func Norm2(x []float64) float64 {
@@ -93,26 +79,6 @@ func Norm2(x []float64) float64 {
 	return maxAbs * math.Sqrt(s)
 }
 
-// Norm1 returns the L1 norm of x.
-func Norm1(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
-// NormInf returns the max-absolute-value norm of x.
-func NormInf(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Sum returns the sum of the elements of x.
 func Sum(x []float64) float64 {
 	var s float64
@@ -130,20 +96,6 @@ func Max(x []float64) float64 {
 	m := x[0]
 	for _, v := range x[1:] {
 		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element of x. It panics on an empty slice.
-func Min(x []float64) float64 {
-	if len(x) == 0 {
-		panic("vec: Min of empty slice")
-	}
-	m := x[0]
-	for _, v := range x[1:] {
-		if v < m {
 			m = v
 		}
 	}

@@ -394,9 +394,6 @@ func (l *Log) Close() error {
 // Size returns the log's current byte length (header included).
 func (l *Log) Size() int64 { return l.size }
 
-// Path returns the log's file path.
-func (l *Log) Path() string { return l.path }
-
 // WriteFileAtomic durably writes data at path via a temp file: write,
 // sync, rename, then sync the parent directory, without which the
 // rename itself is not durable. Readers of path see the old bytes or the

@@ -1,7 +1,7 @@
 // Package workload builds the query workloads used across the paper's
-// evaluation: prefix (CDF) workloads, random range workloads, all-range
-// workloads, marginals over multi-dimensional schemas (paper Example
-// 7.5), and the Census Prefix(Income) workload of §9.2. Workloads are
+// evaluation: random range workloads, marginals over multi-dimensional
+// schemas (paper Example 7.5), and the Census Prefix(Income) workload of
+// §9.2. Workloads are
 // mat.Matrix values, usually implicit.
 package workload
 
@@ -13,14 +13,8 @@ import (
 	"repro/internal/mat"
 )
 
-// Prefix returns the n×n prefix-sum workload (empirical CDF).
-func Prefix(n int) mat.Matrix { return mat.Prefix(n) }
-
 // Identity returns the n×n identity workload (a full histogram).
 func Identity(n int) mat.Matrix { return mat.Identity(n) }
-
-// Total returns the single total-count query over n cells.
-func Total(n int) mat.Matrix { return mat.Total(n) }
 
 // RandomRange returns k uniformly random 1-D range queries over [0, n).
 func RandomRange(n, k int, rng *rand.Rand) *mat.RangeQueriesMat {
@@ -62,18 +56,6 @@ func RandomRange2D(h, w, k int, rng *rand.Rand) *mat.RangeQueriesMat {
 		ranges[i] = mat.RangeND{Lo: []int{y1, x1}, Hi: []int{y2, x2}}
 	}
 	return mat.NDRangeQueries([]int{h, w}, ranges)
-}
-
-// AllRange returns the workload of all n(n+1)/2 range queries over [0,n).
-// Use only for modest n.
-func AllRange(n int) *mat.RangeQueriesMat {
-	ranges := make([]mat.Range1D, 0, n*(n+1)/2)
-	for lo := 0; lo < n; lo++ {
-		for hi := lo; hi < n; hi++ {
-			ranges = append(ranges, mat.Range1D{Lo: lo, Hi: hi})
-		}
-	}
-	return mat.RangeQueries(n, ranges)
 }
 
 // Marginal returns the marginal workload over the schema that keeps the

@@ -33,14 +33,6 @@ func TestRandomSmallRangeWidth(t *testing.T) {
 	}
 }
 
-func TestAllRangeCount(t *testing.T) {
-	w := AllRange(6)
-	r, _ := w.Dims()
-	if r != 21 { // 6*7/2
-		t.Fatalf("all-range rows = %d, want 21", r)
-	}
-}
-
 func TestMarginalSumsOut(t *testing.T) {
 	schema := dataset.Schema{{Name: "a", Size: 2}, {Name: "b", Size: 3}}
 	w := Marginal(schema, "a")
@@ -133,15 +125,9 @@ func TestCensusPrefixIncomeSemantics(t *testing.T) {
 	}
 }
 
-func TestIdentityTotalPrefixWrappers(t *testing.T) {
+func TestIdentityWrapper(t *testing.T) {
 	if r, c := Identity(5).Dims(); r != 5 || c != 5 {
 		t.Fatal("Identity wrapper wrong")
-	}
-	if r, c := Total(5).Dims(); r != 1 || c != 5 {
-		t.Fatal("Total wrapper wrong")
-	}
-	if r, c := Prefix(5).Dims(); r != 5 || c != 5 {
-		t.Fatal("Prefix wrapper wrong")
 	}
 }
 
