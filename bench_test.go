@@ -238,17 +238,6 @@ func BenchmarkLSMRWorkspace(b *testing.B) {
 	}
 }
 
-// BenchmarkGramKronFast measures the structure-aware Gram against the
-// generic cols·matvec construction it replaces (Gram(A⊗B) =
-// Gram(A)⊗Gram(B)).
-func BenchmarkGramKronFast(b *testing.B) {
-	m := mat.Kron(mat.Prefix(64), mat.Prefix(64))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mat.Gram(m)
-	}
-}
-
 // ---------------------------------------------------------------------
 // Blocked Gram and multi-RHS (MatMat) benchmarks. The Gram shapes are
 // gramCases; blocked-vs-column speedups are read off the
@@ -256,10 +245,10 @@ func BenchmarkGramKronFast(b *testing.B) {
 // states for Dense and CSR must make none.
 // ---------------------------------------------------------------------
 
-// gramCases are the Gram benchmark shapes: the strategy shapes DirectLS
-// and the scoring layers hit — a large dense matrix, a RangeQueries CSR
-// strategy, a Kronecker product and the implicit RangeQueriesMat
-// product form.
+// gramCases are the Gram benchmark shapes, one per kernel: a large
+// dense matrix (the blocked Dense kernel DirectLS runs) and a
+// RangeQueries CSR strategy (the CSR kernel the normal-equation fold
+// runs).
 func gramCases() []benchCase {
 	return []benchCase{
 		{"dense_2048x2048", func() mat.Matrix {
@@ -280,12 +269,6 @@ func gramCases() []benchCase {
 				panic("bench: sparse conversion of range strategy failed")
 			}
 			return s
-		}},
-		{"kron_prefix2_64", func() mat.Matrix {
-			return mat.Kron(mat.Prefix(64), mat.Prefix(64))
-		}},
-		{"rangequeries_implicit_1024", func() mat.Matrix {
-			return mat.RangeQueries(1024, mat.HierarchicalRanges(1024, 2))
 		}},
 	}
 }
@@ -322,7 +305,6 @@ func benchGramCase(b *testing.B, name string) {
 
 func BenchmarkGramDense(b *testing.B)  { benchGramCase(b, "dense_2048x2048") }
 func BenchmarkGramSparse(b *testing.B) { benchGramCase(b, "csr_rangequeries_2048") }
-func BenchmarkGramKron(b *testing.B)   { benchGramCase(b, "kron_prefix2_64") }
 
 // benchMatMat compares k separate MatVecs against one k-wide MatMat on
 // the same matrix, reporting both so the batching win is the ratio.

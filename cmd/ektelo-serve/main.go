@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	ektelo-serve [-addr :8199] [-window 250us] [-replicates 3]
+//	ektelo-serve [-addr :8199] [-window 250us] [-maxbatch 64] [-replicates 3]
 //	             [-solver lsmr|cgls|normal|nnls] [-state-dir DIR]
 //	             [-fsync always|interval|never]
 //	             [-fsync-interval 100ms] [-checkpoint-every 64]
@@ -15,16 +15,18 @@
 //
 // The estimate panel behind every answer is solved by the block solver
 // named with -solver: lsmr (solver.LSMRMulti, the paper's §7.6 solver;
-// the default), cgls (solver.CGLSMulti), or normal (solver.NormalMulti
+// the default), cgls (solver.CGLSMulti), normal (solver.NormalMulti
 // over normal equations that new measurements fold into at O(delta
 // rows) per refresh, with answers bit-identical under any refresh
-// schedule; see the internal/serve package docs). A dataset created
-// over HTTP may override the choice
-// per dataset with the "solver" field, and may set "damping" (lsmr and
-// normal only) to a Tikhonov λ that regularizes ill-conditioned
-// measurement logs. The iterative solvers also refresh incrementally:
-// each refresh warm-starts from the previous generation's panel and
-// stops at the cold solve's absolute convergence target.
+// schedule; see the internal/serve package docs), or nnls
+// (solver.NNLSMulti, every estimate non-negative, always solved cold;
+// it takes no damping). A dataset created over HTTP may override the
+// choice per dataset with the "solver" field, and may set "damping"
+// (lsmr and normal only) to a Tikhonov λ that regularizes
+// ill-conditioned measurement logs. lsmr and cgls also refresh
+// incrementally: each refresh warm-starts from the previous
+// generation's panel and stops at the cold solve's absolute convergence
+// target.
 //
 // With -state-dir every measurement commit persists under that
 // directory, and re-creating a dataset name (preload included) restores

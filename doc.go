@@ -129,14 +129,14 @@
 //
 // Every plan bottoms out in internal/mat's implicit mat-vec kernels;
 // those run on a shared parallel, zero-allocation compute engine (see
-// the mat package docs: SetParallelism, Workspace, structure-aware
-// Gram), so solver and inference throughput scales with cores without
-// per-iteration garbage. On top of the single-vector kernels sits a
-// batched multi-RHS tier (mat.MatMat/TMatMat over row-major panels)
-// that the hot consumers ride: blocked symmetric Gram builds
-// (mat.Gram), suffix-sum range-workload Grams with engine-parallel
-// axis passes and an engine-parallel Kronecker expansion, block Krylov
-// solvers — solver.CGLSMulti and solver.LSMRMulti, the paper's §7.6
+// the mat package docs: SetParallelism, Workspace, blocked Gram), so
+// solver and inference throughput scales with cores without
+// per-iteration garbage. Gram matrices of dense and CSR operands
+// (mat.Gram, mat.GramUpdate) come from one blocked symmetric kernel per
+// storage. On top of the single-vector kernels sits a batched multi-RHS
+// tier (mat.MatMat/TMatMat over row-major panels) that the hot
+// consumers ride: block Krylov solvers — solver.CGLSMulti and
+// solver.LSMRMulti, the paper's §7.6
 // solver run k columns at a time with per-column convergence latches,
 // each column bit-identical to the k = 1 solve of its right-hand side
 // on Dense/CSR operands (solver.CGLS and solver.LSMR are that k = 1

@@ -1,17 +1,19 @@
 package analysis
 
 import (
+	"go/ast"
 	"go/types"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// exportKeep lists the exported functions and methods of internal/
-// packages that no non-test file calls but that stay, each with the
-// reason it stays. Names are "<package path under internal/>.<Func>" or
-// "<package path under internal/>.<Type>.<Method>".
-var exportKeep = map[string]string{
+// reachKeep lists the functions and methods of internal/ packages that
+// no program reaches but that stay, each with the reason it stays.
+// Names are "<package path under internal/>.<Func>" or
+// "<package path under internal/>.<Type>.<Method>". The entries are
+// roots of the reachability pass, so what they call is reached too.
+var reachKeep = map[string]string{
 	// Paper objects: each implements an operator, matrix or section of
 	// the paper, or is the paper's table-level API.
 	"core/inference.NoiseAwareThreshold":  "paper Fig. 1 HR: thresholding at the measured noise level",
@@ -51,20 +53,24 @@ var exportKeep = map[string]string{
 	"wal.NewFaultFS":                     "test tooling: fault injection for the crash tests",
 	// Reference or interface.
 	"core/partition.DawaL1PartitionExact": "reference: the exact L1 bucketing the DAWA test compares against",
-	"serve.NotPrimaryError.Unwrap":        "interface: errors.Is/As unwrap a 421 to ErrNotPrimary",
 	"vec.Norm2":                           "reference: the solvers' colNorm2 replicates its arithmetic, and solver tests measure residuals with it",
 }
 
-// interfaceMethodsOutside names the methods of standard interfaces that
-// module types satisfy without the module naming the interface.
-var interfaceMethodsOutside = []string{"Error", "Set", "String", "ServeHTTP", "MarshalJSON"}
+// rootMethods names the methods of standard interfaces that the
+// standard library calls on module types: fmt, errors, encoding/json,
+// net/http, flag, and go/types (Loader is a types.Importer).
+var rootMethods = []string{"Error", "String", "MarshalJSON", "ServeHTTP", "Unwrap", "Set", "Import"}
 
-// TestExportsHaveCallers fails for every exported function or method of
-// an internal/ package that no non-test file of the module, cmd/,
-// examples/ or bench/ uses, unless exportKeep gives it a reason. A
-// method is exempt when an interface the module declares or uses has a
-// method of that name: calls through the interface do not name the
-// concrete method.
+// TestExportsHaveCallers fails for every function or method of an
+// internal/ package, exported or not, that no program reaches, unless
+// reachKeep gives it a reason. Reachability is a class-hierarchy pass
+// over the non-test files of the module, cmd/, examples/ and bench/:
+// it starts from every main and init function, every function a
+// package-level declaration names (registry maps, for example), the
+// reachKeep entries and the rootMethods, and follows every function a
+// reached body names. A call through an interface method reaches every
+// module method of that name whose receiver type implements the
+// interface.
 func TestExportsHaveCallers(t *testing.T) {
 	l, err := NewLoader(".")
 	if err != nil {
@@ -74,123 +80,178 @@ func TestExportsHaveCallers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadTree: %v", err)
 	}
-
-	used := make(map[types.Object]bool)
-	ifaceMethods := make(map[string]bool)
-	for _, name := range interfaceMethodsOutside {
-		ifaceMethods[name] = true
-	}
-	seen := make(map[types.Type]bool)
-	for _, pkg := range pkgs {
-		for _, obj := range pkg.Info.Uses {
-			if fn, ok := obj.(*types.Func); ok {
-				used[fn.Origin()] = true
-			}
-			if obj != nil {
-				collectInterfaceMethods(obj.Type(), ifaceMethods, seen)
-			}
-		}
-		for _, obj := range pkg.Info.Defs {
-			if obj != nil {
-				collectInterfaceMethods(obj.Type(), ifaceMethods, seen)
-			}
-		}
-		for _, tv := range pkg.Info.Types {
-			collectInterfaceMethods(tv.Type, ifaceMethods, seen)
-		}
-	}
+	r := newReach(pkgs)
 
 	prefix := l.Module + "/internal/"
-	var missing []string
-	kept := make(map[string]bool)
-	check := func(name string, fn *types.Func) {
-		if used[fn] {
-			return
-		}
-		if _, ok := exportKeep[name]; ok {
-			kept[name] = true
-			return
-		}
-		missing = append(missing, name+" ("+pkgs[0].Fset.Position(fn.Pos()).String()+")")
+	roots := make(map[string]bool)
+	for _, name := range rootMethods {
+		roots[name] = true
 	}
+	// checked maps "<package>.<Func>" or "<package>.<Type>.<Method>" to
+	// every function of an internal/ package.
+	checked := make(map[string]*types.Func)
 	for _, pkg := range pkgs {
-		rel, ok := strings.CutPrefix(pkg.Path, prefix)
-		if !ok {
-			continue
-		}
-		scope := pkg.Types.Scope()
-		for _, objName := range scope.Names() {
-			switch obj := scope.Lookup(objName).(type) {
-			case *types.Func:
-				if obj.Exported() {
-					check(rel+"."+obj.Name(), obj)
-				}
-			case *types.TypeName:
-				named, ok := obj.Type().(*types.Named)
-				if !ok || obj.IsAlias() {
-					continue
-				}
-				for i := 0; i < named.NumMethods(); i++ {
-					m := named.Method(i)
-					if m.Exported() && !ifaceMethods[m.Name()] {
-						check(rel+"."+obj.Name()+"."+m.Name(), m)
+		rel, internal := strings.CutPrefix(pkg.Path, prefix)
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.GenDecl:
+					r.walk(pkg.Info, d)
+				case *ast.FuncDecl:
+					fn := pkg.Info.Defs[d.Name].(*types.Func)
+					name := fn.Name()
+					root := name == "init" || name == "main" && pkg.Types.Name() == "main"
+					if d.Recv != nil {
+						root = roots[name]
 					}
+					if root {
+						r.add(fn)
+					}
+					if !internal || name == "_" {
+						continue
+					}
+					if d.Recv != nil {
+						name = recvName(fn) + "." + name
+					}
+					checked[rel+"."+name] = fn
 				}
 			}
+		}
+	}
+	r.drain()
+	for name := range reachKeep {
+		fn, ok := checked[name]
+		switch {
+		case !ok:
+			t.Errorf("reachKeep lists %s, which is gone", name)
+		case r.reached[fn]:
+			t.Errorf("reachKeep lists %s, which a program now reaches", name)
+		default:
+			r.add(fn)
+		}
+	}
+	r.drain()
+
+	var missing []string
+	for name, fn := range checked {
+		if !r.reached[fn] {
+			missing = append(missing, name+" ("+pkgs[0].Fset.Position(fn.Pos()).String()+")")
 		}
 	}
 	sort.Strings(missing)
 	for _, name := range missing {
-		t.Errorf("exported with no non-test caller: %s", name)
+		t.Errorf("no program reaches %s", name)
 	}
 	if len(missing) > 0 {
-		t.Logf("%d exported names without a caller; delete them or give each a reason in exportKeep", len(missing))
+		t.Logf("%d of %d functions in internal/ are unreached; delete them or give each a reason in reachKeep", len(missing), len(checked))
 	}
-	for name := range exportKeep {
-		if !kept[name] {
-			t.Errorf("exportKeep lists %s, which is gone or now has a caller", name)
+}
+
+// recvName returns the name of a method's receiver type.
+func recvName(fn *types.Func) string {
+	t := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return t.(*types.Named).Obj().Name()
+}
+
+// reach is the worklist of the class-hierarchy pass.
+type reach struct {
+	decls   map[*types.Func]*ast.FuncDecl
+	infos   map[*types.Func]*types.Info
+	named   []*types.Named // the module's non-interface named types
+	reached map[*types.Func]bool
+	ifaces  map[*types.Func]bool // interface methods already resolved
+	queue   []*types.Func
+}
+
+func newReach(pkgs []*Package) *reach {
+	r := &reach{
+		decls:   make(map[*types.Func]*ast.FuncDecl),
+		infos:   make(map[*types.Func]*types.Info),
+		reached: make(map[*types.Func]bool),
+		ifaces:  make(map[*types.Func]bool),
+	}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if d, ok := decl.(*ast.FuncDecl); ok {
+					fn := pkg.Info.Defs[d.Name].(*types.Func)
+					r.decls[fn] = d
+					r.infos[fn] = pkg.Info
+				}
+			}
+		}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if n, ok := tn.Type().(*types.Named); ok && !types.IsInterface(n) {
+				r.named = append(r.named, n)
+			}
+		}
+	}
+	return r
+}
+
+// add marks fn reached and queues its body.
+func (r *reach) add(fn *types.Func) {
+	fn = fn.Origin()
+	if r.reached[fn] {
+		return
+	}
+	r.reached[fn] = true
+	r.queue = append(r.queue, fn)
+}
+
+// drain walks the body of every queued function until none is left.
+func (r *reach) drain() {
+	for len(r.queue) > 0 {
+		fn := r.queue[len(r.queue)-1]
+		r.queue = r.queue[:len(r.queue)-1]
+		if d := r.decls[fn]; d != nil {
+			r.walk(r.infos[fn], d)
 		}
 	}
 }
 
-// collectInterfaceMethods adds the method names of every interface
-// reachable from t (through signatures, composites and named types'
-// underlying types) to names.
-func collectInterfaceMethods(t types.Type, names map[string]bool, seen map[types.Type]bool) {
-	if t == nil || seen[t] {
-		return
-	}
-	seen[t] = true
-	switch t := t.(type) {
-	case *types.Named:
-		collectInterfaceMethods(t.Underlying(), names, seen)
-	case *types.Alias:
-		collectInterfaceMethods(types.Unalias(t), names, seen)
-	case *types.Interface:
-		for i := 0; i < t.NumMethods(); i++ {
-			names[t.Method(i).Name()] = true
+// walk reaches every function that node names. A method named through
+// an interface reaches its implementations instead.
+func (r *reach) walk(info *types.Info, node ast.Node) {
+	ast.Inspect(node, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
 		}
-	case *types.Pointer:
-		collectInterfaceMethods(t.Elem(), names, seen)
-	case *types.Slice:
-		collectInterfaceMethods(t.Elem(), names, seen)
-	case *types.Array:
-		collectInterfaceMethods(t.Elem(), names, seen)
-	case *types.Map:
-		collectInterfaceMethods(t.Key(), names, seen)
-		collectInterfaceMethods(t.Elem(), names, seen)
-	case *types.Chan:
-		collectInterfaceMethods(t.Elem(), names, seen)
-	case *types.Signature:
-		collectInterfaceMethods(t.Params(), names, seen)
-		collectInterfaceMethods(t.Results(), names, seen)
-	case *types.Tuple:
-		for i := 0; i < t.Len(); i++ {
-			collectInterfaceMethods(t.At(i).Type(), names, seen)
+		fn, ok := info.Uses[id].(*types.Func)
+		if !ok {
+			return true
 		}
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			collectInterfaceMethods(t.Field(i).Type(), names, seen)
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil || !types.IsInterface(recv.Type()) {
+			r.add(fn)
+			return true
 		}
-	}
+		if r.ifaces[fn] {
+			return true
+		}
+		r.ifaces[fn] = true
+		iface := recv.Type().Underlying().(*types.Interface)
+		for _, named := range r.named {
+			for _, t := range []types.Type{named, types.NewPointer(named)} {
+				if !types.Implements(t, iface) {
+					continue
+				}
+				obj, _, _ := types.LookupFieldOrMethod(t, true, named.Obj().Pkg(), fn.Name())
+				if m, ok := obj.(*types.Func); ok {
+					r.add(m)
+				}
+				break
+			}
+		}
+		return true
+	})
 }

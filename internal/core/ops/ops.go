@@ -344,9 +344,6 @@ func (g *Graph) Add(ops ...Operator) *Graph {
 	return g
 }
 
-// Name returns the plan name.
-func (g *Graph) Name() string { return g.name }
-
 // Signature renders the plan in the paper's Fig. 2 notation: operator
 // abbreviations in order, iteration bodies as "I:( … )", per-partition
 // subplans as "TP[ … ]". Meta operators with empty abbreviations are

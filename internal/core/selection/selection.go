@@ -24,7 +24,7 @@ func Total(n int) mat.Matrix { return mat.Total(n) }
 // Privelet returns the Haar-wavelet strategy of Xiao et al. (paper plan
 // #2). Domains that are not a power of two are handled by embedding into
 // the next power of two via a column-subset wrapper, which preserves the
-// implicit Abs/Sqr computations.
+// implicit Abs computation.
 func Privelet(n int) mat.Matrix {
 	p2 := nextPow2(n)
 	w := mat.Wavelet(p2)
@@ -43,8 +43,8 @@ func nextPow2(n int) int {
 }
 
 // ColSubset restricts m to its first cols columns: the result is
-// M[:, :cols], evaluated implicitly by zero-padding inputs. Abs and Sqr
-// distribute over column selection.
+// M[:, :cols], evaluated implicitly by zero-padding inputs. Abs
+// distributes over column selection.
 func ColSubset(m mat.Matrix, cols int) mat.Matrix {
 	_, c := m.Dims()
 	if cols > c || cols < 0 {
@@ -88,7 +88,6 @@ func (s *colSubsetMat) Triplets(maxNNZ int) ([]mat.Triplet, bool) {
 }
 
 func (s *colSubsetMat) Abs() mat.Matrix { return ColSubset(mat.Abs(s.m), s.cols) }
-func (s *colSubsetMat) Sqr() mat.Matrix { return ColSubset(mat.Sqr(s.m), s.cols) }
 
 // H2 returns the binary-hierarchy strategy of Hay et al. (paper plan #3):
 // the union of the identity (leaves) and the internal nodes of a binary

@@ -193,21 +193,12 @@ func (m *VStackMat) Abs() Matrix {
 	return VStack(out...)
 }
 
-// Sqr stacks the children's element-wise squares.
-func (m *VStackMat) Sqr() Matrix {
-	out := make([]Matrix, len(m.blocks))
-	for i, b := range m.blocks {
-		out[i] = Sqr(b)
-	}
-	return VStack(out...)
-}
-
 // ProductMat is the matrix product A·B, evaluated lazily.
 type ProductMat struct {
 	a, b Matrix
 	// binary marks products known to materialize to a 0/1 matrix (e.g. the
-	// range-query construction of Example 7.4), for which Abs and Sqr are
-	// no-ops despite products not distributing over abs in general.
+	// range-query construction of Example 7.4), for which Abs is a no-op
+	// despite products not distributing over abs in general.
 	binary bool
 }
 
@@ -222,7 +213,7 @@ func Product(a, b Matrix) *ProductMat {
 }
 
 // BinaryProduct returns the lazy product a·b declared by the caller to
-// materialize to a 0/1 matrix, enabling implicit Abs/Sqr (paper §7.5 note
+// materialize to a 0/1 matrix, enabling an implicit Abs (paper §7.5 note
 // on binary-valued matrices).
 func BinaryProduct(a, b Matrix) *ProductMat {
 	p := Product(a, b)
@@ -284,15 +275,6 @@ func (m *ProductMat) Abs() Matrix {
 		return m
 	}
 	return Materialize(m).Abs()
-}
-
-// Sqr returns the product itself when it is declared binary, and a dense
-// materialization otherwise.
-func (m *ProductMat) Sqr() Matrix {
-	if m.binary {
-		return m
-	}
-	return Materialize(m).Sqr()
 }
 
 // KroneckerMat is the Kronecker product A⊗B (paper Definition 7.2),
@@ -570,9 +552,6 @@ func kronTMatMatColsRange(m *KroneckerMat, dst, z []float64, k, lo, hi int) {
 // Abs distributes over Kronecker products: |A⊗B| = |A|⊗|B|.
 func (m *KroneckerMat) Abs() Matrix { return &KroneckerMat{a: Abs(m.a), b: Abs(m.b)} }
 
-// Sqr distributes over Kronecker products: (A⊗B)² = A²⊗B² element-wise.
-func (m *KroneckerMat) Sqr() Matrix { return &KroneckerMat{a: Sqr(m.a), b: Sqr(m.b)} }
-
 // TransposeMat is the lazy transpose of a matrix.
 type TransposeMat struct{ m Matrix }
 
@@ -610,9 +589,6 @@ func (t *TransposeMat) TMatMat(dst, x []float64, k int) {
 
 // Abs transposes the child's absolute value.
 func (t *TransposeMat) Abs() Matrix { return T(Abs(t.m)) }
-
-// Sqr transposes the child's element-wise square.
-func (t *TransposeMat) Sqr() Matrix { return T(Sqr(t.m)) }
 
 // ScaledMat is c·M for a scalar c.
 type ScaledMat struct {
@@ -662,9 +638,6 @@ func (s *ScaledMat) TMatMat(dst, x []float64, k int) {
 
 // Abs returns |c|·|M|.
 func (s *ScaledMat) Abs() Matrix { return Scaled(math.Abs(s.c), Abs(s.m)) }
-
-// Sqr returns c²·M².
-func (s *ScaledMat) Sqr() Matrix { return Scaled(s.c*s.c, Sqr(s.m)) }
 
 // DiagMat is a diagonal matrix stored as its diagonal.
 type DiagMat struct{ d []float64 }
@@ -718,15 +691,6 @@ func (m *DiagMat) Abs() Matrix {
 	out := make([]float64, len(m.d))
 	for i, v := range m.d {
 		out[i] = math.Abs(v)
-	}
-	return Diag(out)
-}
-
-// Sqr returns the diagonal of squares.
-func (m *DiagMat) Sqr() Matrix {
-	out := make([]float64, len(m.d))
-	for i, v := range m.d {
-		out[i] = v * v
 	}
 	return Diag(out)
 }
@@ -801,13 +765,4 @@ func (s *rowScaledMat) Abs() Matrix {
 		w[i] = math.Abs(v)
 	}
 	return RowScaled(w, Abs(s.m))
-}
-
-// Sqr scales the child's squared rows by w².
-func (s *rowScaledMat) Sqr() Matrix {
-	w := make([]float64, len(s.w))
-	for i, v := range s.w {
-		w[i] = v * v
-	}
-	return RowScaled(w, Sqr(s.m))
 }

@@ -2,8 +2,8 @@ package mat
 
 import "testing"
 
-// TestCombinatorAbsSqrAgainstDense exercises every combinator's Abs and
-// Sqr against the dense reference in one sweep.
+// TestCombinatorAbsSqrAgainstDense exercises every combinator's Abs
+// against the dense reference in one sweep.
 func TestCombinatorAbsSqrAgainstDense(t *testing.T) {
 	neg := DenseFromRows([][]float64{{-1, 2, -3}, {4, -5, 6}})
 	cases := map[string]Matrix{
@@ -19,9 +19,6 @@ func TestCombinatorAbsSqrAgainstDense(t *testing.T) {
 		d := Materialize(m)
 		if !Equal(Abs(m), d.Abs(), 1e-12) {
 			t.Errorf("%s: Abs mismatch", name)
-		}
-		if !Equal(Sqr(m), d.Sqr(), 1e-12) {
-			t.Errorf("%s: Sqr mismatch", name)
 		}
 	}
 }

@@ -54,11 +54,11 @@ func TestToSparseUnsupportedType(t *testing.T) {
 
 // TestTripletsWavelet checks the structural Haar listing entry for
 // entry, bit for bit, against the fast transform, for the signed
-// transform and its Abs and Sqr forms, and that it honours the budget.
+// transform and its Abs form, and that it honours the budget.
 func TestTripletsWavelet(t *testing.T) {
 	for _, n := range []int{1, 2, 8, 64, 4096} {
 		w := Wavelet(n)
-		for name, m := range map[string]Matrix{"signed": w, "abs": w.Abs(), "sqr": w.Sqr()} {
+		for name, m := range map[string]Matrix{"signed": w, "abs": w.Abs()} {
 			ts, ok := Triplets(m, 0)
 			if !ok {
 				t.Fatalf("%s/%d: no structural form", name, n)

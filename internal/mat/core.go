@@ -48,9 +48,6 @@ func (m *IdentityMat) TMatMat(dst, x []float64, k int) {
 // Abs returns the identity itself (a no-op, paper §7.4).
 func (m *IdentityMat) Abs() Matrix { return m }
 
-// Sqr returns the identity itself (a no-op).
-func (m *IdentityMat) Sqr() Matrix { return m }
-
 // OnesMat is the m×n all-ones matrix stored as its dimensions.
 type OnesMat struct{ r, c int }
 
@@ -125,9 +122,6 @@ func onesPanel(dst, x []float64, k int) {
 
 // Abs is a no-op for the all-ones matrix.
 func (m *OnesMat) Abs() Matrix { return m }
-
-// Sqr is a no-op for the all-ones matrix.
-func (m *OnesMat) Sqr() Matrix { return m }
 
 // PrefixMat is the n×n lower-triangular all-ones matrix encoding the
 // empirical CDF (paper Example 7.1). Mat-vec runs in O(n) with O(1) state.
@@ -213,9 +207,6 @@ func suffixPanel(dst, x []float64, n, k int) {
 // Abs is a no-op (binary matrix).
 func (m *PrefixMat) Abs() Matrix { return m }
 
-// Sqr is a no-op (binary matrix).
-func (m *PrefixMat) Sqr() Matrix { return m }
-
 // SuffixMat is the n×n upper-triangular all-ones matrix, the transpose of
 // Prefix (paper §7.4).
 type SuffixMat struct{ n int }
@@ -266,27 +257,16 @@ func (m *SuffixMat) TMatMat(dst, x []float64, k int) {
 // Abs is a no-op (binary matrix).
 func (m *SuffixMat) Abs() Matrix { return m }
 
-// Sqr is a no-op (binary matrix).
-func (m *SuffixMat) Sqr() Matrix { return m }
-
 // WaveletMat is the n×n Haar wavelet transform (n a power of two) with
 // averaging normalization: one stage maps (a,b) to ((a+b)/2, (a-b)/2).
 // Mat-vec runs in O(n) via the fast transform; each matrix entry is the
 // product of the stage coefficients along a unique averaging-tree path, so
-// Abs and Sqr admit the same fast algorithm with |c| and c² stage
-// coefficients (paper Table 2: O(1) space, near-linear time).
+// Abs admits the same fast algorithm with |c| stage coefficients (paper
+// Table 2: O(1) space, near-linear time).
 type WaveletMat struct {
-	n    int
-	kind waveletKind
+	n   int
+	abs bool // coefficients 1/2 instead of ±1/2
 }
-
-type waveletKind int
-
-const (
-	waveletSigned waveletKind = iota // coefficients ±1/2
-	waveletAbs                       // coefficients 1/2
-	waveletSqr                       // coefficients 1/4
-)
 
 // Wavelet returns the n×n Haar wavelet transform. n must be a positive
 // power of two.
@@ -294,23 +274,14 @@ func Wavelet(n int) *WaveletMat {
 	if n <= 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("mat: Wavelet size %d is not a positive power of two", n))
 	}
-	return &WaveletMat{n: n, kind: waveletSigned}
+	return &WaveletMat{n: n}
 }
 
 // Dims returns (n, n).
 func (m *WaveletMat) Dims() (int, int) { return m.n, m.n }
 
 // stage coefficients: forward pair (a,b) -> (ca*(a+b), cd*(a +/- b)).
-func (m *WaveletMat) coeffs() (c float64, signed bool) {
-	switch m.kind {
-	case waveletAbs:
-		return 0.5, false
-	case waveletSqr:
-		return 0.25, false
-	default:
-		return 0.5, true
-	}
-}
+func (m *WaveletMat) coeffs() (c float64, signed bool) { return 0.5, !m.abs }
 
 // MatVec applies the fast Haar decomposition. Output layout:
 // [overall average, coarsest detail, ..., finest n/2 details].
@@ -427,19 +398,4 @@ func (m *WaveletMat) TMatMat(dst, x []float64, k int) {
 }
 
 // Abs returns the element-wise absolute value as another implicit wavelet.
-func (m *WaveletMat) Abs() Matrix {
-	if m.kind == waveletSqr {
-		return m // already non-negative
-	}
-	return &WaveletMat{n: m.n, kind: waveletAbs}
-}
-
-// Sqr returns the element-wise square as another implicit wavelet.
-func (m *WaveletMat) Sqr() Matrix {
-	if m.kind == waveletSigned || m.kind == waveletAbs {
-		return &WaveletMat{n: m.n, kind: waveletSqr}
-	}
-	// Squaring the already-squared transform would need coefficient 1/16
-	// per stage; materialize for this rare case.
-	return Materialize(m).Sqr()
-}
+func (m *WaveletMat) Abs() Matrix { return &WaveletMat{n: m.n, abs: true} }

@@ -295,15 +295,6 @@ func (d *Dense) Abs() Matrix {
 	return out
 }
 
-// Sqr returns the element-wise square as a new dense matrix.
-func (d *Dense) Sqr() Matrix {
-	out := NewDense(d.rows, d.cols, nil)
-	for i, v := range d.data {
-		out.data[i] = v * v
-	}
-	return out
-}
-
 // String renders small matrices for debugging.
 func (d *Dense) String() string {
 	if d.rows*d.cols > 400 {

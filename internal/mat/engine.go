@@ -83,7 +83,6 @@ type task struct {
 	aux    [][]float64 // per-helper accumulators; helper w uses aux[w-1]
 	auxLen int         // live length of each accumulator (0: no merge)
 	k      int         // panel width for multi-RHS (MatMat) kernels
-	args   [3]int      // extra integer parameters (suffix-pass geometry)
 }
 
 var taskPool = sync.Pool{New: func() any { return new(task) }}
@@ -96,7 +95,6 @@ func (t *task) release() {
 	t.fn, t.m, t.dst, t.x, t.z = nil, nil, nil, nil, nil
 	t.auxLen = 0
 	t.k = 0
-	t.args = [3]int{}
 	taskPool.Put(t)
 }
 

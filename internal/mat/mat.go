@@ -1,10 +1,11 @@
 // Package mat implements the implicit-matrix framework of EKTELO §7.
 //
-// A Matrix is a linear operator defined by the five primitive methods the
-// paper identifies: matrix-vector product, transpose (via TMatVec),
-// matrix multiplication (via Product), element-wise absolute value and
-// element-wise square (via the optional Abser/Sqrer interfaces, with a
-// materializing fallback). Core matrices (Identity, Ones, Total, Prefix,
+// A Matrix is a linear operator defined by the primitive methods of the
+// paper that a program uses: matrix-vector product, transpose (via
+// TMatVec), matrix multiplication (via Product) and element-wise
+// absolute value (via the optional Abser interface, with a
+// materializing fallback; the kernel's L1 sensitivity, §7.3, is its
+// one caller). Core matrices (Identity, Ones, Total, Prefix,
 // Suffix, Wavelet) are stored implicitly in O(1) space; combinators
 // (VStack/union, Product, Kronecker) delegate to their children so that
 // composed matrices inherit the children's cost model (paper Tables 2, 3).
@@ -30,8 +31,8 @@
 // whose inner loops are contiguous k-wide multiply-adds with four-wide
 // row blocking, structured so the compiler auto-vectorizes them;
 // combinators distribute the panel to their children; everything else
-// falls back to k pooled MatVecs. Batched callers (blocked Gram,
-// Materialize, solver.CGLSMulti, HDMM scoring) therefore pay
+// falls back to k pooled MatVecs. Batched callers (Materialize,
+// solver.CGLSMulti, HDMM scoring) therefore pay
 // Time(M)·k flops but only one pass of memory traffic over M.
 //
 // The engine picks the blocked parallel path exactly as for MatVec —
@@ -48,12 +49,12 @@
 // explicit Workspace free-list (a nil *Workspace falls back to plain
 // allocation).
 //
-// Gram computes MᵀM with structure-aware fast paths — Gram(A⊗B) =
-// Gram(A)⊗Gram(B), blocked symmetric Dense/CSR kernels routed through
-// the parallel engine with per-worker partial Grams, VStack block sums,
-// and the Bᵀ·Gram(A)·B sandwich for CSR-led products — bypassing the
-// generic cols·matvec construction wherever the operand shape allows
-// (see gram.go for the blocked kernels' cost model).
+// Gram computes MᵀM of a materialised operand with one blocked
+// symmetric kernel per storage: Dense runs through the parallel engine
+// with per-worker partial Grams, CSR runs serially so its bits do not
+// depend on the engine's width, and GramUpdate folds more rows into a
+// Gram with the same two kernels. Any other matrix takes the generic
+// cols·matvec construction (see gram.go for the kernels' cost model).
 package mat
 
 import (
@@ -79,12 +80,6 @@ type Matrix interface {
 // absolute value without materializing.
 type Abser interface {
 	Abs() Matrix
-}
-
-// Sqrer is implemented by matrices that can produce their element-wise
-// square without materializing.
-type Sqrer interface {
-	Sqr() Matrix
 }
 
 // checkMatVec panics if the slice lengths do not match m's dimensions.
@@ -127,16 +122,6 @@ func Abs(m Matrix) Matrix {
 		return a.Abs()
 	}
 	return Materialize(m).Abs()
-}
-
-// Sqr returns the element-wise square of m, using the implicit
-// representation when m implements Sqrer and a dense materialization
-// otherwise.
-func Sqr(m Matrix) Matrix {
-	if s, ok := m.(Sqrer); ok {
-		return s.Sqr()
-	}
-	return Materialize(m).Sqr()
 }
 
 // L1Sensitivity returns ‖M‖₁, the maximum L1 column norm, computed as

@@ -127,9 +127,6 @@ func TestWaveletAbsSqrMatchDense(t *testing.T) {
 		if !Equal(Abs(w), d.Abs(), 1e-12) {
 			t.Fatalf("wavelet abs mismatch at n=%d", n)
 		}
-		if !Equal(Sqr(w), d.Sqr(), 1e-12) {
-			t.Fatalf("wavelet sqr mismatch at n=%d", n)
-		}
 	}
 }
 
@@ -274,9 +271,6 @@ func TestKronAbsSqrDistribute(t *testing.T) {
 	if !Equal(Abs(k), Materialize(k).Abs(), 1e-12) {
 		t.Fatal("kron abs mismatch")
 	}
-	if !Equal(Sqr(k), Materialize(k).Sqr(), 1e-12) {
-		t.Fatal("kron sqr mismatch")
-	}
 }
 
 func TestTransposeInvolution(t *testing.T) {
@@ -305,9 +299,6 @@ func TestRowScaled(t *testing.T) {
 	checkAgainstDense(t, m, 3)
 	if !Equal(Abs(m), Materialize(m).Abs(), 1e-12) {
 		t.Fatal("rowscaled abs mismatch")
-	}
-	if !Equal(Sqr(m), Materialize(m).Sqr(), 1e-12) {
-		t.Fatal("rowscaled sqr mismatch")
 	}
 }
 

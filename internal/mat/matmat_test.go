@@ -176,8 +176,7 @@ func TestMatMatZeroAllocs(t *testing.T) {
 }
 
 // TestGramBlockedMatchesGeneric pins the blocked Dense/CSR Gram kernels
-// and the ProductMat/RangeQueriesMat sandwich path to the
-// column-at-a-time reference, serially and through the engine.
+// to the column-at-a-time reference, serially and through the engine.
 func TestGramBlockedMatchesGeneric(t *testing.T) {
 	defer SetParallelism(0)
 	rng := testRand()
@@ -193,7 +192,8 @@ func TestGramBlockedMatchesGeneric(t *testing.T) {
 	}
 	sparse := NewSparse(50, 19, tri)
 	// Shapes sized past the engine threshold and the partial-Gram merge
-	// guards, so the p>1 leg takes the parallel row-range path.
+	// guards, so the p>1 leg takes the Dense kernel's parallel row-range
+	// path (the CSR kernel is serial at every width).
 	bigDense := NewDense(600, 64, nil)
 	for i := range bigDense.data {
 		bigDense.data[i] = rng.Float64()*2 - 1
@@ -205,21 +205,11 @@ func TestGramBlockedMatchesGeneric(t *testing.T) {
 		}
 	}
 	bigSparse := NewSparse(2400, 48, bigTri)
-	ranges := RangeQueries(24, HierarchicalRanges(24, 2))
 	cases := map[string]Matrix{
 		"dense":     dense,
 		"sparse":    sparse,
 		"bigdense":  bigDense,
 		"bigsparse": bigSparse,
-		"ranges":    ranges,
-		"product":   ranges.inner,
-		"h2union":   VStack(Identity(24), ranges),
-		"ndranges": NDRangeQueries([]int{5, 4, 3}, []RangeND{
-			{Lo: []int{0, 0, 0}, Hi: []int{4, 3, 2}},
-			{Lo: []int{1, 1, 1}, Hi: []int{3, 2, 2}},
-			{Lo: []int{2, 0, 1}, Hi: []int{2, 3, 1}},
-			{Lo: []int{0, 2, 0}, Hi: []int{4, 2, 2}},
-		}),
 	}
 	for _, p := range []int{1, 4} {
 		SetParallelism(p)
@@ -230,6 +220,38 @@ func TestGramBlockedMatchesGeneric(t *testing.T) {
 				t.Errorf("p=%d Gram(%s) disagrees with column build", p, name)
 			}
 		}
+	}
+}
+
+// TestGramSparseWidthInvariant pins the Gram of a CSR operand to the
+// same bits at every engine width: the CSR kernel is serial, so no
+// per-worker partial Gram reassociates a cell's sum.
+func TestGramSparseWidthInvariant(t *testing.T) {
+	defer SetParallelism(0)
+	rng := testRand()
+	const rows, cols = 20000, 64
+	tri := make([]Triplet, 0, rows*16)
+	for i := 0; i < rows; i++ {
+		for q := 0; q < 16; q++ {
+			tri = append(tri, Triplet{Row: i, Col: rng.IntN(cols), Val: rng.Float64()*2 - 1})
+		}
+	}
+	s := NewSparse(rows, cols, tri)
+	SetParallelism(1)
+	want := Gram(s)
+	SetParallelism(4)
+	differ := 0
+	for rep := 0; rep < 20; rep++ {
+		got := Gram(s)
+		for i, v := range got.data {
+			if v != want.data[i] {
+				differ++
+				break
+			}
+		}
+	}
+	if differ > 0 {
+		t.Errorf("%d of 20 Gram runs at width 4 differ bitwise from width 1", differ)
 	}
 }
 
@@ -259,7 +281,7 @@ func TestGramIntoAllocFree(t *testing.T) {
 		g := NewDense(n, n, nil)
 		for name, into := range map[string]func(){
 			"dense":  func() { denseGramInto(g, dense) },
-			"sparse": func() { sparseGramInto(g, sparse) },
+			"sparse": func() { GramUpdate(g, sparse, 1) },
 		} {
 			into() // warm task pool and accumulators
 			if a := testing.AllocsPerRun(10, into); a != 0 {

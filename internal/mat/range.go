@@ -15,7 +15,7 @@ func (r Range1D) Size() int { return r.Hi - r.Lo + 1 }
 
 // RangeQueriesMat represents a workload of range queries implicitly as the
 // binary product of a ±1 sparse matrix and (a Kronecker product of) Prefix
-// matrices. Abs and Sqr are no-ops because the materialized matrix is 0/1.
+// matrices. Abs is a no-op because the materialized matrix is 0/1.
 type RangeQueriesMat struct {
 	shape  []int     // per-dimension domain sizes
 	ranges []RangeND // the query boxes
@@ -107,9 +107,6 @@ func (m *RangeQueriesMat) TMatMat(dst, x []float64, k int) { m.inner.TMatMat(dst
 
 // Abs is a no-op: the materialized matrix is 0/1.
 func (m *RangeQueriesMat) Abs() Matrix { return m }
-
-// Sqr is a no-op: the materialized matrix is 0/1.
-func (m *RangeQueriesMat) Sqr() Matrix { return m }
 
 // Shape returns the per-dimension domain sizes.
 func (m *RangeQueriesMat) Shape() []int { return m.shape }

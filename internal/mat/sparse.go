@@ -234,19 +234,14 @@ func (s *Sparse) avgRowNNZ() int {
 }
 
 // Abs returns the element-wise absolute value, preserving sparsity.
-func (s *Sparse) Abs() Matrix { return s.mapVals(math.Abs) }
-
-// Sqr returns the element-wise square, preserving sparsity.
-func (s *Sparse) Sqr() Matrix { return s.mapVals(func(v float64) float64 { return v * v }) }
-
-func (s *Sparse) mapVals(f func(float64) float64) *Sparse {
+func (s *Sparse) Abs() Matrix {
 	out := &Sparse{rows: s.rows, cols: s.cols,
 		rowPtr: append([]int(nil), s.rowPtr...),
 		colIdx: append([]int(nil), s.colIdx...),
 		val:    make([]float64, len(s.val)),
 	}
 	for i, v := range s.val {
-		out.val[i] = f(v)
+		out.val[i] = math.Abs(v)
 	}
 	return out
 }

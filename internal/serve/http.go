@@ -202,7 +202,8 @@ type createRequest struct {
 	Seed     uint64  `json:"seed"`
 	EpsTotal float64 `json:"eps_total"`
 	// Solver optionally overrides the server's estimate-panel solver for
-	// this dataset: "cgls", "lsmr" or "normal" (empty: server default).
+	// this dataset: "cgls", "lsmr", "normal" or "nnls" (empty: server
+	// default).
 	Solver string `json:"solver,omitempty"`
 	// Damping is the Tikhonov parameter λ applied to the dataset's panel
 	// solves (lsmr and normal solvers only; zero disables it).

@@ -679,7 +679,8 @@ type Summary struct {
 	MeasuredRows int     `json:"measured_rows"`
 	Sessions     int     `json:"sessions"`
 	Queries      int     `json:"queries_in_history"`
-	// Solver is the estimate-panel solver ("cgls" or "lsmr").
+	// Solver is the estimate-panel solver ("cgls", "lsmr", "normal" or
+	// "nnls").
 	Solver string `json:"solver"`
 	// SolveIterations / SolveConverged report the last panel solve (zero
 	// iterations: no solve has run yet). A non-converged solve means the

@@ -10,10 +10,9 @@ import (
 // DirectLS solves min_x ‖Ax − y‖₂ by forming the normal equations
 // AᵀAx = Aᵀy densely and factoring with Cholesky. This is the "direct"
 // baseline of the paper's Figure 5: cubic in the domain size, practical
-// only for small n. The Gram matrix is built through mat.Gram's
-// structure-aware fast paths (Kronecker factoring, direct CSR), so for
-// the paper's strategies the normal-equation assembly is no longer the
-// O(cols·matvec) bottleneck. The optional workspace (nil allocates)
+// only for small n. Figure 5 hands it a materialised dense strategy,
+// whose Gram matrix mat.Gram builds with its blocked Dense kernel
+// instead of cols mat-vec pairs. The optional workspace (nil allocates)
 // supplies everything except the returned solution.
 func DirectLS(a mat.Matrix, y []float64, ws *mat.Workspace) []float64 {
 	_, cols := a.Dims()

@@ -250,7 +250,6 @@ type Log struct {
 	policy   string
 	interval time.Duration
 	lastSync time.Time
-	size     int64
 	closed   bool
 }
 
@@ -318,10 +317,9 @@ func newLog(f File, path string, opts Options, size int) (*Log, error) {
 		if err := f.Sync(); err != nil {
 			return nil, fmt.Errorf("wal: sync header %s: %w", path, err)
 		}
-		size = len(Magic)
 	}
 	return &Log{path: path, f: f, policy: opts.Policy,
-		interval: opts.Interval, lastSync: time.Now(), size: int64(size)}, nil
+		interval: opts.Interval, lastSync: time.Now()}, nil
 }
 
 // Append frames and writes one record, syncing per the log's policy.
@@ -350,7 +348,6 @@ func (l *Log) AppendFramed(frame []byte) error {
 	if _, err := l.f.Write(frame); err != nil {
 		return fmt.Errorf("wal: append to %s: %w", l.path, err)
 	}
-	l.size += int64(len(frame))
 	switch l.policy {
 	case PolicyAlways:
 		return l.Sync()
@@ -390,9 +387,6 @@ func (l *Log) Close() error {
 	}
 	return nil
 }
-
-// Size returns the log's current byte length (header included).
-func (l *Log) Size() int64 { return l.size }
 
 // WriteFileAtomic durably writes data at path via a temp file: write,
 // sync, rename, then sync the parent directory, without which the

@@ -301,8 +301,8 @@ func TestReplaceSwapsLogAtomically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nl.Size() != int64(len(img)) {
-		t.Fatalf("replaced log size %d, want %d", nl.Size(), len(img))
+	if fi, err := os.Stat(logPath); err != nil || fi.Size() != int64(len(img)) {
+		t.Fatalf("replaced log on disk: %v, err %v; want %d bytes", fi, err, len(img))
 	}
 	if err := nl.Append(TypeMeasurementBlock, []byte("post")); err != nil {
 		t.Fatal(err)
