@@ -13,7 +13,9 @@
 //
 // Usage:
 //
-//	ektelo-router -topology FILE [-addr :8198] [-probe-interval 500ms]
+//	ektelo-router -topology FILE [-addr :8198] [-shutdown-grace 10s]
+//
+// Backends are health-probed every 500ms.
 //
 // The topology file is static JSON membership:
 //
@@ -55,7 +57,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8198", "listen address")
 	topologyPath := flag.String("topology", "", "cluster topology file (required)")
-	probeInterval := flag.Duration("probe-interval", 500*time.Millisecond, "backend health-probe spacing")
 	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second, "in-flight request deadline on SIGINT/SIGTERM")
 	flag.Parse()
 
@@ -66,7 +67,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := cluster.NewRouter(topo, cluster.Options{ProbeInterval: *probeInterval})
+	r, err := cluster.NewRouter(topo, cluster.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

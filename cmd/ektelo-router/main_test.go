@@ -10,6 +10,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -56,6 +58,48 @@ func TestTopologyFlagIsRequired(t *testing.T) {
 			t.Errorf("%s: exited 0:\n%s", name, out)
 		}
 	}
+}
+
+// TestRemovedFlagsAreGone: -probe-interval set a value that is now
+// fixed (500ms), so a command line naming it fails at flag parsing.
+func TestRemovedFlagsAreGone(t *testing.T) {
+	out, err := exec.Command(routerBin, "-probe-interval", "1s").CombinedOutput()
+	if err == nil {
+		t.Fatalf("-probe-interval exited 0:\n%s", out)
+	}
+	if !strings.Contains(string(out), "flag provided but not defined: -probe-interval") {
+		t.Fatalf("want the flag package's unknown-flag error, got:\n%s", out)
+	}
+}
+
+// TestUsageBlockMatchesFlags: the flags the package doc's Usage: block
+// names are exactly the flags the binary defines.
+func TestUsageBlockMatchesFlags(t *testing.T) {
+	out, err := exec.Command(routerBin, "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("-h: %v\n%s", err, out)
+	}
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, usage, _ := strings.Cut(string(src), "// Usage:\n//\n")
+	usage, _, _ = strings.Cut(usage, "\n//\n")
+	defined := flagNames(`(?m)^  -([a-z-]+)`, string(out))
+	documented := flagNames(`(?:^|[\s\[])-([a-z][a-z-]*)`, usage)
+	if len(defined) == 0 || !slices.Equal(defined, documented) {
+		t.Fatalf("-h defines %v, the Usage: block names %v", defined, documented)
+	}
+}
+
+// flagNames returns the sorted distinct first submatches of pattern in s.
+func flagNames(pattern, s string) []string {
+	var names []string
+	for _, m := range regexp.MustCompile(pattern).FindAllStringSubmatch(s, -1) {
+		names = append(names, m[1])
+	}
+	slices.Sort(names)
+	return slices.Compact(names)
 }
 
 // TestFirstRequestAfterHealthzIsRouted starts the real binary in front

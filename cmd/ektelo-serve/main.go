@@ -5,13 +5,15 @@
 //
 // Usage:
 //
-//	ektelo-serve [-addr :8199] [-window 250us] [-maxbatch 64] [-replicates 3]
-//	             [-solver lsmr|cgls|normal|nnls] [-state-dir DIR]
-//	             [-fsync always|interval|never]
-//	             [-fsync-interval 100ms] [-checkpoint-every 64]
-//	             [-repl-retain 128] [-shutdown-grace 10s]
-//	             [-plan-cache 256] [-preload name:kind:n:scale:seed:eps ...]
-//	             [-topology FILE -self NAME [-sync-interval 200ms]]
+//	ektelo-serve [-addr :8199] [-solver lsmr|cgls|normal|nnls]
+//	             [-state-dir DIR] [-shutdown-grace 10s]
+//	             [-preload name:kind:n:scale:seed:eps ...]
+//	             [-topology FILE -self NAME]
+//
+// Queries arriving within 250µs of each other are answered as one
+// panel of up to 64 requests, with 3 bootstrap columns for per-answer
+// standard errors, and each dataset caches the answers of 256
+// workloads at its current log generation.
 //
 // The estimate panel behind every answer is solved by the block solver
 // named with -solver: lsmr (solver.LSMRMulti, the paper's §7.6 solver;
@@ -32,26 +34,18 @@
 // directory, and re-creating a dataset name (preload included) restores
 // the log and its spent budget, so a restarted server answers
 // bit-identically. Each commit appends one CRC-framed record to a
-// per-dataset write-ahead log (O(delta) bytes per commit) that is
-// periodically compacted (-checkpoint-every records) into a fresh log
+// per-dataset write-ahead log (O(delta) bytes per commit) and syncs it
+// before the commit is acknowledged, so a restart never re-grants
+// spent budget. Every 64 records the log is compacted into a fresh log
 // holding only the records that rebuild the current state; a torn log
 // tail from a crash is truncated at the first bad frame on restart,
-// never refused. -fsync picks the log durability policy:
-// always per record (the default), interval batched by
-// -fsync-interval, or never. Only always makes a commit durable before
-// it is acknowledged, so only always guarantees a restart never
-// re-grants spent budget: under interval or never, a commit that was
-// acknowledged, answered and replicated can be lost on power failure,
-// and its ε is then re-granted. A state directory still holding a
+// never refused. A state directory still holding a
 // <name>.snapshot.json written by an older version is refused at
 // create (preload exits non-zero naming the file); run the older
 // version on it with -checkpoint-every 1 and make one commit to fold
 // the file into the log (see the README's upgrade note). On
 // an unrecoverable disk error a dataset degrades to read-only — writes
 // return 503 while queries keep serving from the warm panel.
-// -plan-cache bounds the per-dataset workload-answer cache (repeated
-// workloads at one log generation are answered with zero solver and
-// panel work); -1 disables it.
 //
 // Every committed charge also appends a leaf to the dataset's
 // append-only Merkle audit ledger, served as ed25519-signed tree heads
@@ -92,7 +86,6 @@
 //	GET  /v1/datasets/{name}           — one dataset's summary
 //	GET  /v1/datasets/{name}/budget    — remaining-budget report
 //	POST /v1/datasets/{name}/measure   — spend budget on a strategy
-//	                                     (or a plan, with "plan")
 //	POST /v1/datasets/{name}/plan      — execute a Fig. 2 registry plan
 //	POST /v1/datasets/{name}/query     — answer a range workload
 //
@@ -126,27 +119,16 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/serve"
-	"repro/internal/wal"
 )
 
 func main() {
 	addr := flag.String("addr", ":8199", "listen address")
-	window := flag.Duration("window", 250*time.Microsecond, "batcher coalescing window")
-	maxBatch := flag.Int("maxbatch", 64, "max client requests per answering panel")
-	replicates := flag.Int("replicates", 3, "bootstrap columns for per-answer error bars (-1 disables)")
 	solverName := flag.String("solver", "lsmr",
 		fmt.Sprintf("estimate-panel block solver %v; dataset creates may override per dataset", serve.Solvers()))
 	stateDir := flag.String("state-dir", "", "persist measurement logs durably under this directory (restores on create)")
-	fsync := flag.String("fsync", wal.PolicyAlways,
-		"wal fsync policy: always (per record), interval (batched), never (OS page cache only)")
-	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "max time between wal fsyncs under -fsync interval")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "compact the wal into a checkpoint every N records (0: default 64)")
-	replRetain := flag.Int("repl-retain", 0, "replication-stream frames kept in memory before trimming (0: default 2x checkpoint cadence, -1: unlimited)")
 	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second, "in-flight request deadline on SIGINT/SIGTERM")
-	planCache := flag.Int("plan-cache", 0, "workload-answer cache entries per dataset (0: default 256, -1: disabled)")
 	topologyPath := flag.String("topology", "", "cluster topology file; enables the follower manager (requires -self)")
 	self := flag.String("self", "", "this process's backend name in the -topology file")
-	syncInterval := flag.Duration("sync-interval", 200*time.Millisecond, "follower discovery + tail spacing under -topology")
 	var preloads preloadList
 	flag.Var(&preloads, "preload", "preload dataset as name:kind:n:scale:seed:eps (repeatable)")
 	flag.Parse()
@@ -154,26 +136,12 @@ func main() {
 	if !slices.Contains(serve.Solvers(), *solverName) {
 		log.Fatalf("unknown -solver %q (have %v)", *solverName, serve.Solvers())
 	}
-	if !wal.ValidPolicy(*fsync) {
-		log.Fatalf("unknown -fsync %q (have %q, %q, %q)", *fsync, wal.PolicyAlways, wal.PolicyInterval, wal.PolicyNever)
-	}
 	if *stateDir != "" {
 		if err := os.MkdirAll(*stateDir, 0o755); err != nil {
 			log.Fatalf("state dir: %v", err)
 		}
 	}
-	s := serve.New(serve.Config{
-		BatchWindow:     *window,
-		MaxBatch:        *maxBatch,
-		Replicates:      *replicates,
-		Solver:          *solverName,
-		CacheSize:       *planCache,
-		StateDir:        *stateDir,
-		Fsync:           *fsync,
-		FsyncInterval:   *fsyncInterval,
-		CheckpointEvery: *checkpointEvery,
-		ReplRetain:      *replRetain,
-	})
+	s := serve.New(serve.Config{Solver: *solverName, StateDir: *stateDir})
 
 	for _, p := range preloads {
 		d, err := s.CreateDataset(p.name, p.kind, p.n, p.scale, p.seed, p.eps)
@@ -196,7 +164,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		mgr, err = cluster.NewManager(s, topo, *self, cluster.Options{ProbeInterval: *syncInterval})
+		mgr, err = cluster.NewManager(s, topo, *self, cluster.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,6 +11,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -38,17 +40,64 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// TestPersistFlagIsGone: the snapshot backend and the flag that
-// selected it were removed together, so an old command line fails at
-// flag parsing instead of silently running on the other backend.
-func TestPersistFlagIsGone(t *testing.T) {
-	out, err := exec.Command(serveBin, "-persist", "snapshot").CombinedOutput()
-	if err == nil {
-		t.Fatalf("-persist snapshot exited 0:\n%s", out)
+// TestRemovedFlagsAreGone: a command line naming a removed flag fails
+// at flag parsing instead of running with a setting it did not ask
+// for (-persist picked the retired snapshot backend; the rest set
+// values that are now fixed: every record synced, 256 cached answers
+// per dataset, the batcher, compaction, stream and follower defaults).
+func TestRemovedFlagsAreGone(t *testing.T) {
+	for _, args := range [][]string{
+		{"-persist", "snapshot"},
+		{"-fsync", "never"},
+		{"-fsync-interval", "1s"},
+		{"-plan-cache", "-1"},
+		{"-window", "1ms"},
+		{"-maxbatch", "8"},
+		{"-replicates", "0"},
+		{"-checkpoint-every", "1"},
+		{"-repl-retain", "16"},
+		{"-sync-interval", "1s"},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			out, err := exec.Command(serveBin, args...).CombinedOutput()
+			if err == nil {
+				t.Fatalf("%v exited 0:\n%s", args, out)
+			}
+			if !strings.Contains(string(out), "flag provided but not defined: "+args[0]) {
+				t.Fatalf("want the flag package's unknown-flag error, got:\n%s", out)
+			}
+		})
 	}
-	if !strings.Contains(string(out), "flag provided but not defined: -persist") {
-		t.Fatalf("want the flag package's unknown-flag error, got:\n%s", out)
+}
+
+// TestUsageBlockMatchesFlags: the flags the package doc's Usage: block
+// names are exactly the flags the binary defines.
+func TestUsageBlockMatchesFlags(t *testing.T) {
+	out, err := exec.Command(serveBin, "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("-h: %v\n%s", err, out)
 	}
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, usage, _ := strings.Cut(string(src), "// Usage:\n//\n")
+	usage, _, _ = strings.Cut(usage, "\n//\n")
+	defined := flagNames(`(?m)^  -([a-z-]+)`, string(out))
+	documented := flagNames(`(?:^|[\s\[])-([a-z][a-z-]*)`, usage)
+	if len(defined) == 0 || !slices.Equal(defined, documented) {
+		t.Fatalf("-h defines %v, the Usage: block names %v", defined, documented)
+	}
+}
+
+// flagNames returns the sorted distinct first submatches of pattern in s.
+func flagNames(pattern, s string) []string {
+	var names []string
+	for _, m := range regexp.MustCompile(pattern).FindAllStringSubmatch(s, -1) {
+		names = append(names, m[1])
+	}
+	slices.Sort(names)
+	return slices.Compact(names)
 }
 
 // server is one running ektelo-serve child.

@@ -43,9 +43,8 @@
 // solve's convergence state surfaced to clients).
 //
 // Measurement is two-mode. Fixed strategies spend budget on a named
-// matrix (identity, hb, …); plan mode (POST /v1/datasets/{name}/plan,
-// or the measure endpoint's "plan" field) executes any Fig. 2 registry
-// plan by name — plans.GraphByName builds the ops.Graph, including the
+// matrix (identity, hb, …); plan mode (POST /v1/datasets/{name}/plan)
+// executes any Fig. 2 registry plan by name — plans.GraphByName builds the ops.Graph, including the
 // I:(…)/TP[…] combinator plans, from a small public parameter set
 // (workload, rounds, total, shape, dim, seed) — through a per-request
 // kernel session with exactly the same Algorithm 2 accounting, and
@@ -58,7 +57,7 @@
 // With Config.StateDir set, each measurement commit is made durable
 // before the request returns by a per-dataset write-ahead log
 // (internal/wal): one CRC32C-framed record per commit — O(delta)
-// bytes — with configurable fsync policy, periodic compaction
+// bytes — synced on every append, periodic compaction
 // into a fresh log whose head is the dataset's bootstrap record stream
 // (the records a resyncing follower receives), and torn-tail recovery
 // (a crash mid-append truncates at the first bad frame on restart; the
@@ -80,10 +79,9 @@
 // the primary cannot frame is never applied; its spend is logged as a
 // budget-restore record. Re-creating the dataset restores the log *and its spent
 // budget* (kernel.RestoreConsumed raises to each record's absolute
-// value; replay never re-grants), making restarts bit-identical and,
-// under the default fsync policy "always",
-// re-spend-proof (the other policies can lose an acknowledged commit,
-// and re-grant its ε, on power failure). On an unrecoverable disk
+// value; replay never re-grants), making restarts bit-identical and
+// re-spend-proof: an acknowledged commit is on disk, so a power
+// failure cannot re-grant its ε. On an unrecoverable disk
 // error the dataset degrades to explicit read-only — writes fail with
 // serve.ErrReadOnly (HTTP 503) while queries keep serving from the
 // warm panel. The deterministic golden-session test pins the whole create →

@@ -50,9 +50,8 @@ func defaultConfigs(module string) configs {
 				{Func: mod("internal/serve") + ".wireBlock.appendJSON", Why: "O(nnz) work belongs before d.mu (prepareCommit)"},
 				// I/O, fsync and network: a blocked syscall under a hot
 				// mutex stalls every reader and writer behind it.
-				{Func: mod("internal/wal") + ".Log.Append", Why: "WAL append does file I/O and possibly fsync"},
-				{Func: mod("internal/wal") + ".Log.AppendFramed", Why: "WAL append does file I/O and possibly fsync"},
-				{Func: mod("internal/wal") + ".Log.Sync", Why: "fsync under a lock stalls all sessions behind disk latency"},
+				{Func: mod("internal/wal") + ".Log.Append", Why: "WAL append does file I/O and fsync"},
+				{Func: mod("internal/wal") + ".Log.AppendFramed", Why: "WAL append does file I/O and fsync"},
 				{Func: mod("internal/wal") + ".Replace", Why: "compaction rewrites the whole log file"},
 				{Func: mod("internal/wal") + ".Open", Why: "log open scans the file from disk"},
 				{Func: mod("internal/wal") + ".Log.Close", Why: "close syncs (fsync) before releasing the file"},

@@ -50,6 +50,7 @@ var reachKeep = map[string]string{
 	"wal.FaultFS.FailSync":               "test tooling: fault injection for the crash tests",
 	"wal.FaultFS.FailWrites":             "test tooling: fault injection for the crash tests",
 	"wal.FaultFS.ShortWriteOnce":         "test tooling: fault injection for the crash tests",
+	"wal.FaultFS.Syncs":                  "test tooling: fault injection for the crash tests",
 	"wal.NewFaultFS":                     "test tooling: fault injection for the crash tests",
 	// Reference or interface.
 	"core/partition.DawaL1PartitionExact": "reference: the exact L1 bucketing the DAWA test compares against",

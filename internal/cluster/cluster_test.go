@@ -91,7 +91,7 @@ func (c *testCluster) primaryOf(dataset string) string {
 	for _, b := range c.topo.Backends {
 		names = append(names, b.Name)
 	}
-	return NewRing(names, 0).Owners(dataset, 1)[0]
+	return NewRing(names).Owners(dataset, 1)[0]
 }
 
 // statusOf returns a dataset's /v1/status row on one server.
@@ -192,7 +192,7 @@ func TestClusterReplicationBitIdentity(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("measure via router: %d %s", resp.StatusCode, body)
 	}
-	resp, body = postJSON(t, c.front.URL+"/v1/datasets/"+ds+"/measure",
+	resp, body = postJSON(t, c.front.URL+"/v1/datasets/"+ds+"/plan",
 		map[string]any{"plan": "DAWA", "eps": 1})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("plan via router: %d %s", resp.StatusCode, body)

@@ -69,9 +69,6 @@ func NewManager(srv *serve.Server, topo Topology, self string, opts Options) (*M
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = 200 * time.Millisecond
 	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: 30 * time.Second}
-	}
 	names := make([]string, len(topo.Backends))
 	for i, b := range topo.Backends {
 		names[i] = b.Name
@@ -80,8 +77,8 @@ func NewManager(srv *serve.Server, topo Topology, self string, opts Options) (*M
 		srv:      srv,
 		topo:     topo,
 		self:     sb,
-		ring:     NewRing(names, opts.VNodes),
-		client:   opts.Client,
+		ring:     NewRing(names),
+		client:   &http.Client{Timeout: 30 * time.Second},
 		interval: opts.ProbeInterval,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),

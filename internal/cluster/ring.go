@@ -17,7 +17,10 @@ import (
 // property that makes a static-topology cluster rebalance gently when
 // the topology file gains a node between restarts.
 
-const defaultVNodes = 64
+// vnodes is fixed, not configurable: the router and every member's
+// follower manager must compute the same ring, or they disagree on
+// placement.
+const vnodes = 64
 
 type ringPoint struct {
 	hash uint64
@@ -30,13 +33,10 @@ type Ring struct {
 	names  []string
 }
 
-// NewRing builds a ring with vnodes virtual points per backend
-// (0 means 64). Names must be non-empty and unique (Topology.validate
-// enforces it upstream).
-func NewRing(names []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
+// NewRing builds a ring with vnodes virtual points per backend. Names
+// must be non-empty and unique (Topology.validate enforces it
+// upstream).
+func NewRing(names []string) *Ring {
 	r := &Ring{
 		points: make([]ringPoint, 0, len(names)*vnodes),
 		names:  append([]string(nil), names...),

@@ -11,8 +11,8 @@ func primaryOf(r *Ring, key string) string { return r.Owners(key, 1)[0] }
 
 func TestRingDeterministicPlacement(t *testing.T) {
 	names := []string{"a", "b", "c"}
-	r1 := NewRing(names, 64)
-	r2 := NewRing([]string{"c", "a", "b"}, 64) // input order must not matter
+	r1 := NewRing(names)
+	r2 := NewRing([]string{"c", "a", "b"}) // input order must not matter
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("dataset-%d", i)
 		if primaryOf(r1, key) != primaryOf(r2, key) {
@@ -22,7 +22,7 @@ func TestRingDeterministicPlacement(t *testing.T) {
 }
 
 func TestRingOwnersDistinct(t *testing.T) {
-	r := NewRing([]string{"a", "b", "c"}, 64)
+	r := NewRing([]string{"a", "b", "c"})
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("ds-%d", i)
 		owners := r.Owners(key, 3)
@@ -48,7 +48,7 @@ func TestRingOwnersDistinct(t *testing.T) {
 
 func TestRingBalance(t *testing.T) {
 	names := []string{"a", "b", "c", "d", "e"}
-	r := NewRing(names, 64)
+	r := NewRing(names)
 	counts := map[string]int{}
 	const keys = 10000
 	for i := 0; i < keys; i++ {
@@ -65,8 +65,8 @@ func TestRingBalance(t *testing.T) {
 }
 
 func TestRingMinimalDisruption(t *testing.T) {
-	before := NewRing([]string{"a", "b", "c"}, 64)
-	after := NewRing([]string{"a", "b", "c", "d"}, 64)
+	before := NewRing([]string{"a", "b", "c"})
+	after := NewRing([]string{"a", "b", "c", "d"})
 	moved := 0
 	const keys = 2000
 	for i := 0; i < keys; i++ {

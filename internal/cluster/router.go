@@ -42,11 +42,6 @@ const (
 type Options struct {
 	// ProbeInterval is the health-probe spacing; 0 means 500ms.
 	ProbeInterval time.Duration
-	// VNodes is the ring's virtual-node count per backend; 0 means 64.
-	VNodes int
-	// Client is the HTTP client for probes and proxied requests; nil
-	// means a dedicated client with a 30s timeout.
-	Client *http.Client
 }
 
 // Router proxies client traffic onto the backends of a static topology.
@@ -73,9 +68,6 @@ func NewRouter(topo Topology, opts Options) (*Router, error) {
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = 500 * time.Millisecond
 	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: 30 * time.Second}
-	}
 	names := make([]string, len(topo.Backends))
 	backends := make(map[string]*backendState, len(topo.Backends))
 	for i, b := range topo.Backends {
@@ -84,10 +76,10 @@ func NewRouter(topo Topology, opts Options) (*Router, error) {
 	}
 	return &Router{
 		topo:     topo,
-		ring:     NewRing(names, opts.VNodes),
+		ring:     NewRing(names),
 		backends: backends,
 		order:    names,
-		client:   opts.Client,
+		client:   &http.Client{Timeout: 30 * time.Second},
 		interval: opts.ProbeInterval,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),

@@ -2,24 +2,12 @@ package plans
 
 // This file records the plan signatures of the paper's Fig. 2 — the
 // "transparency" benefit of the operator framework (§2.2, §6.3): every
-// algorithm is a sequence of operators drawn from the five classes, so
-// similarities and differences between algorithms are visible at a
-// glance. The signature notation follows the paper: operator
-// abbreviations from Fig. 1, I:(..) for iteration, TP[..] for a subplan
-// run per split partition; every plan implicitly begins with TV
-// (T-Vectorize).
-
-// OperatorClass is one of the paper's five operator classes (§5).
-type OperatorClass string
-
-// The five operator classes of paper §5.
-const (
-	ClassTransform OperatorClass = "transformation"
-	ClassQuery     OperatorClass = "query"
-	ClassSelection OperatorClass = "query selection"
-	ClassPartition OperatorClass = "partition selection"
-	ClassInference OperatorClass = "inference"
-)
+// algorithm is a sequence of operators drawn from the five classes
+// (ops.Class), so similarities and differences between algorithms are
+// visible at a glance. The signature notation follows the paper:
+// operator abbreviations from Fig. 1, I:(..) for iteration, TP[..] for
+// a subplan run per split partition; every plan implicitly begins with
+// TV (T-Vectorize).
 
 // PlanInfo describes one plan of Fig. 2.
 type PlanInfo struct {

@@ -2,9 +2,9 @@ package mat
 
 import "testing"
 
-// TestCombinatorAbsSqrAgainstDense exercises every combinator's Abs
+// TestCombinatorAbsAgainstDense exercises every combinator's Abs
 // against the dense reference in one sweep.
-func TestCombinatorAbsSqrAgainstDense(t *testing.T) {
+func TestCombinatorAbsAgainstDense(t *testing.T) {
 	neg := DenseFromRows([][]float64{{-1, 2, -3}, {4, -5, 6}})
 	cases := map[string]Matrix{
 		"vstack":    VStack(neg, Scaled(-1, Ones(2, 3))),

@@ -215,33 +215,6 @@ func TestWorkspaceReuse(t *testing.T) {
 	}
 }
 
-// TestGramFastPaths pins the Dense and CSR Gram kernels to the generic
-// mat-vec implementation.
-func TestGramFastPaths(t *testing.T) {
-	rng := testRand()
-	sp := NewSparse(6, 5, []Triplet{
-		{Row: 0, Col: 0, Val: 2}, {Row: 0, Col: 3, Val: -1},
-		{Row: 1, Col: 1, Val: 1}, {Row: 2, Col: 2, Val: 4},
-		{Row: 3, Col: 4, Val: -2}, {Row: 4, Col: 0, Val: 1},
-		{Row: 5, Col: 3, Val: 3},
-	})
-	dense := NewDense(4, 3, nil)
-	for i := range dense.data {
-		dense.data[i] = rng.Float64()*4 - 2
-	}
-	cases := map[string]Matrix{
-		"sparse": sp,
-		"dense":  dense,
-	}
-	for name, m := range cases {
-		got := Gram(m)
-		want := GramColumns(m)
-		if !Equal(got, want, 1e-10) {
-			t.Errorf("Gram(%s) fast path disagrees with generic:\ngot\n%v\nwant\n%v", name, got, want)
-		}
-	}
-}
-
 // TestMaterializeWideMatrix exercises the row-extraction path (rows <
 // cols) against the column path.
 func TestMaterializeWideMatrix(t *testing.T) {

@@ -120,7 +120,7 @@ func TestWaveletTotalRow(t *testing.T) {
 	}
 }
 
-func TestWaveletAbsSqrMatchDense(t *testing.T) {
+func TestWaveletAbsMatchDense(t *testing.T) {
 	for _, n := range []int{2, 4, 16} {
 		w := Wavelet(n)
 		d := Materialize(w)
@@ -264,7 +264,7 @@ func TestKronThreeFactors(t *testing.T) {
 	checkAgainstDense(t, k, 4)
 }
 
-func TestKronAbsSqrDistribute(t *testing.T) {
+func TestKronAbsDistribute(t *testing.T) {
 	a := DenseFromRows([][]float64{{1, -2}, {-3, 4}})
 	b := DenseFromRows([][]float64{{-1, 0.5}})
 	k := Kron(a, b)

@@ -33,7 +33,7 @@ func TestRangeQueriesEvaluate(t *testing.T) {
 	}
 }
 
-func TestRangeQueriesAbsSqrNoOps(t *testing.T) {
+func TestRangeQueriesAbsNoOps(t *testing.T) {
 	m := RangeQueries(6, []Range1D{{0, 2}, {3, 5}})
 	if Abs(m) != Matrix(m) {
 		t.Fatal("range-query abs should be identity (binary matrix)")

@@ -78,34 +78,27 @@ type CacheStats struct {
 	Invalidations uint64 `json:"invalidations"`
 }
 
+// cacheSize bounds each dataset's answer cache.
+const cacheSize = 256
+
 // panelCache is a bounded LRU of answered workloads for one dataset.
-// A nil *panelCache is a valid disabled cache (every lookup misses,
-// stores are dropped), so Config.CacheSize < 0 needs no branching at
-// the call sites.
 type panelCache struct {
 	mu      sync.Mutex
-	cap     int
 	gen     uint64
 	entries map[uint64]*list.Element // by fingerprint; values are *cacheEntry
 	lru     *list.List               // front = most recent
 	stats   CacheStats
 }
 
-// newPanelCache returns a cache bounded to size entries that starts at
-// the given generation, or nil when size <= 0 (disabled).
-func newPanelCache(size int, gen uint64) *panelCache {
-	if size <= 0 {
-		return nil
-	}
-	return &panelCache{cap: size, gen: gen, entries: map[uint64]*list.Element{}, lru: list.New()}
+// newPanelCache returns an empty cache that starts at the given
+// generation.
+func newPanelCache(gen uint64) *panelCache {
+	return &panelCache{gen: gen, entries: map[uint64]*list.Element{}, lru: list.New()}
 }
 
 // get returns the memoized answer of the workload at the current generation,
 // if present and an exact range match.
 func (c *panelCache) get(ranges []mat.Range1D) (QueryResult, bool) {
-	if c == nil {
-		return QueryResult{}, false
-	}
 	fp := fingerprintRanges(ranges)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -125,9 +118,6 @@ func (c *panelCache) get(ranges []mat.Range1D) (QueryResult, bool) {
 // answer whose generation is no longer current (a commit landed while it
 // was computed) is dropped.
 func (c *panelCache) put(gen uint64, ranges []mat.Range1D, res QueryResult) {
-	if c == nil {
-		return
-	}
 	fp := fingerprintRanges(ranges)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -140,7 +130,7 @@ func (c *panelCache) put(gen uint64, ranges []mat.Range1D, res QueryResult) {
 		c.lru.MoveToFront(el)
 		return
 	}
-	if c.lru.Len() >= c.cap {
+	if c.lru.Len() >= cacheSize {
 		delete(c.entries, c.lru.Remove(c.lru.Back()).(*cacheEntry).fp)
 	}
 	c.entries[fp] = c.lru.PushFront(e)
@@ -149,9 +139,6 @@ func (c *panelCache) put(gen uint64, ranges []mat.Range1D, res QueryResult) {
 // invalidate moves the cache to a new generation and drops every entry;
 // the dataset calls it, under d.mu, whenever new measurements land.
 func (c *panelCache) invalidate(gen uint64) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gen = gen
@@ -162,9 +149,6 @@ func (c *panelCache) invalidate(gen uint64) {
 
 // snapshot returns the current counters.
 func (c *panelCache) snapshot() CacheStats {
-	if c == nil {
-		return CacheStats{}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats

@@ -88,38 +88,6 @@ func TestCacheHitSkipsSolveAndPanel(t *testing.T) {
 	}
 }
 
-// TestCacheDisabled checks CacheSize < 0 turns the cache off without
-// changing behavior: repeats are recomputed, never marked cached.
-func TestCacheDisabled(t *testing.T) {
-	s := New(Config{CacheSize: -1})
-	defer s.Close()
-	d, err := s.CreateDataset("off", "piecewise", 32, 1000, 13, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Measure("identity", 2); err != nil {
-		t.Fatal(err)
-	}
-	wl := []mat.Range1D{{Lo: 0, Hi: 31}}
-	a, err := d.Query(wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := d.Query(wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Cached || b.Cached {
-		t.Fatalf("disabled cache served cached answers: %+v %+v", a, b)
-	}
-	if b.Answers[0] != a.Answers[0] {
-		t.Fatalf("answers moved without new measurements: %v vs %v", a.Answers, b.Answers)
-	}
-	if stats := d.Summary().Cache; stats.Hits != 0 || stats.Misses != 0 {
-		t.Fatalf("disabled cache counted traffic: %+v", stats)
-	}
-}
-
 // TestCacheConcurrentClients hammers one dataset with concurrent
 // repeated workloads and interleaved measurements under -race: every
 // answer must be exact for some log generation, cached answers must
@@ -240,7 +208,7 @@ func TestCacheHitSkipsBatcherAndLock(t *testing.T) {
 // invalidate drops what was stored before it.
 func TestPanelCacheDropsStaleEpochPut(t *testing.T) {
 	const g = uint64(3)
-	c := newPanelCache(4, g)
+	c := newPanelCache(g)
 	wl := []mat.Range1D{{Lo: 0, Hi: 9}}
 	res := QueryResult{Answers: []float64{42}}
 

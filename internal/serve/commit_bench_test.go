@@ -7,13 +7,36 @@ import (
 	"repro/internal/wal"
 )
 
+// noSyncFS is the real filesystem with every file sync a no-op.
+type noSyncFS struct{ wal.OSFS }
+
+type noSyncFile struct{ wal.File }
+
+func (noSyncFile) Sync() error { return nil }
+
+func (fs noSyncFS) OpenAppend(name string) (wal.File, error) {
+	f, err := fs.OSFS.OpenAppend(name)
+	if err != nil {
+		return nil, err
+	}
+	return noSyncFile{f}, nil
+}
+
+func (fs noSyncFS) Create(name string) (wal.File, error) {
+	f, err := fs.OSFS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return noSyncFile{f}, nil
+}
+
 // commitBenchDataset is a persisting dataset with budget for any number
-// of commits. Fsync is off and compaction disabled so the numbers are
-// the commit path's own CPU, copies and garbage, not the disk's latency
-// or a checkpoint's.
+// of commits. File syncs are no-ops and compaction is disabled so the
+// numbers are the commit path's own CPU, copies and garbage, not the
+// disk's latency or a checkpoint's.
 func commitBenchDataset(tb testing.TB, n int) *Dataset {
 	tb.Helper()
-	s := New(Config{StateDir: tb.TempDir(), Fsync: wal.PolicyNever, CheckpointEvery: -1})
+	s := New(Config{StateDir: tb.TempDir(), FS: noSyncFS{}, CheckpointEvery: -1})
 	tb.Cleanup(s.Close)
 	d, err := s.CreateDataset("bench", "piecewise", n, 1e6, 7, 1e12)
 	if err != nil {

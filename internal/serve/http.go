@@ -24,7 +24,6 @@ import (
 //	GET  /v1/datasets/{name}/wal       — replication-stream tail
 //	                                     (?from=offset; status.go)
 //	POST /v1/datasets/{name}/measure   — spend budget on a strategy
-//	                                     (or, with "plan", on a plan)
 //	POST /v1/datasets/{name}/plan      — execute a Fig. 2 registry plan
 //	POST /v1/datasets/{name}/query     — answer a range workload
 //
@@ -249,25 +248,12 @@ func (s *Server) handleBudget(w http.ResponseWriter, _ *http.Request, d *Dataset
 type measureRequest struct {
 	Strategy string  `json:"strategy"`
 	Eps      float64 `json:"eps"`
-	// Plan selects plan-mode measurement: instead of a fixed strategy,
-	// the named Fig. 2 registry plan is executed end to end (exactly the
-	// body of the /plan endpoint). Mutually exclusive with Strategy.
-	Plan   string      `json:"plan,omitempty"`
-	Params *planParams `json:"params,omitempty"`
 }
 
 func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request, d *Dataset) {
 	var req measureRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		writeErr(w, err)
-		return
-	}
-	if req.Plan != "" {
-		if req.Strategy != "" {
-			writeErr(w, httpError{http.StatusBadRequest, "strategy and plan are mutually exclusive"})
-			return
-		}
-		s.runPlan(w, d, planRequest{Plan: req.Plan, Eps: req.Eps, Params: req.Params})
 		return
 	}
 	rows, rcpt, err := d.MeasureAudited(req.Strategy, req.Eps)
@@ -339,12 +325,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, d *Dataset) 
 		writeErr(w, err)
 		return
 	}
-	s.runPlan(w, d, req)
-}
-
-// runPlan executes a plan-mode measurement and writes the response; it
-// backs both the /plan endpoint and the measure endpoint's plan mode.
-func (s *Server) runPlan(w http.ResponseWriter, d *Dataset, req planRequest) {
 	if req.Plan == "" {
 		writeErr(w, httpError{http.StatusBadRequest, "plan name required"})
 		return

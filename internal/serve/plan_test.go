@@ -75,8 +75,8 @@ func TestPlanEndpointEveryRegistryPlan(t *testing.T) {
 
 // TestPlanEndpointRejectsBadInput pins the plan endpoint's validation
 // surface: unknown names and invalid public parameters are 400s,
-// budget exhaustion stays 402, and the measure endpoint's plan mode
-// behaves identically.
+// budget exhaustion stays 402, and /measure refuses a "plan" field as
+// an unknown field.
 func TestPlanEndpointRejectsBadInput(t *testing.T) {
 	s, ts := newTestServer(t)
 	if _, err := s.CreateDataset("p", "piecewise", 32, 1000, 3, 2); err != nil {
@@ -99,10 +99,10 @@ func TestPlanEndpointRejectsBadInput(t *testing.T) {
 		{"negative rounds", "/v1/datasets/p/plan",
 			planRequest{Plan: "MWEM", Eps: 1, Params: &planParams{Rounds: -2}}, http.StatusBadRequest},
 		{"overdraft", "/v1/datasets/p/plan", planRequest{Plan: "Identity", Eps: 5}, http.StatusPaymentRequired},
-		{"measure plan mode unknown", "/v1/datasets/p/measure",
-			measureRequest{Plan: "NotAPlan", Eps: 1}, http.StatusBadRequest},
-		{"measure strategy+plan", "/v1/datasets/p/measure",
-			measureRequest{Strategy: "hb", Plan: "Identity", Eps: 1}, http.StatusBadRequest},
+		// A valid strategy measurement plus a "plan" field: the field
+		// alone makes it a 400.
+		{"plan field on measure", "/v1/datasets/p/measure",
+			map[string]any{"strategy": "identity", "eps": 1, "plan": ""}, http.StatusBadRequest},
 		{"unknown dataset", "/v1/datasets/missing/plan", planRequest{Plan: "Identity", Eps: 1}, http.StatusNotFound},
 	}
 	for _, c := range cases {
@@ -131,31 +131,6 @@ func TestPlanEmptyWorkloadDefaults(t *testing.T) {
 	}
 	if res.Rows == 0 {
 		t.Fatalf("empty-workload MWEM measured nothing: %+v", res)
-	}
-}
-
-// TestMeasureEndpointPlanMode drives plan-mode measurement through the
-// measure endpoint (the "plan" field) and checks it is the same code
-// path as /plan: identical result shape and identical accounting.
-func TestMeasureEndpointPlanMode(t *testing.T) {
-	_, ts := newTestServer(t)
-	status, body := postJSON(t, ts.URL+"/v1/datasets", createRequest{
-		Name: "m", Kind: "piecewise", N: 64, Scale: 20000, Seed: 9, EpsTotal: 10,
-	}, nil)
-	if status != http.StatusCreated {
-		t.Fatalf("create: %d %s", status, body)
-	}
-	var res PlanResult
-	status, body = postJSON(t, ts.URL+"/v1/datasets/m/measure",
-		measureRequest{Plan: "Hierarchical Opt (HB)", Eps: 2}, &res)
-	if status != http.StatusOK {
-		t.Fatalf("measure plan mode: %d %s", status, body)
-	}
-	if res.Plan != "Hierarchical Opt (HB)" || res.Signature != "SHB LM LS" {
-		t.Fatalf("plan-mode result %+v", res)
-	}
-	if math.Abs(res.EpsCharged-2) > 1e-9 || math.Abs(res.Remaining-8) > 1e-9 {
-		t.Fatalf("plan-mode accounting %+v", res)
 	}
 }
 

@@ -16,9 +16,8 @@
 // only misses reach the per-dataset batcher, which coalesces concurrent
 // clients' range workloads into one panel and answers them with a
 // single mat.MatMat pass over the dataset's estimate panel. With
-// Config.StateDir set, every measurement commit is made durable before
-// the request returns (under the default fsync policy,
-// wal.PolicyAlways) and is restored (spent budget included) when the
+// Config.StateDir set, every measurement commit is synced to disk before
+// the request returns and is restored (spent budget included) when the
 // dataset is re-created: each commit appends one
 // CRC-framed record to a per-dataset write-ahead log that is
 // periodically compacted into a fresh log holding only the records that
@@ -157,22 +156,10 @@ type Config struct {
 	// (solver.NNLSMulti, non-negative estimates); "" means "cgls".
 	// Datasets may override it at create time.
 	Solver string
-	// CacheSize bounds the per-dataset workload-answer cache (entries
-	// keyed by workload fingerprint, valid for one measurement-log
-	// generation); 0 means 256, negative disables caching.
-	CacheSize int
 	// StateDir, when non-empty, enables measurement-log persistence
 	// under this directory: creating a dataset with a previously used
 	// name loads its state back, budget accounting included.
 	StateDir string
-	// Fsync is the WAL fsync policy: wal.PolicyAlways (default — one
-	// record is one privacy-relevant commit), wal.PolicyInterval, or
-	// wal.PolicyNever. Only PolicyAlways makes a commit durable before it
-	// is acknowledged; under the others a power failure can lose an
-	// acknowledged commit and re-grant its ε on restart.
-	Fsync string
-	// FsyncInterval is the wal.PolicyInterval sync spacing (0: 100ms).
-	FsyncInterval time.Duration
 	// CheckpointEvery compacts a dataset's WAL into a checkpoint after
 	// this many appended records; 0 means 64, negative disables
 	// compaction.
@@ -212,15 +199,6 @@ func (c *Config) fill() {
 	}
 	if c.Solver == "" {
 		c.Solver = SolverCGLS
-	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 256
-	}
-	if c.CacheSize < 0 {
-		c.CacheSize = 0 // disabled; newPanelCache returns nil
-	}
-	if c.Fsync == "" {
-		c.Fsync = wal.PolicyAlways
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 64
@@ -332,15 +310,11 @@ type Server struct {
 }
 
 // New returns an empty server. It panics on a Config.Solver outside
-// Solvers() or an invalid Config.Fsync policy — startup configuration
+// Solvers() or a malformed Config.AuditKey — startup configuration
 // errors, not runtime conditions.
 func New(cfg Config) *Server {
 	if !validSolver(cfg.Solver) {
 		panic(fmt.Sprintf("serve: unknown solver %q (have %v)", cfg.Solver, Solvers()))
-	}
-	if !wal.ValidPolicy(cfg.Fsync) {
-		panic(fmt.Sprintf("serve: unknown fsync policy %q (have %q, %q, %q)",
-			cfg.Fsync, wal.PolicyAlways, wal.PolicyInterval, wal.PolicyNever))
 	}
 	if cfg.AuditKey != nil && len(cfg.AuditKey) != ed25519.PrivateKeySize {
 		panic(fmt.Sprintf("serve: audit key has %d bytes, want %d", len(cfg.AuditKey), ed25519.PrivateKeySize))
@@ -467,8 +441,7 @@ type Dataset struct {
 	savedIterations int
 	baselineIters   int // iterations of the last cold iterative refresh
 
-	// cache memoizes answered workloads at the current generation; nil
-	// when disabled.
+	// cache memoizes answered workloads at the current generation.
 	cache *panelCache
 	// walPath and panelPath are the log and the advisory warm-start
 	// sidecar (walstate.go). All persistence I/O goes through fs so
@@ -581,6 +554,7 @@ func (s *Server) addDataset(name string, x []float64, seed uint64, epsTotal floa
 		follower: primary != "",
 		primary:  primary,
 		audit:    audit.NewTree(),
+		cache:    newPanelCache(0),
 	}
 	if s.cfg.StateDir != "" {
 		d.walPath = walFilePath(s.cfg.StateDir, name)
@@ -592,10 +566,10 @@ func (s *Server) addDataset(name string, x []float64, seed uint64, epsTotal floa
 		if err := d.loadStateWAL(); err != nil {
 			return nil, err
 		}
+		// Serving starts from a fresh cache at the restored generation,
+		// so the replay's invalidations do not count as traffic.
+		d.cache = newPanelCache(d.gen)
 	}
-	// The answer cache starts at the restored generation, so the
-	// replay's transitions had none to invalidate.
-	d.cache = newPanelCache(s.cfg.CacheSize, d.gen)
 	// Seed the replication stream from the (possibly restored) state
 	// before the dataset is visible: followers that connect immediately
 	// see a complete history from offset zero.

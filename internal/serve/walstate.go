@@ -180,11 +180,6 @@ func validConsumed(v float64) bool {
 	return v >= 0 && !math.IsInf(v, 0) // NaN fails the >= 0 comparison
 }
 
-// walOpts builds the dataset's log options from its config.
-func (d *Dataset) walOpts() wal.Options {
-	return wal.Options{Policy: d.cfg.Fsync, Interval: d.cfg.FsyncInterval, FS: d.fs}
-}
-
 // checkIdentity validates a dataset-create record's identity against
 // the dataset being created.
 func (d *Dataset) checkIdentity(c *walCreate) error {
@@ -348,7 +343,7 @@ func (d *Dataset) sinkLocked(r record) {
 	if d.wlog == nil || d.readOnly {
 		return
 	}
-	//lint:ignore lockscope the commit-section append is the design: disk order must equal apply order (generation order on the primary, stream order on a follower), and the fsync policy bounds the hold
+	//lint:ignore lockscope the commit-section append is the design: disk order must equal apply order (generation order on the primary, stream order on a follower), and the hold is one write and one fsync
 	if err := d.wlog.AppendFramed(r.frame); err != nil {
 		d.degradeLocked(err)
 		return
@@ -387,7 +382,7 @@ func (d *Dataset) loadStateWAL() error {
 	// as a torn tail; a follower takes it as one, since it resyncs
 	// whatever its log lacks from the primary.
 	var head int
-	opts := d.walOpts()
+	opts := wal.Options{FS: d.fs}
 	opts.Check = func(data []byte, recs []wal.Record) error {
 		var whole bool
 		head, whole = compactedHead(data, recs, len(wal.AppendFrame(nil, wal.TypeDatasetCreate, create)))
@@ -659,7 +654,7 @@ func (d *Dataset) maybeCompactLocked() {
 	//lint:ignore lockscope compaction must swap the log against a quiesced commit path, which only the dataset mutex guarantees; it runs every CheckpointEvery commits, not per request
 	d.wlog.Close()
 	//lint:ignore lockscope compaction must swap the log against a quiesced commit path, which only the dataset mutex guarantees; it runs every CheckpointEvery commits, not per request
-	nl, err := wal.Replace(d.walPath, recs, d.walOpts())
+	nl, err := wal.Replace(d.walPath, recs, wal.Options{FS: d.fs})
 	// A failure retries after another CheckpointEvery records, not on
 	// every commit (a state over wal.MaxPayload never compacts).
 	d.walRecs = 0
@@ -667,7 +662,7 @@ func (d *Dataset) maybeCompactLocked() {
 		//lint:ignore lockscope error path: compaction failure is logged once, then the old log is reopened
 		log.Printf("serve: dataset %q: compaction failed, keeping log: %v", d.name, err)
 		//lint:ignore lockscope reopening the surviving log is the compaction-failure recovery; it must finish before the commit path resumes
-		ol, _, oerr := wal.Open(d.walPath, d.walOpts())
+		ol, _, oerr := wal.Open(d.walPath, wal.Options{FS: d.fs})
 		if oerr != nil {
 			d.degradeLocked(fmt.Errorf("compaction failed (%v) and log reopen failed: %w", err, oerr))
 			return

@@ -20,7 +20,8 @@ var (
 // instant would leave under prefix-durable appends), FailWrites and
 // FailSync (file and directory syncs alike) simulate a dying disk for
 // the read-only degradation path, and ShortWriteOnce models a partial
-// write that reports failure. All methods are safe for concurrent use.
+// write that reports failure. Syncs counts the file syncs that reached
+// the base FS. All methods are safe for concurrent use.
 type FaultFS struct {
 	base FS
 
@@ -30,6 +31,7 @@ type FaultFS struct {
 	crashBudget int64 // remaining write bytes before the crash; -1 disarmed
 	crashed     bool
 	shortOnce   bool
+	syncs       int
 }
 
 // NewFaultFS returns a FaultFS over base (OSFS when nil) with no faults
@@ -79,6 +81,14 @@ func (f *FaultFS) Crashed() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.crashed
+}
+
+// Syncs reports how many file syncs (not directory syncs) have reached
+// the base FS.
+func (f *FaultFS) Syncs() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.syncs
 }
 
 // opErr is the common per-operation gate for non-write operations.
@@ -213,7 +223,13 @@ func (w *faultFile) Sync() error {
 	if err := w.fs.syncErr(); err != nil {
 		return err
 	}
-	return w.f.Sync()
+	if err := w.f.Sync(); err != nil {
+		return err
+	}
+	w.fs.mu.Lock()
+	defer w.fs.mu.Unlock()
+	w.fs.syncs++
+	return nil
 }
 
 func (w *faultFile) Close() error { return w.f.Close() }

@@ -31,13 +31,12 @@
 // exactly the crash semantics, and for byte rot it is the documented
 // trade — a clean prefix always loads, bytes after damage are gone.
 //
-// # Fsync policy
+// # Durability
 //
-// Appends are durable per Options.Policy: PolicyAlways syncs every
-// append (the default — one record is one privacy-relevant commit),
-// PolicyInterval syncs when Options.Interval has elapsed since the last
-// sync, PolicyNever leaves syncing to the OS (and Close). Whatever the
-// policy, Close syncs before closing so clean shutdowns lose nothing.
+// Every append is synced before it returns: one record is one
+// privacy-relevant commit, and a commit that was acknowledged and then
+// lost on power failure would have its budget granted again on restart.
+// Close syncs too.
 //
 // # Checkpoint compaction
 //
@@ -66,7 +65,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"time"
 )
 
 // Magic is the 8-byte log file header.
@@ -201,26 +199,14 @@ func scanFrame(b []byte) (rec Record, n int, ok bool) {
 	return Record{Type: Type(b[4]), Payload: b[FrameHeader:end]}, end + 4, true
 }
 
-// Fsync policies for Options.Policy.
-const (
-	PolicyAlways   = "always"
-	PolicyInterval = "interval"
-	PolicyNever    = "never"
-)
-
-// ValidPolicy reports whether name is an fsync policy ("" means the
-// default, PolicyAlways).
-func ValidPolicy(name string) bool {
-	return name == "" || name == PolicyAlways || name == PolicyInterval || name == PolicyNever
-}
+// PolicyAlways is the one value Options.Policy accepts.
+const PolicyAlways = "always"
 
 // Options tunes a log.
 type Options struct {
-	// Policy is the fsync policy: PolicyAlways (default), PolicyInterval
-	// or PolicyNever.
+	// Policy must be "" or PolicyAlways: every append is synced. The
+	// field goes once the benchmark harness stops setting it.
 	Policy string
-	// Interval is the PolicyInterval sync spacing; 0 means 100ms.
-	Interval time.Duration
 	// FS is the filesystem; nil means OSFS.
 	FS FS
 	// Check, when set, vets the image Open read — its bytes and the
@@ -231,12 +217,6 @@ type Options struct {
 }
 
 func (o Options) fill() Options {
-	if o.Policy == "" {
-		o.Policy = PolicyAlways
-	}
-	if o.Interval <= 0 {
-		o.Interval = 100 * time.Millisecond
-	}
 	if o.FS == nil {
 		o.FS = OSFS{}
 	}
@@ -245,12 +225,9 @@ func (o Options) fill() Options {
 
 // Log is an open write-ahead log positioned for appends.
 type Log struct {
-	path     string
-	f        File
-	policy   string
-	interval time.Duration
-	lastSync time.Time
-	closed   bool
+	path   string
+	f      File
+	closed bool
 }
 
 // Open opens (creating if absent) the log at path, recovers the clean
@@ -258,7 +235,7 @@ type Log struct {
 // appends along with the recovered records. A torn tail is recovery,
 // not failure; only real I/O errors (or an invalid Options.Policy) fail.
 func Open(path string, opts Options) (*Log, []Record, error) {
-	if !ValidPolicy(opts.Policy) {
+	if opts.Policy != "" && opts.Policy != PolicyAlways {
 		return nil, nil, fmt.Errorf("wal: unknown fsync policy %q", opts.Policy)
 	}
 	opts = opts.fill()
@@ -288,7 +265,7 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	l, err := newLog(f, path, opts, clean)
+	l, err := newLog(f, path, clean)
 	if err == nil && fresh {
 		// A new file survives a power loss only once its directory is
 		// synced.
@@ -309,7 +286,7 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 
 // newLog positions a log for appends on f, which holds size clean
 // bytes; a file without a whole header first gets one, durably.
-func newLog(f File, path string, opts Options, size int) (*Log, error) {
+func newLog(f File, path string, size int) (*Log, error) {
 	if size < len(Magic) {
 		if _, err := f.Write([]byte(Magic)); err != nil {
 			return nil, fmt.Errorf("wal: write header %s: %w", path, err)
@@ -318,11 +295,10 @@ func newLog(f File, path string, opts Options, size int) (*Log, error) {
 			return nil, fmt.Errorf("wal: sync header %s: %w", path, err)
 		}
 	}
-	return &Log{path: path, f: f, policy: opts.Policy,
-		interval: opts.Interval, lastSync: time.Now()}, nil
+	return &Log{path: path, f: f}, nil
 }
 
-// Append frames and writes one record, syncing per the log's policy.
+// Append frames, writes and syncs one record.
 // The frame is written in a single Write call, so with prefix-durable
 // appends a crash leaves either no trace of the record or a torn frame
 // the next Open truncates. Any error leaves the log unusable for
@@ -348,26 +324,9 @@ func (l *Log) AppendFramed(frame []byte) error {
 	if _, err := l.f.Write(frame); err != nil {
 		return fmt.Errorf("wal: append to %s: %w", l.path, err)
 	}
-	switch l.policy {
-	case PolicyAlways:
-		return l.Sync()
-	case PolicyInterval:
-		if time.Since(l.lastSync) >= l.interval {
-			return l.Sync()
-		}
-	}
-	return nil
-}
-
-// Sync flushes appended records to stable storage.
-func (l *Log) Sync() error {
-	if l.closed {
-		return ErrClosed
-	}
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: sync %s: %w", l.path, err)
 	}
-	l.lastSync = time.Now()
 	return nil
 }
 
@@ -441,5 +400,5 @@ func Replace(path string, recs []Record, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	return newLog(f, path, opts, len(img))
+	return newLog(f, path, len(img))
 }

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 // logRecords appends n deterministic records through a fresh log and
@@ -40,40 +39,36 @@ func logRecords(t *testing.T, dir string, opts Options, n int) (string, [][]byte
 }
 
 func TestRoundTrip(t *testing.T) {
-	for _, policy := range []string{PolicyAlways, PolicyInterval, PolicyNever} {
-		t.Run(policy, func(t *testing.T) {
-			path, payloads := logRecords(t, t.TempDir(), Options{Policy: policy}, 7)
-			l, recs, err := Open(path, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer l.Close()
-			if len(recs) != len(payloads) {
-				t.Fatalf("recovered %d records, wrote %d", len(recs), len(payloads))
-			}
-			for i, r := range recs {
-				if !bytes.Equal(r.Payload, payloads[i]) {
-					t.Fatalf("record %d payload mismatch", i)
-				}
-			}
-			if recs[0].Type != TypeDatasetCreate || recs[1].Type != TypeMeasurementBlock {
-				t.Fatalf("record types lost: %v %v", recs[0].Type, recs[1].Type)
-			}
-			// Appends continue after recovery.
-			if err := l.Append(TypeBudgetRestore, []byte(`{"consumed":1}`)); err != nil {
-				t.Fatal(err)
-			}
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
-			_, recs2, err := Open(path, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(recs2) != len(payloads)+1 {
-				t.Fatalf("after reopen-append: %d records", len(recs2))
-			}
-		})
+	path, payloads := logRecords(t, t.TempDir(), Options{Policy: PolicyAlways}, 7)
+	l, recs, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if len(recs) != len(payloads) {
+		t.Fatalf("recovered %d records, wrote %d", len(recs), len(payloads))
+	}
+	for i, r := range recs {
+		if !bytes.Equal(r.Payload, payloads[i]) {
+			t.Fatalf("record %d payload mismatch", i)
+		}
+	}
+	if recs[0].Type != TypeDatasetCreate || recs[1].Type != TypeMeasurementBlock {
+		t.Fatalf("record types lost: %v %v", recs[0].Type, recs[1].Type)
+	}
+	// Appends continue after recovery.
+	if err := l.Append(TypeBudgetRestore, []byte(`{"consumed":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs2, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs2) != len(payloads)+1 {
+		t.Fatalf("after reopen-append: %d records", len(recs2))
 	}
 }
 
@@ -462,36 +457,38 @@ func TestFaultFSFailSync(t *testing.T) {
 	boom := errors.New("disk on fire")
 	ffs.FailSync(boom)
 	if err := l.Append(TypeDatasetCreate, []byte("x")); !errors.Is(err, boom) {
-		t.Fatalf("policy-always append ignored sync failure: %v", err)
+		t.Fatalf("append ignored sync failure: %v", err)
 	}
 }
 
-func TestIntervalPolicySyncSpacing(t *testing.T) {
-	dir := t.TempDir()
+// TestEveryAppendSyncs: each successful append is followed by exactly
+// one file sync, so an acknowledged commit is on stable storage.
+func TestEveryAppendSyncs(t *testing.T) {
 	ffs := NewFaultFS(nil)
-	boom := errors.New("sync should not run yet")
-	l, _, err := Open(filepath.Join(dir, "i.wal"), Options{FS: ffs, Policy: PolicyInterval, Interval: time.Hour})
+	l, _, err := Open(filepath.Join(t.TempDir(), "s.wal"), Options{FS: ffs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	ffs.FailSync(boom)
-	// Inside the interval no sync runs, so the injected sync failure is
-	// never observed.
-	for i := 0; i < 4; i++ {
+	base := ffs.Syncs() // the fresh log's header sync
+	const n = 5
+	for i := 1; i <= n; i++ {
 		if err := l.Append(TypeMeasurementBlock, []byte("x")); err != nil {
-			t.Fatalf("interval append %d hit a sync: %v", i, err)
+			t.Fatal(err)
 		}
-	}
-	ffs.FailSync(nil)
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
+		if got := ffs.Syncs() - base; got != i {
+			t.Fatalf("after %d appends: %d syncs", i, got)
+		}
 	}
 }
 
+// TestOpenRejectsBadPolicy: only "" and PolicyAlways open a log; the
+// retired "interval" and "never" policies fail like any unknown name.
 func TestOpenRejectsBadPolicy(t *testing.T) {
-	if _, _, err := Open(filepath.Join(t.TempDir(), "x.wal"), Options{Policy: "sometimes"}); err == nil {
-		t.Fatal("bad policy accepted")
+	for _, policy := range []string{"interval", "never", "sometimes"} {
+		if _, _, err := Open(filepath.Join(t.TempDir(), "x.wal"), Options{Policy: policy}); err == nil {
+			t.Fatalf("policy %q accepted", policy)
+		}
 	}
 }
 
