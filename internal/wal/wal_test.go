@@ -39,37 +39,40 @@ func logRecords(t *testing.T, dir string, opts Options, n int) (string, [][]byte
 }
 
 func TestRoundTrip(t *testing.T) {
-	path, payloads := logRecords(t, t.TempDir(), Options{Policy: PolicyAlways}, 7)
-	l, recs, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if len(recs) != len(payloads) {
-		t.Fatalf("recovered %d records, wrote %d", len(recs), len(payloads))
-	}
-	for i, r := range recs {
-		if !bytes.Equal(r.Payload, payloads[i]) {
-			t.Fatalf("record %d payload mismatch", i)
+	// Named by the policy it logs under; PolicyAlways is the only one.
+	t.Run(PolicyAlways, func(t *testing.T) {
+		path, payloads := logRecords(t, t.TempDir(), Options{Policy: PolicyAlways}, 7)
+		l, recs, err := Open(path, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if recs[0].Type != TypeDatasetCreate || recs[1].Type != TypeMeasurementBlock {
-		t.Fatalf("record types lost: %v %v", recs[0].Type, recs[1].Type)
-	}
-	// Appends continue after recovery.
-	if err := l.Append(TypeBudgetRestore, []byte(`{"consumed":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, recs2, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs2) != len(payloads)+1 {
-		t.Fatalf("after reopen-append: %d records", len(recs2))
-	}
+		defer l.Close()
+		if len(recs) != len(payloads) {
+			t.Fatalf("recovered %d records, wrote %d", len(recs), len(payloads))
+		}
+		for i, r := range recs {
+			if !bytes.Equal(r.Payload, payloads[i]) {
+				t.Fatalf("record %d payload mismatch", i)
+			}
+		}
+		if recs[0].Type != TypeDatasetCreate || recs[1].Type != TypeMeasurementBlock {
+			t.Fatalf("record types lost: %v %v", recs[0].Type, recs[1].Type)
+		}
+		// Appends continue after recovery.
+		if err := l.Append(TypeBudgetRestore, []byte(`{"consumed":1}`)); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, recs2, err := Open(path, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs2) != len(payloads)+1 {
+			t.Fatalf("after reopen-append: %d records", len(recs2))
+		}
+	})
 }
 
 // TestTornTailEveryByte is the exhaustive prefix matrix at the wal
